@@ -351,15 +351,6 @@ class TransformedModel:
     gamma: Coefficient
     partials: Optional[Mapping[str, Coefficient]] = None
 
-    def beta(self, t, x, u, s):
-        return gradient_coefficients(self, t, x, u, s)[0]
-
-    def mu(self, t, x, u, s):
-        return gradient_coefficients(self, t, x, u, s)[1]
-
-    def g(self, t, x, u, s):
-        return gradient_coefficients(self, t, x, u, s)[2]
-
 
 def constant_model(D=1.0, E=0.0, f=0.0, beta1=-1.0, gamma=0.0) -> TransformedModel:
     """Transformed model with constant coefficients (mainly for tests and checks)."""
@@ -582,8 +573,6 @@ class AssumptionBounds:
     K_f: float
     K_g: float
     d: float
-    f_tilde: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    g_tilde: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.d <= 0:
@@ -593,13 +582,11 @@ class AssumptionBounds:
                 raise ValueError("bounds must be finite and non-negative")
 
 
-def _affine_growth_fit(radius: np.ndarray, values: np.ndarray):
-    """Least-squares slope/intercept of |values| against |u|+|s|, clamped >= 0."""
+def _affine_growth_slope(radius: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of |values| against |u|+|s|, clamped >= 0."""
     if np.ptp(radius) < 1e-14:
-        slope, intercept = 0.0, float(np.max(values))
-    else:
-        slope, intercept = np.polyfit(radius, values, 1)
-    return max(float(slope), 0.0), max(float(intercept), 0.0)
+        return 0.0
+    return max(float(np.polyfit(radius, values, 1)[0]), 0.0)
 
 
 def check_assumptions(model: TransformedModel, box: Box,
@@ -631,8 +618,8 @@ def check_assumptions(model: TransformedModel, box: Box,
         raise EllipticityViolation(pts, [float(D[i]) for i in bad])
 
     radius = np.abs(u) + np.abs(s)
-    K_f, f0 = _affine_growth_fit(radius, np.abs(fv))
-    K_g, g0 = _affine_growth_fit(radius, np.abs(g))
+    K_f = _affine_growth_slope(radius, np.abs(fv))
+    K_g = _affine_growth_slope(radius, np.abs(g))
 
     return AssumptionBounds(
         K_D=float(np.max(np.abs(D))),
@@ -642,10 +629,6 @@ def check_assumptions(model: TransformedModel, box: Box,
         K_f=K_f,
         K_g=K_g,
         d=d,
-        f_tilde=lambda tt, xx: np.full(np.broadcast_shapes(
-            np.shape(tt), np.shape(xx)), f0, dtype=float),
-        g_tilde=lambda tt, xx: np.full(np.broadcast_shapes(
-            np.shape(tt), np.shape(xx)), g0, dtype=float),
     )
 
 

@@ -184,7 +184,6 @@ class DiscreteOperators:
     mass_main: np.ndarray
     mass_off: np.ndarray
     lumped: np.ndarray
-    laplacian_N: sp.dia_matrix
     bilaplacian: sp.dia_matrix
     unit_stiffness_main: np.ndarray
     unit_stiffness_off: np.ndarray
@@ -199,7 +198,6 @@ class DiscreteOperators:
             mass_main=mm,
             mass_off=mo,
             lumped=lumped_mass_diagonal(mesh),
-            laplacian_N=neumann_laplacian_lumped(mesh),
             bilaplacian=neumann_bilaplacian(mesh),
             unit_stiffness_main=km,
             unit_stiffness_off=ko,

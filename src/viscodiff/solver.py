@@ -23,6 +23,7 @@ from .discretization import (
     BoundaryData,
     DiscreteOperators,
     Mesh,
+    assemble_flux_vector,
     boundary_functional,
     stiffness_diagonals,
     tridiag_matvec,
@@ -81,8 +82,6 @@ class SolverConfig:
     T_end: float
     epsilon: float = 0.0
     stress_scheme: str = "implicit-decay"
-    coefficient_lag: str = "previous-step"
-    newton_free: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -93,8 +92,6 @@ class SolverConfig:
             raise ValueError("epsilon must be non-negative")
         if self.stress_scheme not in ("implicit-decay", "explicit"):
             raise ValueError(f"unknown stress scheme {self.stress_scheme!r}")
-        if self.coefficient_lag != "previous-step":
-            raise ValueError("only previous-step coefficient lagging is supported")
 
     @property
     def n_steps(self) -> int:
@@ -146,7 +143,13 @@ def compute_flux(state: State, mesh: Mesh,
 
 
 class _Stepper:
-    """Per-run workspace: pre-assembled operators and the step kernel."""
+    """Per-run workspace: pre-assembled operators and the step kernel.
+
+    Both step systems are held in (2, 2) band storage.  With epsilon > 0
+    the constant regularization bands dt*eps*M_L(I+L_h)^2 (concentration)
+    and dt*eps*(I+L_h)^2 (stress) are built once; each step adds its
+    lagged tridiagonal part to a copy of them.
+    """
 
     def __init__(self, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
                  cfg: SolverConfig):
@@ -157,13 +160,10 @@ class _Stepper:
         self.ops = DiscreteOperators.build(mesh)
         self.n = mesh.N + 1
         if cfg.epsilon > 0:
-            # lumped-mass-weighted regularization, symmetric pentadiagonal
-            ml = sp.diags(self.ops.lumped)
-            self.reg_u = sp.csr_matrix(ml @ self.ops.bilaplacian)
-            self.reg_s = sp.csr_matrix(self.ops.bilaplacian)
-        else:
-            self.reg_u = None
-            self.reg_s = None
+            w = cfg.dt * cfg.epsilon
+            bilap = self.ops.bilaplacian
+            self.reg_u = w * _bands(sp.diags(self.ops.lumped) @ bilap)
+            self.reg_s = w * _bands(bilap)
 
     def _coefficient_fields(self, state: State):
         t, x = state.t, self.mesh.nodes
@@ -177,9 +177,9 @@ class _Stepper:
                 full(self.model.beta1(t, x, u, s)),
                 full(self.model.gamma(t, x, u, s)))
 
-    def advance(self, state: State, step_index: int = 0) -> State:
-        mesh, cfg = self.mesh, self.cfg
-        dt = cfg.dt
+    def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
+        mesh, cfg, ops = self.mesh, self.cfg, self.ops
+        dt, eps = cfg.dt, cfg.epsilon
         Dn, En, fn, b1n, gn = self._coefficient_fields(state)
         for name, field in (("diffusion", Dn), ("stress-diffusion", En),
                             ("forcing", fn), ("relaxation", b1n),
@@ -190,21 +190,18 @@ class _Stepper:
 
         kD_main, kD_off = stiffness_diagonals(mesh, Dn)
         kE_main, kE_off = stiffness_diagonals(mesh, En)
-        wbar = 0.5 * (fn[:-1] + fn[1:])
-        bf = np.zeros(self.n)
-        bf[:-1] -= wbar
-        bf[1:] += wbar
-
-        t_next = state.t + dt
         psi = boundary_functional(mesh, self.bd, t_next)
-        rhs = (tridiag_matvec(self.ops.mass_main, self.ops.mass_off, state.u)
-               - dt * (tridiag_matvec(kE_main, kE_off, state.sigma_v) + bf)
+        rhs = (tridiag_matvec(ops.mass_main, ops.mass_off, state.u)
+               - dt * (tridiag_matvec(kE_main, kE_off, state.sigma_v)
+                       + assemble_flux_vector(mesh, fn))
                + dt * psi)
 
-        if cfg.epsilon == 0.0:
+        a_main = ops.mass_main + dt * kD_main
+        a_off = ops.mass_off + dt * kD_off
+        if eps == 0.0:
             ab = np.zeros((2, self.n))
-            ab[0, 1:] = self.ops.mass_off + dt * kD_off
-            ab[1, :] = self.ops.mass_main + dt * kD_main
+            ab[0, 1:] = a_off
+            ab[1, :] = a_main
             try:
                 u_next = solveh_banded(ab, rhs, lower=False)
             except np.linalg.LinAlgError as exc:
@@ -212,10 +209,11 @@ class _Stepper:
                     f"concentration system not SPD at step {step_index} "
                     f"(discrete ellipticity violation): {exc}") from exc
         else:
-            A = (self.ops.mass
-                 + dt * sp.diags([kD_off, kD_main, kD_off], [-1, 0, 1])
-                 + (dt * cfg.epsilon) * self.reg_u)
-            u_next = _solve_pentadiagonal(A, rhs, step_index, "concentration")
+            ab = self.reg_u.copy()
+            ab[1, 1:] += a_off
+            ab[2, :] += a_main
+            ab[3, :-1] += a_off
+            u_next = _solve_banded(ab, rhs, step_index, "concentration")
 
         drive = state.sigma_v + dt * gn * u_next
         if cfg.stress_scheme == "explicit":
@@ -223,9 +221,9 @@ class _Stepper:
                 raise ValueError(
                     "explicit stress scheme requires dt * max|beta1| < 1")
             s_next = state.sigma_v + dt * (b1n * state.sigma_v + gn * u_next)
-            if cfg.epsilon > 0:
-                s_next -= dt * cfg.epsilon * (self.ops.bilaplacian @ state.sigma_v)
-        elif cfg.epsilon == 0.0:
+            if eps > 0:
+                s_next -= dt * eps * (ops.bilaplacian @ state.sigma_v)
+        elif eps == 0.0:
             denom = 1.0 - dt * b1n
             if np.any(denom <= 0):
                 raise LinearSolveFailure(
@@ -233,9 +231,9 @@ class _Stepper:
                     "dt * beta1 >= 1 with positive beta1")
             s_next = drive / denom
         else:
-            B = (sp.diags(1.0 - dt * b1n)
-                 + (dt * cfg.epsilon) * self.reg_s)
-            s_next = _solve_pentadiagonal(B, drive, step_index, "stress")
+            ab = self.reg_s.copy()
+            ab[2, :] += 1.0 - dt * b1n
+            s_next = _solve_banded(ab, drive, step_index, "stress")
 
         if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(s_next))):
             what = "concentration" if not np.all(np.isfinite(u_next)) else "stress"
@@ -243,15 +241,19 @@ class _Stepper:
         return State(t=t_next, u=u_next, sigma_v=s_next)
 
 
-def _solve_pentadiagonal(A: sp.spmatrix, rhs: np.ndarray, step_index: int,
-                         what: str) -> np.ndarray:
-    dia = sp.dia_matrix(A)
-    n = dia.shape[0]
-    ab = np.zeros((5, n))
+def _bands(mat: sp.spmatrix) -> np.ndarray:
+    """(2, 2) band storage of a pentadiagonal matrix, as solve_banded reads it."""
+    dia = sp.dia_matrix(mat)
+    ab = np.zeros((5, dia.shape[0]))
     for off, row in zip(dia.offsets, dia.data):
         if abs(off) > 2:
             raise ValueError("matrix bandwidth exceeds 2")
         ab[2 - off, :] = row
+    return ab
+
+
+def _solve_banded(ab: np.ndarray, rhs: np.ndarray, step_index: int,
+                  what: str) -> np.ndarray:
     try:
         return solve_banded((2, 2), ab, rhs)
     except np.linalg.LinAlgError as exc:
@@ -264,19 +266,17 @@ def step(state: State, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
     """One semi-implicit step of the unregularized system (epsilon must be 0)."""
     if cfg.epsilon != 0.0:
         raise ValueError("step requires epsilon == 0; use step_regularized")
-    state.check(mesh)
-    return _Stepper(mesh, model, bd, cfg).advance(state)
+    return step_regularized(state, mesh, model, bd, cfg)
 
 
 def step_regularized(state: State, mesh: Mesh, model: TransformedModel,
                      bd: BoundaryData, cfg: SolverConfig) -> State:
     """One step with the fourth-order regularization term added (any epsilon).
 
-    With epsilon == 0 this dispatches to the plain step and is
-    bit-for-bit identical to it.
+    With epsilon == 0 this is the plain step.
     """
     state.check(mesh)
-    return _Stepper(mesh, model, bd, cfg).advance(state)
+    return _Stepper(mesh, model, bd, cfg).advance(state, state.t + cfg.dt)
 
 
 @dataclass
@@ -332,7 +332,7 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
 
     for k in range(1, n_steps + 1):
         prev_u = state.u
-        state = stepper.advance(state, step_index=k)
+        state = stepper.advance(state, state.t + cfg.dt, step_index=k)
         rec = record(state, mesh, gamma=gamma, prev=records[-1])
         records.append(rec)
         sup_h1_s = max(sup_h1_s, _h1_norm(rec))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from viscodiff.coefficients import (
     constant_model,
@@ -14,8 +16,13 @@ from viscodiff.coefficients import (
 from viscodiff.discretization import (
     ZERO_INFLUX,
     BoundaryData,
+    DiscreteOperators,
+    assemble_flux_vector,
     assemble_mass,
+    boundary_functional,
     build_mesh,
+    stiffness_diagonals,
+    tridiag_matvec,
 )
 from viscodiff.solver import (
     InitialData,
@@ -200,6 +207,41 @@ def _tanh_mix():
     )
 
 
+def _sparse_reference_step(state, mesh, model, bd, cfg):
+    """The regularized step assembled with scipy.sparse and solved in
+    (2, 2) band storage, for comparison with the solver's band kernel."""
+    ops = DiscreteOperators.build(mesh)
+    dt, eps = cfg.dt, cfg.epsilon
+    u, s = state.u, state.sigma_v
+    D, E, f, b1, g = (
+        np.broadcast_to(np.asarray(c(state.t, mesh.nodes, u, s), float), u.shape)
+        for c in (model.D, model.E, model.f, model.beta1, model.gamma))
+    kD_main, kD_off = stiffness_diagonals(mesh, D)
+    kE_main, kE_off = stiffness_diagonals(mesh, E)
+    rhs = (tridiag_matvec(ops.mass_main, ops.mass_off, u)
+           - dt * (tridiag_matvec(kE_main, kE_off, s)
+                   + assemble_flux_vector(mesh, f))
+           + dt * boundary_functional(mesh, bd, state.t + dt))
+
+    def solve(A, b):
+        dia = sp.dia_matrix(A)
+        ab = np.zeros((5, u.size))
+        for off, row in zip(dia.offsets, dia.data):
+            ab[2 - off, :] = row
+        return solve_banded((2, 2), ab, b)
+
+    A = (ops.mass + dt * sp.diags([kD_off, kD_main, kD_off], [-1, 0, 1])
+         + (dt * eps) * sp.csr_matrix(sp.diags(ops.lumped) @ ops.bilaplacian))
+    u_next = solve(A, rhs)
+    if cfg.stress_scheme == "explicit":
+        s_next = s + dt * (b1 * s + g * u_next)
+        s_next -= dt * eps * (ops.bilaplacian @ s)
+    else:
+        B = sp.diags(1.0 - dt * b1) + (dt * eps) * sp.csr_matrix(ops.bilaplacian)
+        s_next = solve(B, s + dt * g * u_next)
+    return State(t=state.t + dt, u=u_next, sigma_v=s_next)
+
+
 class TestRegularized:
     def test_epsilon_zero_dispatch_identity(self):
         mesh = build_mesh(1.0, 16)
@@ -220,6 +262,21 @@ class TestRegularized:
         out = step_regularized(state, mesh, model, ZERO_INFLUX, cfg)
         assert np.ptp(out.u) <= 1e-13
         assert np.ptp(out.sigma_v) <= 1e-13
+
+    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_matches_sparse_reference(self, eps, scheme):
+        mesh = build_mesh(1.0, 16)
+        model = transform(_tanh_mix())
+        bd = BoundaryData(phi_left=lambda t: 0.3, phi_right=lambda t: -0.1)
+        cfg = SolverConfig(dt=1e-3, T_end=1e-3, epsilon=eps,
+                           stress_scheme=scheme)
+        state = State(t=0.0, u=0.3 + 0.2 * np.cos(math.pi * mesh.nodes),
+                      sigma_v=0.1 * np.sin(2 * math.pi * mesh.nodes))
+        ref = _sparse_reference_step(state, mesh, model, bd, cfg)
+        out = step_regularized(state, mesh, model, bd, cfg)
+        assert np.array_equal(out.u, ref.u)
+        assert np.array_equal(out.sigma_v, ref.sigma_v)
 
     def test_terminal_distance_monotone_in_epsilon(self):
         mesh = build_mesh(1.0, 32)
