@@ -17,7 +17,6 @@ import argparse
 import datetime
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .coefficients import (
     GammaSearchFailure,
     LongTimeCondition,
     LongTimeConditionFailure,
+    NonSmoothCoefficient,
     check_assumptions,
     check_longtime_condition,
     find_gamma,
@@ -47,7 +47,6 @@ from .output import write_diagnostics, write_flux, write_snapshot
 from .solver import (
     LinearSolveFailure,
     NumericalFailure,
-    RunResult,
     compute_flux,
     reconstruct_sigma,
     run,
@@ -204,8 +203,8 @@ def _analytic_error(cfg: ScenarioConfig, mesh, final_state) -> float:
     return float(np.sqrt(max(err @ (M @ err), 0.0)))
 
 
-def _execute(cfg: ScenarioConfig, quiet: bool):
-    """Build and run one scenario; returns everything the writers need."""
+def _build(cfg: ScenarioConfig):
+    """Everything ``run`` needs for one scenario; bad inputs are ConfigErrors."""
     mesh = cfgmod.build_mesh_from(cfg)
     phys = cfgmod.build_physical(cfg)
     model = cfgmod.build_model(cfg)
@@ -215,8 +214,12 @@ def _execute(cfg: ScenarioConfig, quiet: bool):
         init = cfgmod.build_initial(cfg, mesh, phys)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
-    scfg = cfgmod.build_solver_config(cfg)
+    return mesh, phys, model, bd, init, cfgmod.build_solver_config(cfg)
 
+
+def _execute(cfg: ScenarioConfig, quiet: bool):
+    """Build and run one scenario; returns everything the writers need."""
+    mesh, phys, model, bd, init, scfg = _build(cfg)
     lt = _longtime(cfg, model)
     gamma = lt.Gamma if lt is not None else 1.0
 
@@ -250,7 +253,8 @@ def _signature_lines(cfg: ScenarioConfig, extrema, front) -> list[str]:
 def _run_checks(cfg: ScenarioConfig, mesh, bd, lt, result) -> list[CheckReport]:
     checks = []
     if cfg["check.mass_balance"]:
-        checks.append(mass_balance_check(result.records, bd))
+        checks.append(mass_balance_check(result.records, bd,
+                                         epsilon=result.epsilon))
     if cfg["check.lyapunov"]:
         if lt is None:
             checks.append(CheckReport(
@@ -321,16 +325,7 @@ def homogenization_from_record(rec, L: float) -> float:
 
 
 def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
-    try:
-        mesh, phys, bd, lt, result, extrema, front = _execute(cfg, quiet)
-    except (LongTimeConditionFailure, GammaSearchFailure,
-            EllipticityViolation) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (NumericalFailure, LinearSolveFailure) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
-
+    mesh, phys, bd, lt, result, extrema, front = _execute(cfg, quiet)
     checks = _run_checks(cfg, mesh, bd, lt, result)
     _write_outputs(outdir, cfg, mesh, phys, lt, result, extrema, front, checks)
     if not quiet:
@@ -347,11 +342,7 @@ def _cmd_check_assumptions(cfg: ScenarioConfig, quiet: bool) -> int:
     model = cfgmod.build_model(cfg)
     box = cfgmod.longtime_box(cfg)
     n = cfg.get("longtime.n_samples", 4096)
-    try:
-        bounds = check_assumptions(model, box, n_samples=n)
-    except EllipticityViolation as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    bounds = check_assumptions(model, box, n_samples=n)
     if not quiet:
         print(f"ellipticity constant d = {bounds.d:.6g}")
         for name in ("K_D", "K_E", "K_beta", "K_mu", "K_f", "K_g"):
@@ -364,37 +355,20 @@ def _cmd_find_gamma(cfg: ScenarioConfig, quiet: bool) -> int:
     box = cfgmod.longtime_box(cfg)
     grid = cfg.get("longtime.gamma_grid") or list(np.geomspace(0.1, 10.0, 25))
     n = cfg.get("longtime.n_samples", 4096)
-    try:
-        lt = find_gamma(model, box, grid, n_samples=n)
-    except GammaSearchFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    lt = find_gamma(model, box, grid, n_samples=n)
     print(f"Gamma = {lt.Gamma:.12g}")
     print(f"Gamma_0 = {lt.Gamma_0:.12g}")
     return EXIT_OK
 
 
 def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
-    def run_one(eps: float) -> RunResult:
-        values = dict(cfg.values)
-        values["epsilon"] = eps
-        c = ScenarioConfig(values=values)
-        mesh = cfgmod.build_mesh_from(c)
-        phys = cfgmod.build_physical(c)
-        model = cfgmod.build_model(c)
-        bd = cfgmod.build_boundary(c)
-        init = cfgmod.build_initial(c, mesh, phys)
-        return run(init, mesh, model, bd, cfgmod.build_solver_config(c))
-
     all_eps = (0.0,) + EPS_SCAN_VALUES
-    try:
-        with ThreadPoolExecutor(max_workers=len(all_eps)) as pool:
-            results = dict(zip(all_eps, pool.map(run_one, all_eps)))
-    except (NumericalFailure, LinearSolveFailure) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+    results = {}
+    for eps in all_eps:
+        mesh, _phys, model, bd, init, scfg = _build(
+            ScenarioConfig(values={**cfg.values, "epsilon": eps}))
+        results[eps] = run(init, mesh, model, bd, scfg)
 
-    mesh = cfgmod.build_mesh_from(cfg)
     M = assemble_mass(mesh)
     u_ref = results[0.0].final_state.u
 
@@ -515,6 +489,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except (EllipticityViolation, LongTimeConditionFailure,
+            GammaSearchFailure, NonSmoothCoefficient) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (NumericalFailure, LinearSolveFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

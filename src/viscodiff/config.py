@@ -471,9 +471,14 @@ def build_initial(cfg: ScenarioConfig, mesh: Mesh,
 
 
 def build_solver_config(cfg: ScenarioConfig) -> SolverConfig:
-    return SolverConfig(dt=cfg["time.dt"], T_end=cfg["time.T_end"],
-                        epsilon=cfg["epsilon"],
-                        stress_scheme=cfg["stress_scheme"])
+    # parse_config and the CLI overrides check every field but one: that
+    # T_end is a whole number of steps, which SolverConfig checks here
+    try:
+        return SolverConfig(dt=cfg["time.dt"], T_end=cfg["time.T_end"],
+                            epsilon=cfg["epsilon"],
+                            stress_scheme=cfg["stress_scheme"])
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="time.T_end") from exc
 
 
 def longtime_box(cfg: ScenarioConfig) -> Box:

@@ -188,19 +188,22 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
 
 
 def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
-                       tol: float = 1e-10) -> CheckReport:
+                       tol: float = 1e-10, *, epsilon: float = 0.0) -> CheckReport:
     """Total mass must track the time-accumulated boundary influx exactly.
 
-    Assumes the series was recorded every step, so the accumulated
-    influx matches the stepping rule term by term.
+    Assumes the series was recorded every step, so the expected mass
+    follows the stepping rule term by term:
+    m_k = (m_{k-1} + dt*(phi_left + phi_right)(t_k)) / (1 + dt*epsilon),
+    the regularization removing dt*epsilon*m_k per step.
     """
-    influx = 0.0
-    scale = 1.0 + abs(series[0].mass)
+    expected = series[0].mass
+    scale = 1.0 + abs(expected)
     for k in range(1, len(series)):
         dt = series[k].t - series[k - 1].t
-        influx += dt * (float(bd.phi_left(series[k].t))
-                        + float(bd.phi_right(series[k].t)))
-        drift = series[k].mass - series[0].mass - influx
+        expected = (expected + dt * (float(bd.phi_left(series[k].t))
+                                     + float(bd.phi_right(series[k].t)))
+                    ) / (1.0 + dt * epsilon)
+        drift = series[k].mass - expected
         if abs(drift) > tol * scale:
             return CheckReport(
                 ok=False, name="mass_balance", first_violation=k,

@@ -92,6 +92,10 @@ class SolverConfig:
             raise ValueError("epsilon must be non-negative")
         if self.stress_scheme not in ("implicit-decay", "explicit"):
             raise ValueError(f"unknown stress scheme {self.stress_scheme!r}")
+        steps = self.T_end / self.dt  # a whole number, up to round-off
+        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+            raise ValueError(f"T_end={self.T_end:g} is not a multiple of "
+                             f"dt={self.dt:g}")
 
     @property
     def n_steps(self) -> int:
@@ -332,7 +336,8 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
 
     for k in range(1, n_steps + 1):
         prev_u = state.u
-        state = stepper.advance(state, state.t + cfg.dt, step_index=k)
+        # k*dt, not a running sum, so step times do not drift from the grid
+        state = stepper.advance(state, k * cfg.dt, step_index=k)
         rec = record(state, mesh, gamma=gamma, prev=records[-1])
         records.append(rec)
         sup_h1_s = max(sup_h1_s, _h1_norm(rec))

@@ -243,6 +243,48 @@ class TestCli:
         p.write_text('model.D0 = "polynomial"\nmodel.D0.coeffs = [0.0, 1.0]\n')
         assert main(["check-assumptions", str(p)]) == EXIT_CHECK_FAILED
 
+    def test_regularized_run_passes_mass_check(self, tmp_path, capsys):
+        p = tmp_path / "reg.cfg"
+        p.write_text('preset = "eps-scan"\nepsilon = 1e-2\n')
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert "check mass_balance: PASS" in capsys.readouterr().out
+
+    def test_eps_scan_missing_initial_file_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "missing.cfg"
+        p.write_text('preset = "eps-scan"\ninitial.u0 = "file"\n'
+                     f'initial.u0.path = "{tmp_path / "absent.csv"}"\n')
+        assert main(["eps-scan", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_T_end_not_whole_steps_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "t.cfg"
+        p.write_text('preset = "eps-scan"\ntime.dt = 0.1\ntime.T_end = 0.15\n')
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "time.T_end" in capsys.readouterr().err
+        # the --dt override bypasses parse_config and is checked too
+        assert main(["preset", "eps-scan", "--dt", "0.3", "--out",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "time.T_end" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "check-assumptions", "find-gamma"])
+    def test_non_smooth_coefficient_exit_one(self, tmp_path, capsys, verb):
+        # a near-step beta0 makes the h and h/2 difference stencils disagree
+        p = tmp_path / "rough.cfg"
+        p.write_text('model.beta0 = "tanh"\nmodel.beta0.lo = 0.5\n'
+                     "model.beta0.hi = 2.0\nmodel.beta0.delta = 1e-6\n"
+                     "model.beta0.center = 0.5\n"
+                     'model.nu0 = "tanh"\nmodel.nu0.lo = 0.1\n'
+                     "model.nu0.hi = 0.2\nmodel.nu0.delta = 0.1\n"
+                     "model.nu0.center = 0.5\n"
+                     "longtime.Gamma = 1.0\nlongtime.box.u = [0.49999, 0.50001]\n"
+                     "time.T_end = 0.01\n")
+        args = [verb, str(p)] + (["--out", str(tmp_path / "o")]
+                                 if verb == "run" else [])
+        assert main(args + ["--quiet"]) == EXIT_CHECK_FAILED
+        assert "check failed:" in capsys.readouterr().err
+
     def test_summary_contains_signature_line(self, tmp_path):
         out = tmp_path / "o"
         main(["preset", "sorption", "--out", str(out), "--quiet",

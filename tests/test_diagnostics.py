@@ -1,5 +1,6 @@
 """Norm monitors, Lyapunov/mass checks, and the CSV serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -161,11 +162,29 @@ class TestMassBalance:
         bd = BoundaryData(phi_left=math.sin, phi_right=lambda t: 0.0)
         init = InitialData(np.zeros(33), np.zeros(33), phys)
         dt = 1e-3
+        # 3142 steps: the whole number of steps nearest to T = pi
         res = run(init, mesh, constant_model(D=1.0), bd,
-                  SolverConfig(dt=dt, T_end=math.pi))
+                  SolverConfig(dt=dt, T_end=3.142))
         assert mass_balance_check(res.records, bd).ok
         gain = res.records[-1].mass - res.records[0].mass
         assert gain == pytest.approx(2.0, abs=20 * dt)
+
+    def test_regularized_run_follows_recursion(self):
+        # the regularization removes dt*eps*m_k from the mass of step k
+        mesh = build_mesh(1.0, 32)
+        bd = BoundaryData(phi_left=lambda t: 0.3, phi_right=lambda t: 0.0)
+        u0 = 0.5 + 0.3 * np.cos(math.pi * mesh.nodes)
+        init = InitialData(u0, np.zeros_like(u0), _fickian_phys())
+        res = run(init, mesh, constant_model(D=1.0, E=0.1, gamma=0.5), bd,
+                  SolverConfig(dt=1e-3, T_end=0.1, epsilon=1e-2))
+        assert not mass_balance_check(res.records, bd).ok
+        assert mass_balance_check(res.records, bd, epsilon=1e-2).ok
+        perturbed = list(res.records)
+        perturbed[50] = dataclasses.replace(perturbed[50],
+                                            mass=perturbed[50].mass + 1e-8)
+        report = mass_balance_check(perturbed, bd, epsilon=1e-2)
+        assert not report.ok
+        assert report.first_violation == 50
 
     def test_violation_reported(self):
         model = constant_model(D=1.0)

@@ -13,6 +13,14 @@ from viscodiff.coefficients import (
     physical_from_models,
     transform,
 )
+from viscodiff.config import (
+    build_boundary,
+    build_initial,
+    build_mesh_from,
+    build_physical,
+    build_solver_config,
+    preset_config,
+)
 from viscodiff.discretization import (
     ZERO_INFLUX,
     BoundaryData,
@@ -62,10 +70,15 @@ class TestSolverConfig:
             SolverConfig(dt=0.1, T_end=1.0, epsilon=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, T_end=1.0, stress_scheme="midpoint")
+        with pytest.raises(ValueError, match="multiple"):
+            SolverConfig(dt=0.1, T_end=0.15)
 
     def test_n_steps_rounding(self):
         assert SolverConfig(dt=1e-3, T_end=1.0).n_steps == 1000
         assert SolverConfig(dt=0.1, T_end=0.0).n_steps == 0
+        # T_end/dt off a whole number only by round-off
+        assert SolverConfig(dt=1e-4, T_end=0.1).n_steps == 1000
+        assert SolverConfig(dt=0.1, T_end=0.3).n_steps == 3
 
 
 class TestInitialData:
@@ -185,6 +198,18 @@ class TestMassBalance:
             expected = cfg.dt * (bd.phi_left(nxt.t) + bd.phi_right(nxt.t))
             assert gain == pytest.approx(expected, abs=1e-13)
             state = nxt
+
+    def test_eps_scan_pulse_gains_its_full_mass(self):
+        # pulse 0.2 on (0, 0.5]: step 500 must land on t_off exactly, not
+        # past it through a running sum of dt
+        cfg = preset_config("eps-scan")
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        res = run(build_initial(cfg, mesh, phys), mesh, transform(phys),
+                  build_boundary(cfg), build_solver_config(cfg))
+        assert res.records[500].t == 0.5
+        gain = res.records[-1].mass - res.records[0].mass
+        assert abs(gain - 0.1) <= 1e-12
 
     def test_influx_one_over_unit_time(self):
         mesh = build_mesh(1.0, 64)
