@@ -350,6 +350,24 @@ class TransformedModel:
     beta1: Coefficient
     gamma: Coefficient
     partials: Optional[Mapping[str, Coefficient]] = None
+    # set by transform: the five callables it built, and one function
+    # returning all five fields from a single evaluation of each map
+    _fused: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def fields(self, t, x, u, s):
+        """The five fields (D, E, f, beta1, gamma) at (t, x, u, varsigma).
+
+        Equal, bit for bit, to calling the five callables.  A model built
+        by ``transform`` evaluates each physical map once, as long as its
+        five callables are still the ones ``transform`` built.
+        """
+        fused = self._fused
+        if fused is not None and fused[0] == (self.D, self.E, self.f,
+                                              self.beta1, self.gamma):
+            return fused[1](t, x, u, s)
+        return tuple(np.asarray(c(t, x, u, s), dtype=float)
+                     for c in (self.D, self.E, self.f, self.beta1, self.gamma))
 
 
 def constant_model(D=1.0, E=0.0, f=0.0, beta1=-1.0, gamma=0.0) -> TransformedModel:
@@ -366,6 +384,21 @@ def constant_model(D=1.0, E=0.0, f=0.0, beta1=-1.0, gamma=0.0) -> TransformedMod
     )
 
 
+def _diffusion(D0, nu0, E0):
+    return D0 + nu0 * E0
+
+
+def _forcing(u, M0):
+    return -u * M0
+
+
+def _stress_drive(u, mu0, beta0, nu0, A):
+    """gamma = mu0 - beta0 * A/u, with the ratio's limit nu0 near u = 0."""
+    small = np.abs(u) < U_LIMIT_THRESHOLD
+    safe_u = np.where(small, 1.0, u)
+    return mu0 - beta0 * np.where(small, nu0, A / safe_u)
+
+
 def transform(phys: PhysicalCoefficients) -> TransformedModel:
     """Change of variables varsigma = sigma - int_0^u nu0.
 
@@ -376,35 +409,43 @@ def transform(phys: PhysicalCoefficients) -> TransformedModel:
     """
     A = phys.nu0_antiderivative
 
+    def arr(v):
+        return np.asarray(v, dtype=float)
+
     def sigma_of(u, s):
-        return np.asarray(s, dtype=float) + np.asarray(A(u), dtype=float)
+        return arr(s) + arr(A(u))
 
     def D(t, x, u, s):
         sig = sigma_of(u, s)
-        return (np.asarray(phys.D0(t, x, u, sig), dtype=float)
-                + np.asarray(phys.nu0(u), dtype=float)
-                * np.asarray(phys.E0(t, x, u, sig), dtype=float))
+        return _diffusion(arr(phys.D0(t, x, u, sig)), arr(phys.nu0(u)),
+                          arr(phys.E0(t, x, u, sig)))
 
     def E(t, x, u, s):
-        return np.asarray(phys.E0(t, x, u, sigma_of(u, s)), dtype=float)
+        return arr(phys.E0(t, x, u, sigma_of(u, s)))
 
     def f(t, x, u, s):
-        return -np.asarray(u, dtype=float) * np.asarray(
-            phys.M0(t, x, u, sigma_of(u, s)), dtype=float)
+        return _forcing(arr(u), arr(phys.M0(t, x, u, sigma_of(u, s))))
 
     def beta1(t, x, u, s):
-        return -np.asarray(phys.beta0(t, x, u, sigma_of(u, s)), dtype=float)
+        return -arr(phys.beta0(t, x, u, sigma_of(u, s)))
 
     def gamma(t, x, u, s):
-        u_arr = np.asarray(u, dtype=float)
-        sig = sigma_of(u_arr, s)
-        small = np.abs(u_arr) < U_LIMIT_THRESHOLD
-        safe_u = np.where(small, 1.0, u_arr)
-        ratio = np.where(small,
-                         np.asarray(phys.nu0(u_arr), dtype=float),
-                         np.asarray(A(u_arr), dtype=float) / safe_u)
-        return (np.asarray(phys.mu0(u_arr), dtype=float)
-                - np.asarray(phys.beta0(t, x, u_arr, sig), dtype=float) * ratio)
+        u = arr(u)
+        a = arr(A(u))
+        return _stress_drive(u, arr(phys.mu0(u)),
+                             arr(phys.beta0(t, x, u, arr(s) + a)),
+                             arr(phys.nu0(u)), a)
+
+    def fields(t, x, u, s):
+        u = arr(u)
+        a = arr(A(u))
+        sig = arr(s) + a
+        nu0 = arr(phys.nu0(u))
+        E0 = arr(phys.E0(t, x, u, sig))
+        beta0 = arr(phys.beta0(t, x, u, sig))
+        return (_diffusion(arr(phys.D0(t, x, u, sig)), nu0, E0), E0,
+                _forcing(u, arr(phys.M0(t, x, u, sig))), -beta0,
+                _stress_drive(u, arr(phys.mu0(u)), beta0, nu0, a))
 
     partials = None
     if (phys.beta0_du is not None and phys.mu0_du is not None
@@ -428,8 +469,10 @@ def transform(phys: PhysicalCoefficients) -> TransformedModel:
             "gamma_x": zero,
         }
 
-    return TransformedModel(D=D, E=E, f=f, beta1=beta1, gamma=gamma,
-                            partials=partials)
+    model = TransformedModel(D=D, E=E, f=f, beta1=beta1, gamma=gamma,
+                             partials=partials)
+    model._fused = ((D, E, f, beta1, gamma), fields)
+    return model
 
 
 def physical_from_models(D0: ScalarModel, E0: ScalarModel, M0: ScalarModel,

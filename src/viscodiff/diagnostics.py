@@ -14,13 +14,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .coefficients import LongTimeCondition
-from .discretization import (
-    BoundaryData,
-    Mesh,
-    mass_diagonals,
-    stiffness_diagonals,
-    tridiag_matvec,
-)
+from .discretization import BoundaryData, Mesh, mesh_operators, tridiag_matvec
 
 __all__ = [
     "DiagnosticsRecord",
@@ -72,32 +66,8 @@ class CheckReport:
         return self.ok
 
 
-# small cache of quadrature weights keyed by mesh geometry
-_WEIGHTS: dict[tuple[float, int], tuple] = {}
-
-
-def _weights(mesh: Mesh):
-    key = (mesh.L, mesh.N)
-    if key not in _WEIGHTS:
-        mm, mo = mass_diagonals(mesh)
-        km, ko = stiffness_diagonals(mesh, np.ones(mesh.N + 1))
-        _WEIGHTS[key] = (mm, mo, km, ko)
-    return _WEIGHTS[key]
-
-
-def _l2_sq(mesh: Mesh, v: np.ndarray) -> float:
-    mm, mo, _, _ = _weights(mesh)
-    return float(np.dot(v, tridiag_matvec(mm, mo, v)))
-
-
-def _h1semi_sq(mesh: Mesh, v: np.ndarray) -> float:
-    _, _, km, ko = _weights(mesh)
-    return float(np.dot(v, tridiag_matvec(km, ko, v)))
-
-
-def _total_mass(mesh: Mesh, v: np.ndarray) -> float:
-    mm, mo, _, _ = _weights(mesh)
-    return float(np.sum(tridiag_matvec(mm, mo, v)))
+def _quadratic(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> float:
+    return float(np.dot(v, tridiag_matvec(main, off, v)))
 
 
 def record(state, mesh: Mesh, lt: Optional[LongTimeCondition] = None,
@@ -112,11 +82,15 @@ def record(state, mesh: Mesh, lt: Optional[LongTimeCondition] = None,
     G = lt.Gamma if lt is not None else gamma
     if G <= 0:
         raise ValueError("Gamma must be positive")
+    ops = mesh_operators(mesh)
     u, s = state.u, state.sigma_v
-    l2u_sq = max(_l2_sq(mesh, u), 0.0)
-    h1u_sq = max(_h1semi_sq(mesh, u), 0.0)
-    l2s_sq = max(_l2_sq(mesh, s), 0.0)
-    h1s_sq = max(_h1semi_sq(mesh, s), 0.0)
+    Mu = tridiag_matvec(ops.mass_main, ops.mass_off, u)
+    l2u_sq = max(float(np.dot(u, Mu)), 0.0)
+    h1u_sq = max(_quadratic(ops.unit_stiffness_main, ops.unit_stiffness_off, u),
+                 0.0)
+    l2s_sq = max(_quadratic(ops.mass_main, ops.mass_off, s), 0.0)
+    h1s_sq = max(_quadratic(ops.unit_stiffness_main, ops.unit_stiffness_off, s),
+                 0.0)
     if prev is None:
         cum_u = cum_s = 0.0
     else:
@@ -125,7 +99,7 @@ def record(state, mesh: Mesh, lt: Optional[LongTimeCondition] = None,
         cum_s = prev.cum_grad_s + 0.5 * dt * (prev.h1semi_s ** 2 + h1s_sq)
     return DiagnosticsRecord(
         t=float(state.t),
-        mass=_total_mass(mesh, u),
+        mass=float(np.sum(Mu)),
         l2_u=float(np.sqrt(l2u_sq)),
         h1semi_u=float(np.sqrt(h1u_sq)),
         l2_s=float(np.sqrt(l2s_sq)),
@@ -140,8 +114,11 @@ def record(state, mesh: Mesh, lt: Optional[LongTimeCondition] = None,
 
 def homogenization_metric(state, mesh: Mesh) -> float:
     """Mass-weighted L2 distance of u from its mesh mean; zero iff constant."""
-    ubar = _total_mass(mesh, state.u) / mesh.L
-    return float(np.sqrt(max(_l2_sq(mesh, state.u - ubar), 0.0)))
+    ops = mesh_operators(mesh)
+    ubar = float(np.sum(tridiag_matvec(ops.mass_main, ops.mass_off,
+                                       state.u))) / mesh.L
+    return float(np.sqrt(max(
+        _quadratic(ops.mass_main, ops.mass_off, state.u - ubar), 0.0)))
 
 
 def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],

@@ -18,6 +18,7 @@ __all__ = [
     "Mesh",
     "BoundaryData",
     "DiscreteOperators",
+    "mesh_operators",
     "build_mesh",
     "assemble_mass",
     "lumped_mass_diagonal",
@@ -177,9 +178,12 @@ def neumann_bilaplacian(mesh: Mesh) -> sp.dia_matrix:
 
 @dataclass(frozen=True)
 class DiscreteOperators:
-    """Pre-assembled mesh-dependent operators shared across time steps."""
+    """Pre-assembled mesh-dependent operators shared across time steps.
 
-    mesh: Mesh
+    They depend on the mesh only through N and h.  Their arrays are
+    read-only, so one instance can be shared by every caller.
+    """
+
     mass: sp.dia_matrix
     mass_main: np.ndarray
     mass_off: np.ndarray
@@ -192,8 +196,7 @@ class DiscreteOperators:
     def build(cls, mesh: Mesh) -> "DiscreteOperators":
         mm, mo = mass_diagonals(mesh)
         km, ko = stiffness_diagonals(mesh, np.ones(mesh.N + 1))
-        return cls(
-            mesh=mesh,
+        ops = cls(
             mass=assemble_mass(mesh),
             mass_main=mm,
             mass_off=mo,
@@ -202,6 +205,24 @@ class DiscreteOperators:
             unit_stiffness_main=km,
             unit_stiffness_off=ko,
         )
+        for arr in (mm, mo, ops.lumped, km, ko, ops.mass.data,
+                    ops.mass.offsets, ops.bilaplacian.data,
+                    ops.bilaplacian.offsets):
+            arr.flags.writeable = False
+        return ops
+
+
+# one DiscreteOperators per mesh geometry (N, h), built on first use
+_OPERATORS: dict[tuple[int, float], DiscreteOperators] = {}
+
+
+def mesh_operators(mesh: Mesh) -> DiscreteOperators:
+    """The shared, read-only operators of the mesh's geometry."""
+    key = (mesh.N, mesh.h)
+    ops = _OPERATORS.get(key)
+    if ops is None:
+        ops = _OPERATORS[key] = DiscreteOperators.build(mesh)
+    return ops
 
 
 def tridiag_matvec(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -10,21 +10,25 @@ both equations; it turns the stress update into a banded solve too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg.lapack import dgbsv, dptsv, dpttrf, dpttrs
+# not called here: the step kernel calls LAPACK directly.  They stay
+# module attributes because perfbench/tracing.py wraps them by name.
+from scipy.linalg import solve_banded, solveh_banded  # noqa: F401
 
 from .coefficients import PhysicalCoefficients, TransformedModel
 from .diagnostics import DiagnosticsRecord, record
 from .discretization import (
     BoundaryData,
-    DiscreteOperators,
     Mesh,
     assemble_flux_vector,
     boundary_functional,
+    mesh_operators,
     stiffness_diagonals,
     tridiag_matvec,
 )
@@ -149,10 +153,13 @@ def compute_flux(state: State, mesh: Mesh,
 class _Stepper:
     """Per-run workspace: pre-assembled operators and the step kernel.
 
-    Both step systems are held in (2, 2) band storage.  With epsilon > 0
-    the constant regularization bands dt*eps*M_L(I+L_h)^2 (concentration)
-    and dt*eps*(I+L_h)^2 (stress) are built once; each step adds its
-    lagged tridiagonal part to a copy of them.
+    The epsilon = 0 concentration system is tridiagonal SPD and goes to
+    LAPACK dptsv.  With epsilon > 0 both step systems are pentadiagonal
+    and go to dgbsv in (2, 2) band storage, with the two rows of fill
+    space on top that dgbsv needs; the constant regularization bands
+    dt*eps*M_L(I+L_h)^2 (concentration) and dt*eps*(I+L_h)^2 (stress)
+    are built once, and each step adds its lagged tridiagonal part to a
+    copy of them.
     """
 
     def __init__(self, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
@@ -161,7 +168,7 @@ class _Stepper:
         self.model = model
         self.bd = bd
         self.cfg = cfg
-        self.ops = DiscreteOperators.build(mesh)
+        self.ops = mesh_operators(mesh)
         self.n = mesh.N + 1
         if cfg.epsilon > 0:
             w = cfg.dt * cfg.epsilon
@@ -170,27 +177,19 @@ class _Stepper:
             self.reg_s = w * _bands(bilap)
 
     def _coefficient_fields(self, state: State):
-        t, x = state.t, self.mesh.nodes
-        u, s = state.u, state.sigma_v
         shape = (self.n,)
-        def full(v):
-            return np.broadcast_to(np.asarray(v, dtype=float), shape)
-        return (full(self.model.D(t, x, u, s)),
-                full(self.model.E(t, x, u, s)),
-                full(self.model.f(t, x, u, s)),
-                full(self.model.beta1(t, x, u, s)),
-                full(self.model.gamma(t, x, u, s)))
+        return [v if v.shape == shape else np.broadcast_to(v, shape)
+                for v in self.model.fields(state.t, self.mesh.nodes,
+                                           state.u, state.sigma_v)]
 
     def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
         mesh, cfg, ops = self.mesh, self.cfg, self.ops
         dt, eps = cfg.dt, cfg.epsilon
-        Dn, En, fn, b1n, gn = self._coefficient_fields(state)
-        for name, field in (("diffusion", Dn), ("stress-diffusion", En),
-                            ("forcing", fn), ("relaxation", b1n),
-                            ("stress-drive", gn)):
-            if not np.all(np.isfinite(field)):
-                raise NumericalFailure(step_index, state.t,
-                                       f"{name} coefficient field")
+        fields = self._coefficient_fields(state)
+        bad = _nonfinite(_FIELD_NAMES, fields)
+        if bad is not None:
+            raise NumericalFailure(step_index, state.t, f"{bad} coefficient field")
+        Dn, En, fn, b1n, gn = fields
 
         kD_main, kD_off = stiffness_diagonals(mesh, Dn)
         kE_main, kE_off = stiffness_diagonals(mesh, En)
@@ -203,20 +202,18 @@ class _Stepper:
         a_main = ops.mass_main + dt * kD_main
         a_off = ops.mass_off + dt * kD_off
         if eps == 0.0:
-            ab = np.zeros((2, self.n))
-            ab[0, 1:] = a_off
-            ab[1, :] = a_main
-            try:
-                u_next = solveh_banded(ab, rhs, lower=False)
-            except np.linalg.LinAlgError as exc:
+            _, _, u_next, info = dptsv(a_main, a_off, rhs, overwrite_d=1,
+                                       overwrite_e=1, overwrite_b=1)
+            if info > 0:
                 raise LinearSolveFailure(
                     f"concentration system not SPD at step {step_index} "
-                    f"(discrete ellipticity violation): {exc}") from exc
+                    f"(discrete ellipticity violation): {info}th leading "
+                    "minor not positive definite")
         else:
-            ab = self.reg_u.copy()
-            ab[1, 1:] += a_off
-            ab[2, :] += a_main
-            ab[3, :-1] += a_off
+            ab = self.reg_u.copy(order="F")
+            ab[3, 1:] += a_off
+            ab[4, :] += a_main
+            ab[5, :-1] += a_off
             u_next = _solve_banded(ab, rhs, step_index, "concentration")
 
         drive = state.sigma_v + dt * gn * u_next
@@ -235,34 +232,57 @@ class _Stepper:
                     "dt * beta1 >= 1 with positive beta1")
             s_next = drive / denom
         else:
-            ab = self.reg_s.copy()
-            ab[2, :] += 1.0 - dt * b1n
+            ab = self.reg_s.copy(order="F")
+            ab[4, :] += 1.0 - dt * b1n
             s_next = _solve_banded(ab, drive, step_index, "stress")
 
-        if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(s_next))):
-            what = "concentration" if not np.all(np.isfinite(u_next)) else "stress"
-            raise NumericalFailure(step_index, t_next, what)
+        bad = _nonfinite(("concentration", "stress"), (u_next, s_next))
+        if bad is not None:
+            raise NumericalFailure(step_index, t_next, bad)
         return State(t=t_next, u=u_next, sigma_v=s_next)
 
 
+_FIELD_NAMES = ("diffusion", "stress-diffusion", "forcing", "relaxation",
+                "stress-drive")
+
+
+def _nonfinite(names, arrays) -> Optional[str]:
+    """Name of the first array holding a NaN or inf, or None.
+
+    A finite total proves every entry finite, so the arrays are tested
+    one by one only when it is not (a non-finite entry, or overflow).
+    """
+    if math.isfinite(sum(a.sum() for a in arrays)):
+        return None
+    for name, a in zip(names, arrays):
+        if not np.all(np.isfinite(a)):
+            return name
+    return None
+
+
 def _bands(mat: sp.spmatrix) -> np.ndarray:
-    """(2, 2) band storage of a pentadiagonal matrix, as solve_banded reads it."""
+    """(2, 2) band storage of a pentadiagonal matrix in dgbsv's layout.
+
+    Rows 2..6 hold the diagonals as solve_banded reads them; rows 0..1
+    are the fill space of the LU factors.
+    """
     dia = sp.dia_matrix(mat)
-    ab = np.zeros((5, dia.shape[0]))
+    ab = np.zeros((7, dia.shape[0]), order="F")
     for off, row in zip(dia.offsets, dia.data):
         if abs(off) > 2:
             raise ValueError("matrix bandwidth exceeds 2")
-        ab[2 - off, :] = row
+        ab[4 - off, :] = row
     return ab
 
 
 def _solve_banded(ab: np.ndarray, rhs: np.ndarray, step_index: int,
                   what: str) -> np.ndarray:
-    try:
-        return solve_banded((2, 2), ab, rhs)
-    except np.linalg.LinAlgError as exc:
+    """Solve the (2, 2) band system; ab and rhs are overwritten."""
+    _, _, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
         raise LinearSolveFailure(
-            f"{what} system singular at step {step_index}: {exc}") from exc
+            f"{what} system singular at step {step_index}: singular matrix")
+    return x
 
 
 def step(state: State, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
@@ -326,10 +346,9 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     ml = ops.lumped
     mlK_main = ops.unit_stiffness_main
     mlK_off = ops.unit_stiffness_off
-    # factor of (M_L + K) for the dual-type norm solve
-    dual_ab = np.zeros((2, mesh.N + 1))
-    dual_ab[0, 1:] = mlK_off
-    dual_ab[1, :] = ml + mlK_main
+    # (M_L + K) for the dual-type norm solve, factored once: dpttrf then
+    # dpttrs is what dptsv does, so each solve matches a dptsv call
+    dual_d, dual_e, _ = dpttrf(ml + mlK_main, mlK_off)
 
     reg_u = reg_s = dual = 0.0
     sup_h1_s = _h1_norm(records[0], )
@@ -349,8 +368,9 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
             reg_u += cfg.epsilon * cfg.dt * float(np.sum(ml * wu * wu))
             reg_s += cfg.epsilon * cfg.dt * float(np.sum(ml * ws * ws))
         dudt = (state.u - prev_u) / cfg.dt
-        y = solveh_banded(dual_ab, ml * dudt, lower=False)
-        dual += cfg.dt * float(np.dot(ml * dudt, y))
+        load = ml * dudt
+        y, _ = dpttrs(dual_d, dual_e, load)
+        dual += cfg.dt * float(np.dot(load, y))
 
         if observer is not None:
             observer(state)

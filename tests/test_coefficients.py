@@ -13,6 +13,7 @@ from viscodiff.coefficients import (
     GammaSearchFailure,
     GlassRubberParams,
     LongTimeConditionFailure,
+    PhysicalCoefficients,
     StressDiffusionParams,
     TanhDiffusionParams,
     check_assumptions,
@@ -28,6 +29,12 @@ from viscodiff.coefficients import (
     physical_from_models,
     quadratic_form_min_eig,
     transform,
+)
+from viscodiff.config import (
+    PRESET_NAMES,
+    build_mesh_from,
+    build_model,
+    preset_config,
 )
 
 GR = GlassRubberParams(beta_R=2.0, beta_G=1.0, delta=0.05, u_RG=0.5)
@@ -213,6 +220,56 @@ class TestTransform:
         phys = _tanh_physical()
         phys.nu0_const = None
         assert transform(phys).partials is None
+
+
+def _assert_fields_match_callables(model, t, x, u, s):
+    fused = model.fields(t, x, u, s)
+    five = [np.asarray(c(t, x, u, s), dtype=float)
+            for c in (model.D, model.E, model.f, model.beta1, model.gamma)]
+    assert len(fused) == 5
+    for a, b in zip(fused, five):
+        assert np.array_equal(a, b)
+
+
+def _nodal_points(n, seed):
+    """u across [0, 1] with entries on both sides of the |u| < 1e-8 branch."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-0.05, 1.05, n)
+    u[:5] = [0.0, 1e-9, -1e-9, 2e-8, 1.0]
+    return u, rng.normal(0.0, 0.5, n)
+
+
+class TestFields:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_fields_equal_the_five_callables(self, name):
+        cfg = preset_config(name)
+        mesh = build_mesh_from(cfg)
+        u, s = _nodal_points(mesh.N + 1, seed=3)
+        _assert_fields_match_callables(build_model(cfg), 0.25, mesh.nodes, u, s)
+
+    def test_txsigma_dependent_fields_equal_the_five_callables(self):
+        phys = PhysicalCoefficients(
+            D0=lambda t, x, u, sig: 1.0 + 0.3 * np.sin(x + t) * np.tanh(sig),
+            E0=lambda t, x, u, sig: 0.2 * u * (1.0 - u) + 0.05 * np.cos(sig - x),
+            M0=lambda t, x, u, sig: 0.1 * x + t * sig,
+            beta0=lambda t, x, u, sig: 1.0 + 0.5 * np.tanh(sig - x) + t,
+            mu0=lambda u: 0.5 + 0.1 * u,
+            nu0=lambda u: 0.3 + 0.2 * u,
+            nu0_antiderivative=lambda u: 0.3 * u + 0.1 * u * u,
+        )
+        x = np.linspace(0.0, 2.0, 41)
+        u, s = _nodal_points(41, seed=4)
+        _assert_fields_match_callables(transform(phys), 0.7, x, u, s)
+
+    def test_fallback_for_hand_built_and_replaced_models(self):
+        x = np.linspace(0.0, 1.0, 9)
+        u, s = _nodal_points(9, seed=5)
+        _assert_fields_match_callables(constant_model(D=2.0, gamma=0.3),
+                                       0.0, x, u, s)
+        model = transform(_tanh_physical())
+        model.gamma = lambda t, x, u, s: np.full(np.shape(u), 0.125)
+        _assert_fields_match_callables(model, 0.0, x, u, s)
+        assert np.array_equal(model.fields(0.0, x, u, s)[4], np.full(9, 0.125))
 
 
 class TestGradientCoefficients:

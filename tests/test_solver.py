@@ -1,11 +1,14 @@
 """Semi-implicit stepping, mass balance, regularization, and flux."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
+
+from viscodiff import config, discretization
 
 from viscodiff.coefficients import (
     constant_model,
@@ -19,6 +22,7 @@ from viscodiff.config import (
     build_mesh_from,
     build_physical,
     build_solver_config,
+    parse_config,
     preset_config,
 )
 from viscodiff.discretization import (
@@ -34,9 +38,11 @@ from viscodiff.discretization import (
 )
 from viscodiff.solver import (
     InitialData,
+    LinearSolveFailure,
     NumericalFailure,
     SolverConfig,
     State,
+    _solve_banded,
     compute_flux,
     reconstruct_sigma,
     run,
@@ -181,6 +187,89 @@ class TestStep:
             run(init, mesh, model, ZERO_INFLUX, SolverConfig(dt=0.1, T_end=1.0))
         assert exc.value.step_index >= 1
 
+    def test_nan_influx_names_its_step(self):
+        # the NaN reaches the concentration solve through the load vector
+        cfg = preset_config("sorption")
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        bd = build_boundary(cfg)
+        nan_after = BoundaryData(
+            phi_left=lambda t: math.nan if t > 0.004 else bd.phi_left(t),
+            phi_right=bd.phi_right)
+        with pytest.raises(NumericalFailure) as exc:
+            run(build_initial(cfg, mesh, phys), mesh, transform(phys),
+                nan_after, build_solver_config(cfg))
+        assert exc.value.step_index == 9
+        assert "concentration" in str(exc.value)
+
+    def test_indefinite_concentration_system_names_its_step(self):
+        mesh = build_mesh(1.0, 8)
+        init = InitialData(np.zeros(9), np.zeros(9), _fickian_phys())
+        with pytest.raises(LinearSolveFailure, match="not SPD at step 1 "):
+            run(init, mesh, constant_model(D=-5.0), ZERO_INFLUX,
+                SolverConfig(dt=0.1, T_end=0.2))
+
+    def test_sorption_step_evaluates_each_law_once(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapper
+
+        make = config.make_scalar_model
+
+        def make_counted(name, **params):
+            m = make(name, **params)
+            anti = m.antiderivative
+            return dataclasses.replace(
+                m, fn=counted(m.fn), dfn=counted(m.dfn),
+                antiderivative=None if anti is None else counted(anti))
+
+        monkeypatch.setattr(config, "make_scalar_model", make_counted)
+        cfg = preset_config("sorption")
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        state = build_initial(cfg, mesh, phys).initial_state()
+        model = transform(phys)
+        calls.clear()
+        step(state, mesh, model, build_boundary(cfg), build_solver_config(cfg))
+        # sigma, nu0, D0, E0, M0, beta0, mu0
+        assert len(calls) <= 7
+
+    def test_reassigned_field_is_used(self):
+        mesh = build_mesh(1.0, 16)
+        model = transform(_tanh_mix())
+        cfg = SolverConfig(dt=1e-3, T_end=1e-3)
+        state = State(t=0.0, u=0.3 + 0.2 * np.cos(math.pi * mesh.nodes),
+                      sigma_v=np.zeros(17))
+        before = step(state, mesh, model, ZERO_INFLUX, cfg)
+        f = model.f
+        model.f = lambda t, x, u, s: f(t, x, u, s) + np.sin(math.pi * x)
+        after = step(state, mesh, model, ZERO_INFLUX, cfg)
+        assert not np.array_equal(before.u, after.u)
+
+    def test_operators_built_once_per_mesh_geometry(self, monkeypatch):
+        monkeypatch.setattr(discretization, "_OPERATORS", {})
+        built = []
+        build = DiscreteOperators.build.__func__
+
+        def counted(cls, mesh):
+            built.append(mesh)
+            return build(cls, mesh)
+
+        monkeypatch.setattr(DiscreteOperators, "build", classmethod(counted))
+        model = constant_model(D=1.0)
+        cfg = SolverConfig(dt=0.1, T_end=0.1)
+        state = State(t=0.0, u=np.linspace(0.0, 1.0, 9), sigma_v=np.zeros(9))
+        step(state, build_mesh(1.0, 8), model, ZERO_INFLUX, cfg)
+        step(state, build_mesh(1.0, 8), model, ZERO_INFLUX, cfg)
+        assert len(built) == 1
+        ops = discretization.mesh_operators(build_mesh(1.0, 8))
+        with pytest.raises(ValueError):
+            ops.mass_main[0] = 1.0
+
 
 class TestMassBalance:
     def test_per_step_identity(self):
@@ -233,8 +322,9 @@ def _tanh_mix():
 
 
 def _sparse_reference_step(state, mesh, model, bd, cfg):
-    """The regularized step assembled with scipy.sparse and solved in
-    (2, 2) band storage, for comparison with the solver's band kernel."""
+    """The step assembled with scipy.sparse and solved with scipy's banded
+    solvers, for comparison with the solver's LAPACK kernel: (2, 2) band
+    storage for epsilon > 0, the tridiagonal SPD solve for epsilon = 0."""
     ops = DiscreteOperators.build(mesh)
     dt, eps = cfg.dt, cfg.epsilon
     u, s = state.u, state.sigma_v
@@ -255,8 +345,18 @@ def _sparse_reference_step(state, mesh, model, bd, cfg):
             ab[2 - off, :] = row
         return solve_banded((2, 2), ab, b)
 
-    A = (ops.mass + dt * sp.diags([kD_off, kD_main, kD_off], [-1, 0, 1])
-         + (dt * eps) * sp.csr_matrix(sp.diags(ops.lumped) @ ops.bilaplacian))
+    A = ops.mass + dt * sp.diags([kD_off, kD_main, kD_off], [-1, 0, 1])
+    if eps == 0.0:
+        ab = np.zeros((2, u.size))
+        ab[0, 1:] = A.diagonal(1)
+        ab[1, :] = A.diagonal()
+        u_next = solveh_banded(ab, rhs, lower=False)
+        if cfg.stress_scheme == "explicit":
+            s_next = s + dt * (b1 * s + g * u_next)
+        else:
+            s_next = (s + dt * g * u_next) / (1.0 - dt * b1)
+        return State(t=state.t + dt, u=u_next, sigma_v=s_next)
+    A = A + (dt * eps) * sp.csr_matrix(sp.diags(ops.lumped) @ ops.bilaplacian)
     u_next = solve(A, rhs)
     if cfg.stress_scheme == "explicit":
         s_next = s + dt * (b1 * s + g * u_next)
@@ -289,7 +389,7 @@ class TestRegularized:
         assert np.ptp(out.sigma_v) <= 1e-13
 
     @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
-    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 0.0])
     def test_matches_sparse_reference(self, eps, scheme):
         mesh = build_mesh(1.0, 16)
         model = transform(_tanh_mix())
@@ -302,6 +402,13 @@ class TestRegularized:
         out = step_regularized(state, mesh, model, bd, cfg)
         assert np.array_equal(out.u, ref.u)
         assert np.array_equal(out.sigma_v, ref.sigma_v)
+
+    def test_singular_band_system_names_its_step(self):
+        # a zero pivot is the only failure dgbsv reports; no public input
+        # reaches one exactly, so the helper is given a zero matrix
+        with pytest.raises(LinearSolveFailure,
+                           match="stress system singular at step 3"):
+            _solve_banded(np.zeros((7, 5), order="F"), np.ones(5), 3, "stress")
 
     def test_terminal_distance_monotone_in_epsilon(self):
         mesh = build_mesh(1.0, 32)
@@ -326,6 +433,27 @@ class TestRegularized:
 
 
 class TestRun:
+    def test_dual_time_derivative_matches_dptsv_reference(self):
+        cfg = parse_config('preset = "eps-scan"\nepsilon = 1e-3\n'
+                           'time.T_end = 0.05\n')
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        scfg = build_solver_config(cfg)
+        states = []
+        res = run(build_initial(cfg, mesh, phys), mesh, transform(phys),
+                  build_boundary(cfg), scfg, observer=states.append)
+        ops = DiscreteOperators.build(mesh)
+        ab = np.zeros((2, mesh.N + 1))
+        ab[0, 1:] = ops.unit_stiffness_off
+        ab[1, :] = ops.lumped + ops.unit_stiffness_main
+        dual = 0.0
+        for prev, cur in zip(states, states[1:]):
+            load = ops.lumped * ((cur.u - prev.u) / scfg.dt)
+            dual += scfg.dt * float(np.dot(
+                load, solveh_banded(ab, load, lower=False)))
+        assert len(states) == 51
+        assert res.dual_time_derivative == dual
+
     def test_T_end_zero_edge(self):
         mesh = build_mesh(1.0, 8)
         init = InitialData(np.zeros(9), np.zeros(9), _fickian_phys())
