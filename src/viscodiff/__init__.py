@@ -9,18 +9,14 @@ stability; a small CLI drives configured scenarios and presets.
 
 from .coefficients import (
     Box,
-    GlassRubberParams,
     LongTimeCondition,
     PhysicalCoefficients,
     ScalarModel,
     StressDiffusionParams,
-    TanhDiffusionParams,
     TransformedModel,
     check_assumptions,
     check_longtime_condition,
     constant_model,
-    eval_beta0,
-    eval_D0_tanh,
     eval_E0,
     find_gamma,
     gradient_coefficients,
@@ -40,11 +36,8 @@ from .discretization import (
     BoundaryData,
     Mesh,
     assemble_flux_vector,
-    assemble_mass,
-    assemble_stiffness,
     boundary_functional,
     build_mesh,
-    neumann_bilaplacian,
 )
 from .solver import (
     InitialData,

@@ -42,7 +42,7 @@ from .diagnostics import (
     mass_balance_check,
     record,
 )
-from .discretization import assemble_mass
+from .discretization import mesh_operators, tridiag_matvec
 from .output import write_diagnostics, write_flux, write_snapshot
 from .solver import (
     LinearSolveFailure,
@@ -198,9 +198,14 @@ def _analytic_error(cfg: ScenarioConfig, mesh, final_state) -> float:
     lam = dp["value"] * (p["mode"] * math.pi / mesh.L) ** 2
     exact = p["mean"] + p["amplitude"] * math.exp(-lam * final_state.t) \
         * np.cos(p["mode"] * math.pi * mesh.nodes / mesh.L)
-    err = final_state.u - exact
-    M = assemble_mass(mesh)
-    return float(np.sqrt(max(err @ (M @ err), 0.0)))
+    return _l2(mesh, final_state.u - exact)
+
+
+def _l2(mesh, v: np.ndarray) -> float:
+    """Mass-weighted L2 norm sqrt(v . M v)."""
+    ops = mesh_operators(mesh)
+    return float(np.sqrt(max(v @ tridiag_matvec(ops.mass_main, ops.mass_off,
+                                                 v), 0.0)))
 
 
 def _build(cfg: ScenarioConfig):
@@ -369,15 +374,10 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
             ScenarioConfig(values={**cfg.values, "epsilon": eps}))
         results[eps] = run(init, mesh, model, bd, scfg)
 
-    M = assemble_mass(mesh)
     u_ref = results[0.0].final_state.u
-
-    def dist(eps: float) -> float:
-        d = results[eps].final_state.u - u_ref
-        return float(np.sqrt(max(d @ (M @ d), 0.0)))
-
     scaling = apriori_scaling_check({e: results[e] for e in EPS_SCAN_VALUES})
-    distances = {e: dist(e) for e in EPS_SCAN_VALUES}
+    distances = {e: _l2(mesh, results[e].final_state.u - u_ref)
+                 for e in EPS_SCAN_VALUES}
     ordered = sorted(EPS_SCAN_VALUES, reverse=True)
     monotone = all(distances[a] >= distances[b] - 1e-14
                    for a, b in zip(ordered, ordered[1:]))

@@ -18,8 +18,6 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "GlassRubberParams",
-    "TanhDiffusionParams",
     "StressDiffusionParams",
     "PhysicalCoefficients",
     "TransformedModel",
@@ -28,8 +26,6 @@ __all__ = [
     "Box",
     "ScalarModel",
     "make_scalar_model",
-    "eval_beta0",
-    "eval_D0_tanh",
     "eval_E0",
     "transform",
     "gradient_coefficients",
@@ -100,40 +96,6 @@ class NonSmoothCoefficient(Exception):
 
 
 @dataclass(frozen=True)
-class GlassRubberParams:
-    """Parameters of the tanh relaxation-rate law across the glass/rubber transition."""
-
-    beta_R: float
-    beta_G: float
-    delta: float
-    u_RG: float
-
-    def __post_init__(self):
-        if not (self.beta_R > self.beta_G > 0):
-            raise ValueError("require beta_R > beta_G > 0")
-        if self.delta <= 0:
-            raise ValueError("require delta > 0")
-        if not (0 < self.u_RG < 1):
-            raise ValueError("require 0 < u_RG < 1")
-
-
-@dataclass(frozen=True)
-class TanhDiffusionParams:
-    """Concentration-dependent diffusivity rising from D_G (glassy) to D_R (rubbery)."""
-
-    D_R: float
-    D_G: float
-    delta: float
-    u_RG: float
-
-    def __post_init__(self):
-        if not (self.D_R > self.D_G > 0):
-            raise ValueError("require D_R > D_G > 0")
-        if self.delta <= 0:
-            raise ValueError("require delta > 0")
-
-
-@dataclass(frozen=True)
 class StressDiffusionParams:
     """Parameters of the stress-diffusion coefficient vanishing at u=0 and u=1."""
 
@@ -143,21 +105,6 @@ class StressDiffusionParams:
     def __post_init__(self):
         if self.alpha_1 <= 0 or self.alpha_2 <= 0:
             raise ValueError("require alpha_1 > 0 and alpha_2 > 0")
-
-
-def _tanh_profile(u, lo, hi, delta, center):
-    u = np.asarray(u, dtype=float)
-    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.tanh((u - center) / delta)
-
-
-def eval_beta0(u, p: GlassRubberParams):
-    """Relaxation rate interpolating between beta_G (glassy) and beta_R (rubbery)."""
-    return _tanh_profile(u, p.beta_G, p.beta_R, p.delta, p.u_RG)
-
-
-def eval_D0_tanh(u, p: TanhDiffusionParams):
-    """Diffusivity increasing with concentration on a tanh profile; always >= D_G."""
-    return _tanh_profile(u, p.D_G, p.D_R, p.delta, p.u_RG)
 
 
 def eval_E0(u, p: StressDiffusionParams):
@@ -490,9 +437,8 @@ def physical_from_models(D0: ScalarModel, E0: ScalarModel, M0: ScalarModel,
             "it cannot be used for nu0")
 
     def lift(m: ScalarModel) -> Coefficient:
-        return lambda t, x, u, s: np.asarray(m.fn(u), dtype=float) + 0.0 * (
-            np.asarray(x, dtype=float) + np.asarray(s, dtype=float)
-            + np.asarray(t, dtype=float))
+        # values have the shape of u; callers broadcast against t, x, s
+        return lambda t, x, u, s: np.asarray(m.fn(u), float)
 
     return PhysicalCoefficients(
         D0=lift(D0), E0=lift(E0), M0=lift(M0), beta0=lift(beta0),

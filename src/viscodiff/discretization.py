@@ -1,7 +1,10 @@
 """1D P1 finite-element mesh and operator assembly.
 
-All operators are banded (bandwidth <= 2) and assembled in a single
-O(N) pass from nodal coefficient values, using per-element averages.
+All operators are banded (bandwidth <= 2) and stored as band arrays:
+(main, off) diagonals for the symmetric tridiagonal ones, LAPACK's
+(2, 2) band storage for the pentadiagonal regularization.  Each is
+assembled in a single O(N) pass from nodal coefficient values, using
+per-element averages.
 The boundary functional reduces to point evaluation of the influx at
 the two end nodes.
 """
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -20,14 +22,11 @@ __all__ = [
     "DiscreteOperators",
     "mesh_operators",
     "build_mesh",
-    "assemble_mass",
     "lumped_mass_diagonal",
-    "assemble_stiffness",
     "assemble_flux_vector",
     "boundary_functional",
-    "neumann_bilaplacian",
-    "banded_diagonals",
     "tridiag_matvec",
+    "band_matvec",
 ]
 
 
@@ -80,15 +79,6 @@ class BoundaryData:
 ZERO_INFLUX = BoundaryData(phi_left=lambda t: 0.0, phi_right=lambda t: 0.0)
 
 
-def _tridiag(main: np.ndarray, off: np.ndarray) -> sp.dia_matrix:
-    n = main.size
-    data = np.zeros((3, n))
-    data[0, :-1] = off       # sub-diagonal, dia_matrix ignores trailing slots
-    data[1, :] = main
-    data[2, 1:] = off        # super-diagonal
-    return sp.dia_matrix((data, [-1, 0, 1]), shape=(n, n))
-
-
 def mass_diagonals(mesh: Mesh):
     """(main, off) diagonals of the consistent P1 mass matrix."""
     n = mesh.N + 1
@@ -96,11 +86,6 @@ def mass_diagonals(mesh: Mesh):
     main[0] = main[-1] = 2.0 * mesh.h / 6.0
     off = np.full(n - 1, mesh.h / 6.0)
     return main, off
-
-
-def assemble_mass(mesh: Mesh) -> sp.dia_matrix:
-    """Consistent P1 mass matrix (tridiagonal, SPD, row sums total L)."""
-    return _tridiag(*mass_diagonals(mesh))
 
 
 def lumped_mass_diagonal(mesh: Mesh) -> np.ndarray:
@@ -127,11 +112,6 @@ def stiffness_diagonals(mesh: Mesh, a: np.ndarray):
     return main, -abar
 
 
-def assemble_stiffness(mesh: Mesh, a: np.ndarray) -> sp.dia_matrix:
-    """Tridiagonal matrix of the bilinear form int a * u' * phi'."""
-    return _tridiag(*stiffness_diagonals(mesh, a))
-
-
 def assemble_flux_vector(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     """Load vector b_i = int wbar * phi_i' with per-element averages of w.
 
@@ -155,59 +135,65 @@ def boundary_functional(mesh: Mesh, bd: BoundaryData, t: float) -> np.ndarray:
     return psi
 
 
-def neumann_laplacian_lumped(mesh: Mesh) -> sp.dia_matrix:
-    """Lumped-mass Neumann Laplacian L_h = M_L^{-1} K(1); zero row sums."""
-    main, off = stiffness_diagonals(mesh, np.ones(mesh.N + 1))
-    K = _tridiag(main, off)
-    ml_inv = 1.0 / lumped_mass_diagonal(mesh)
-    return sp.dia_matrix(sp.diags(ml_inv) @ K)
+def _bilaplacian_bands(lumped: np.ndarray, k_main: np.ndarray,
+                       k_off: np.ndarray):
+    """Regularization operators (I + L_h)^2 and M_L (I + L_h)^2 as bands.
 
-
-def neumann_bilaplacian(mesh: Mesh) -> sp.dia_matrix:
-    """Pentadiagonal regularization operator (I + L_h)^2.
-
-    Constants are fixed points; all eigenvalues are real and >= 1.  The
-    operator is self-adjoint and positive definite in the lumped-mass
-    inner product (M_L (I+L_h)^2 is a symmetric matrix).
+    L_h = M_L^{-1} K(1) is the lumped-mass Neumann Laplacian, given by
+    the lumped mass and the unit stiffness diagonals.  Both matrices are
+    returned in dgbsv's (2, 2) band storage: ab[4 - d, j] holds entry
+    (j - d, j), and rows 0..1 are the fill space of the LU factors.
+    Constants are fixed points of (I + L_h)^2; its eigenvalues are real
+    and >= 1, and M_L (I + L_h)^2 is symmetric positive definite.
     """
-    n = mesh.N + 1
-    Lh = neumann_laplacian_lumped(mesh)
-    P = (sp.identity(n) + Lh) @ (sp.identity(n) + Lh)
-    return sp.dia_matrix(P)
+    n = lumped.size
+    ml_inv = 1.0 / lumped
+    b0 = 1.0 + ml_inv * k_main      # B = I + L_h: B[i, i]
+    bu = ml_inv[:-1] * k_off        # B[i, i+1]
+    bl = ml_inv[1:] * k_off         # B[i+1, i]
+    # P = B @ B by diagonal, indexed by the smaller of row and column;
+    # the main diagonal sums k = i+1, then i, then i-1, the order of
+    # scipy's DIA product, which the tests compare against bit for bit
+    main = b0 * b0
+    main[:-1] += bu * bl
+    main[1:] += bl * bu
+    diags = {-2: bl[1:] * bl[:-1], -1: bl * b0[:-1] + b0[1:] * bl, 0: main,
+             1: b0[:-1] * bu + bu * b0[1:], 2: bu[:-1] * bu[1:]}
+    bilap = np.zeros((7, n), order="F")
+    lumped_bilap = np.zeros((7, n), order="F")
+    for d, vals in diags.items():
+        cols = slice(d, None) if d >= 0 else slice(None, n + d)
+        rows = slice(None, n - d) if d >= 0 else slice(-d, None)
+        bilap[4 - d, cols] = vals
+        lumped_bilap[4 - d, cols] = lumped[rows] * vals
+    return bilap, lumped_bilap
 
 
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Pre-assembled mesh-dependent operators shared across time steps.
 
-    They depend on the mesh only through N and h.  Their arrays are
-    read-only, so one instance can be shared by every caller.
+    They depend on the mesh only through N and h.  Tridiagonal matrices
+    are held as (main, off) diagonals, the regularization operators
+    (I + L_h)^2 and M_L (I + L_h)^2 in (2, 2) band storage.  The arrays
+    are read-only, so one instance can be shared by every caller.
     """
 
-    mass: sp.dia_matrix
     mass_main: np.ndarray
     mass_off: np.ndarray
     lumped: np.ndarray
-    bilaplacian: sp.dia_matrix
     unit_stiffness_main: np.ndarray
     unit_stiffness_off: np.ndarray
+    bilaplacian: np.ndarray
+    lumped_bilaplacian: np.ndarray
 
     @classmethod
     def build(cls, mesh: Mesh) -> "DiscreteOperators":
-        mm, mo = mass_diagonals(mesh)
+        lumped = lumped_mass_diagonal(mesh)
         km, ko = stiffness_diagonals(mesh, np.ones(mesh.N + 1))
-        ops = cls(
-            mass=assemble_mass(mesh),
-            mass_main=mm,
-            mass_off=mo,
-            lumped=lumped_mass_diagonal(mesh),
-            bilaplacian=neumann_bilaplacian(mesh),
-            unit_stiffness_main=km,
-            unit_stiffness_off=ko,
-        )
-        for arr in (mm, mo, ops.lumped, km, ko, ops.mass.data,
-                    ops.mass.offsets, ops.bilaplacian.data,
-                    ops.bilaplacian.offsets):
+        ops = cls(*mass_diagonals(mesh), lumped, km, ko,
+                  *_bilaplacian_bands(lumped, km, ko))
+        for arr in vars(ops).values():
             arr.flags.writeable = False
         return ops
 
@@ -233,15 +219,17 @@ def tridiag_matvec(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarr
     return out
 
 
-def banded_diagonals(mat: sp.spmatrix) -> dict[int, list[float]]:
-    """Serialize a banded matrix as {offset: diagonal values} for dumps."""
-    dia = sp.dia_matrix(mat)
-    n = dia.shape[0]
-    out = {}
-    for off, row in zip(dia.offsets, dia.data):
-        if off >= 0:
-            vals = row[off:n]
+def band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of a (2, 2) band-stored matrix with v.
+
+    Offsets are summed from -2 up to 2, the order scipy's dia_matvec
+    uses.
+    """
+    n = v.size
+    out = np.zeros(n)
+    for d in range(-2, 3):
+        if d >= 0:
+            out[:n - d] += ab[4 - d, d:] * v[d:]
         else:
-            vals = row[: n + off]
-        out[int(off)] = [float(v) for v in vals]
+            out[-d:] += ab[4 - d, :n + d] * v[:n + d]
     return out

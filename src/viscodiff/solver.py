@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv, dptsv, dpttrf, dpttrs
 # not called here: the step kernel calls LAPACK directly.  They stay
 # module attributes because perfbench/tracing.py wraps them by name.
@@ -27,6 +26,7 @@ from .discretization import (
     BoundaryData,
     Mesh,
     assemble_flux_vector,
+    band_matvec,
     boundary_functional,
     mesh_operators,
     stiffness_diagonals,
@@ -58,7 +58,8 @@ class NumericalFailure(Exception):
 
 
 class LinearSolveFailure(Exception):
-    """Singular or indefinite step system (discrete ellipticity violation)."""
+    """A step the scheme cannot take: a singular or indefinite step system
+    (discrete ellipticity violation) or an unstable explicit stress update."""
 
 
 @dataclass
@@ -156,10 +157,10 @@ class _Stepper:
     The epsilon = 0 concentration system is tridiagonal SPD and goes to
     LAPACK dptsv.  With epsilon > 0 both step systems are pentadiagonal
     and go to dgbsv in (2, 2) band storage, with the two rows of fill
-    space on top that dgbsv needs; the constant regularization bands
-    dt*eps*M_L(I+L_h)^2 (concentration) and dt*eps*(I+L_h)^2 (stress)
-    are built once, and each step adds its lagged tridiagonal part to a
-    copy of them.
+    space on top that dgbsv needs; the cached regularization bands are
+    scaled once to dt*eps*M_L(I+L_h)^2 (concentration) and
+    dt*eps*(I+L_h)^2 (stress), and each step adds its lagged
+    tridiagonal part to a copy of them.
     """
 
     def __init__(self, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
@@ -172,9 +173,8 @@ class _Stepper:
         self.n = mesh.N + 1
         if cfg.epsilon > 0:
             w = cfg.dt * cfg.epsilon
-            bilap = self.ops.bilaplacian
-            self.reg_u = w * _bands(sp.diags(self.ops.lumped) @ bilap)
-            self.reg_s = w * _bands(bilap)
+            self.reg_u = w * self.ops.lumped_bilaplacian
+            self.reg_s = w * self.ops.bilaplacian
 
     def _coefficient_fields(self, state: State):
         shape = (self.n,)
@@ -218,12 +218,14 @@ class _Stepper:
 
         drive = state.sigma_v + dt * gn * u_next
         if cfg.stress_scheme == "explicit":
-            if dt * float(np.max(np.abs(b1n))) >= 1.0:
-                raise ValueError(
-                    "explicit stress scheme requires dt * max|beta1| < 1")
+            rate = dt * float(np.max(np.abs(b1n)))
+            if rate >= 1.0:
+                raise LinearSolveFailure(
+                    f"explicit stress update unstable at step {step_index}: "
+                    f"dt * max|beta1| = {rate:.6g} >= 1")
             s_next = state.sigma_v + dt * (b1n * state.sigma_v + gn * u_next)
             if eps > 0:
-                s_next -= dt * eps * (ops.bilaplacian @ state.sigma_v)
+                s_next -= dt * eps * band_matvec(ops.bilaplacian, state.sigma_v)
         elif eps == 0.0:
             denom = 1.0 - dt * b1n
             if np.any(denom <= 0):
@@ -258,21 +260,6 @@ def _nonfinite(names, arrays) -> Optional[str]:
         if not np.all(np.isfinite(a)):
             return name
     return None
-
-
-def _bands(mat: sp.spmatrix) -> np.ndarray:
-    """(2, 2) band storage of a pentadiagonal matrix in dgbsv's layout.
-
-    Rows 2..6 hold the diagonals as solve_banded reads them; rows 0..1
-    are the fill space of the LU factors.
-    """
-    dia = sp.dia_matrix(mat)
-    ab = np.zeros((7, dia.shape[0]), order="F")
-    for off, row in zip(dia.offsets, dia.data):
-        if abs(off) > 2:
-            raise ValueError("matrix bandwidth exceeds 2")
-        ab[4 - off, :] = row
-    return ab
 
 
 def _solve_banded(ab: np.ndarray, rhs: np.ndarray, step_index: int,

@@ -11,16 +11,12 @@ from viscodiff.coefficients import (
     Box,
     EllipticityViolation,
     GammaSearchFailure,
-    GlassRubberParams,
     LongTimeConditionFailure,
     PhysicalCoefficients,
     StressDiffusionParams,
-    TanhDiffusionParams,
     check_assumptions,
     check_longtime_condition,
     constant_model,
-    eval_beta0,
-    eval_D0_tanh,
     eval_E0,
     eval_E0_du,
     find_gamma,
@@ -37,21 +33,21 @@ from viscodiff.config import (
     preset_config,
 )
 
-GR = GlassRubberParams(beta_R=2.0, beta_G=1.0, delta=0.05, u_RG=0.5)
+BETA0 = make_scalar_model("tanh", beta_G=1.0, beta_R=2.0, u_RG=0.5,
+                          delta=0.05)
 SD = StressDiffusionParams(alpha_1=1.0, alpha_2=0.01)
-TD = TanhDiffusionParams(D_R=1.0, D_G=0.1, delta=0.05, u_RG=0.5)
+D0_TANH = make_scalar_model("tanh", D_G=0.1, D_R=1.0, u_RG=0.5, delta=0.05)
 
 
 class TestScalarLaws:
     def test_beta0_scalar_value(self):
         # 1.5 + 0.5*tanh(1) at u = u_RG + delta
-        assert eval_beta0(0.55, GR) == pytest.approx(
+        assert BETA0(0.55) == pytest.approx(
             1.5 + 0.5 * math.tanh(1.0), abs=1e-12)
-        assert eval_beta0(0.55, GR) == pytest.approx(1.8807970779, abs=1e-9)
+        assert BETA0(0.55) == pytest.approx(1.8807970779, abs=1e-9)
 
     def test_beta0_midpoint_identity(self):
-        assert abs(eval_beta0(GR.u_RG, GR) - 0.5 * (GR.beta_R + GR.beta_G)) \
-            <= 1e-14
+        assert abs(BETA0(0.5) - 0.5 * (2.0 + 1.0)) <= 1e-14
 
     def test_E0_scalar_value(self):
         assert eval_E0(0.5, SD) == pytest.approx(0.5 * 0.25 / 0.26, abs=1e-12)
@@ -66,9 +62,9 @@ class TestScalarLaws:
         assert np.all(eval_E0(u, SD) >= 0.0)
 
     def test_D0_tanh_scalar_value(self):
-        assert eval_D0_tanh(0.55, TD) == pytest.approx(
+        assert D0_TANH(0.55) == pytest.approx(
             0.55 + 0.45 * math.tanh(1.0), abs=1e-12)
-        assert eval_D0_tanh(0.55, TD) == pytest.approx(0.8927, abs=5e-5)
+        assert D0_TANH(0.55) == pytest.approx(0.8927, abs=5e-5)
 
     def test_E0_du_matches_finite_difference(self):
         u = np.linspace(-0.5, 1.5, 101)
@@ -82,17 +78,17 @@ class TestScalarLaws:
         # away from floating-point tanh saturation the law is strictly
         # monotone and strictly inside (beta_G, beta_R)
         lo, hi = min(u1, u2), max(u1, u2)
-        b1, b2 = float(eval_beta0(lo, GR)), float(eval_beta0(hi, GR))
-        assert GR.beta_G < b1 < GR.beta_R
-        assert GR.beta_G < b2 < GR.beta_R
+        b1, b2 = float(BETA0(lo)), float(BETA0(hi))
+        assert 1.0 < b1 < 2.0
+        assert 1.0 < b2 < 2.0
         if hi - lo > 1e-9:
             assert b1 < b2
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            GlassRubberParams(beta_R=1.0, beta_G=2.0, delta=0.1, u_RG=0.5)
-        with pytest.raises(ValueError):
-            TanhDiffusionParams(D_R=1.0, D_G=0.1, delta=-1.0, u_RG=0.5)
+        for delta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="delta > 0"):
+                make_scalar_model("tanh", D_G=0.1, D_R=1.0, u_RG=0.5,
+                                  delta=delta)
         with pytest.raises(ValueError):
             StressDiffusionParams(alpha_1=0.0, alpha_2=0.1)
 
@@ -111,7 +107,7 @@ class TestScalarModelRegistry:
         b = make_scalar_model("tanh", lo=1.0, hi=2.0, delta=0.05, center=0.5)
         u = np.linspace(-1, 2, 31)
         assert np.array_equal(a(u), b(u))
-        assert np.array_equal(a(u), eval_beta0(u, GR))
+        assert np.array_equal(a(u), 1.5 + 0.5 * np.tanh((u - 0.5) / 0.05))
 
     def test_tanh_antiderivative_by_quadrature(self):
         m = make_scalar_model("tanh", lo=0.2, hi=1.0, delta=0.1, center=0.4)

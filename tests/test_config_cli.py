@@ -201,6 +201,16 @@ class TestCli:
         assert main(["run", str(p), "--out", str(tmp_path / "o"),
                      "--quiet"]) == EXIT_NUMERICAL_FAILURE
 
+    def test_explicit_scheme_guard_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "explicit.cfg"
+        p.write_text('preset = "sorption"\nstress_scheme = "explicit"\n'
+                     "time.dt = 0.5\ntime.T_end = 1.0\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_NUMERICAL_FAILURE
+        err = capsys.readouterr().err
+        assert "numerical failure: explicit stress update unstable at " \
+               "step 2: dt * max|beta1| = 1 >= 1" in err
+
     def test_check_failure_exit_one(self, tmp_path):
         # longtime condition cannot hold with mu0 pushing the form indefinite
         p = tmp_path / "fail.cfg"

@@ -1,6 +1,9 @@
 """Mesh construction and banded operator assembly."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -14,16 +17,41 @@ from viscodiff.discretization import (
     DiscreteOperators,
     Mesh,
     assemble_flux_vector,
-    assemble_mass,
-    assemble_stiffness,
-    banded_diagonals,
+    band_matvec,
     boundary_functional,
     build_mesh,
     lumped_mass_diagonal,
-    neumann_bilaplacian,
-    neumann_laplacian_lumped,
+    mass_diagonals,
+    mesh_operators,
+    stiffness_diagonals,
     tridiag_matvec,
 )
+
+
+def _dense_tridiag(main, off):
+    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _mass(mesh):
+    return _dense_tridiag(*mass_diagonals(mesh))
+
+
+def _stiffness(mesh, a):
+    return _dense_tridiag(*stiffness_diagonals(mesh, a))
+
+
+def _dense_bands(ab):
+    """Dense matrix of a (2, 2) band array: ab[4 - d, j] is entry (j - d, j)."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(-2, 3):
+        j = np.arange(max(d, 0), min(n, n + d))
+        A[j - d, j] = ab[4 - d, j]
+    return A
+
+
+def _bilaplacian(mesh):
+    return _dense_bands(mesh_operators(mesh).bilaplacian)
 
 
 class TestMesh:
@@ -51,7 +79,7 @@ class TestMass:
     def test_n2_entries(self):
         mesh = build_mesh(1.0, 2)
         h = 0.5
-        M = assemble_mass(mesh).toarray()
+        M = _mass(mesh)
         expected = np.array([[h / 3, h / 6, 0],
                              [h / 6, 2 * h / 3, h / 6],
                              [0, h / 6, h / 3]])
@@ -59,16 +87,16 @@ class TestMass:
 
     def test_row_sums_total_L(self):
         for L, N in ((1.0, 7), (2.5, 33)):
-            M = assemble_mass(build_mesh(L, N))
+            M = _mass(build_mesh(L, N))
             assert abs(M.sum() - L) <= 1e-14 * max(1.0, L)
 
     def test_symmetric_exact(self):
-        M = assemble_mass(build_mesh(1.0, 16)).toarray()
+        M = _mass(build_mesh(1.0, 16))
         assert np.array_equal(M, M.T)
 
     def test_lumped_is_row_sums(self):
         mesh = build_mesh(1.5, 9)
-        M = assemble_mass(mesh).toarray()
+        M = _mass(mesh)
         assert np.allclose(lumped_mass_diagonal(mesh), M.sum(axis=1),
                            atol=1e-15)
 
@@ -76,7 +104,7 @@ class TestMass:
 class TestStiffness:
     def test_unit_laplacian_n2(self):
         mesh = build_mesh(1.0, 2)
-        K = assemble_stiffness(mesh, np.ones(3)).toarray()
+        K = _stiffness(mesh, np.ones(3))
         expected = (1 / 0.5) * np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
         assert np.allclose(K, expected, atol=1e-14)
 
@@ -84,24 +112,24 @@ class TestStiffness:
         # zero up to one rounding of the diagonal accumulation
         mesh = build_mesh(1.0, 17)
         a = np.linspace(0.5, 2.0, 18)
-        K = assemble_stiffness(mesh, a)
+        K = stiffness_diagonals(mesh, a)
         tol = 1e-15 * (1.0 + np.max(a) / mesh.h)
-        assert np.max(np.abs(K @ np.ones(18))) <= tol
+        assert np.max(np.abs(tridiag_matvec(*K, np.ones(18)))) <= tol
 
     def test_scaling_linearity(self):
         mesh = build_mesh(1.0, 8)
-        K1 = assemble_stiffness(mesh, np.ones(9)).toarray()
-        K3 = assemble_stiffness(mesh, 3.0 * np.ones(9)).toarray()
+        K1 = _stiffness(mesh, np.ones(9))
+        K3 = _stiffness(mesh, 3.0 * np.ones(9))
         assert np.allclose(K3, 3.0 * K1)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            assemble_stiffness(build_mesh(1.0, 4), np.ones(4))
+            stiffness_diagonals(build_mesh(1.0, 4), np.ones(4))
 
     def test_positive_semidefinite(self):
         mesh = build_mesh(1.0, 12)
         rng = np.random.default_rng(3)
-        K = assemble_stiffness(mesh, rng.uniform(0.1, 2.0, 13)).toarray()
+        K = _stiffness(mesh, rng.uniform(0.1, 2.0, 13))
         eig = np.linalg.eigvalsh(K)
         assert eig.min() >= -1e-12
 
@@ -109,7 +137,7 @@ class TestStiffness:
         # second-smallest eigenvalue bounded below for a >= a_min > 0
         mesh = build_mesh(1.0, 32)
         a_min = 0.3
-        K = assemble_stiffness(mesh, np.full(33, a_min)).toarray()
+        K = _stiffness(mesh, np.full(33, a_min))
         eig = np.sort(np.linalg.eigvalsh(K))
         # continuous oracle: smallest nonzero eigenvalue of -a_min*Laplacian
         # in the h-weighted discrete form is ~ a_min * pi^2 * h
@@ -119,9 +147,9 @@ class TestStiffness:
     @settings(max_examples=50, deadline=None)
     def test_kernel_property(self, a):
         mesh = build_mesh(1.0, 8)
-        K = assemble_stiffness(mesh, a)
+        K = stiffness_diagonals(mesh, a)
         tol = 1e-15 * (1.0 + np.max(a) / mesh.h)
-        assert np.max(np.abs(K @ np.ones(9))) <= tol
+        assert np.max(np.abs(tridiag_matvec(*K, np.ones(9)))) <= tol
 
 
 class TestFluxVector:
@@ -178,12 +206,12 @@ class TestBoundaryFunctional:
 class TestBilaplacian:
     def test_constants_are_fixed_points(self):
         mesh = build_mesh(1.0, 16)
-        P = neumann_bilaplacian(mesh)
         c = 3.7 * np.ones(17)
-        assert np.allclose(P @ c, c, atol=1e-12)
+        assert np.allclose(band_matvec(mesh_operators(mesh).bilaplacian, c), c,
+                           atol=1e-12)
 
     def test_eigenvalues_at_least_one(self):
-        P = neumann_bilaplacian(build_mesh(1.0, 4)).toarray()
+        P = _bilaplacian(build_mesh(1.0, 4))
         eig = np.linalg.eigvals(P)
         assert np.max(np.abs(eig.imag)) <= 1e-10
         assert eig.real.min() >= 1.0 - 1e-10
@@ -191,19 +219,22 @@ class TestBilaplacian:
     def test_lowest_nonconstant_eigenvalue(self):
         # continuous Neumann oracle: (1 + (pi/L)^2)^2 via cos(pi x / L)
         mesh = build_mesh(1.0, 64)
-        P = neumann_bilaplacian(mesh).toarray()
+        P = _bilaplacian(mesh)
         eig = np.sort(np.linalg.eigvals(P).real)
         target = (1.0 + math.pi ** 2) ** 2
         assert eig[1] == pytest.approx(target, rel=0.05)
 
     def test_selfadjoint_in_lumped_inner_product(self):
         mesh = build_mesh(1.0, 12)
-        P = neumann_bilaplacian(mesh).toarray()
+        P = _bilaplacian(mesh)
         W = np.diag(lumped_mass_diagonal(mesh))
         assert np.allclose(W @ P, (W @ P).T, atol=1e-12)
 
     def test_laplacian_zero_row_sums(self):
-        Lh = neumann_laplacian_lumped(build_mesh(1.0, 10)).toarray()
+        # L_h = M_L^{-1} K(1), the Laplacian (I + L_h)^2 is built from
+        ops = mesh_operators(build_mesh(1.0, 10))
+        Lh = _dense_tridiag(ops.unit_stiffness_main,
+                            ops.unit_stiffness_off) / ops.lumped[:, None]
         assert np.allclose(Lh @ np.ones(11), 0.0, atol=1e-12)
 
 
@@ -214,24 +245,16 @@ class TestHelpers:
         rng = np.random.default_rng(5)
         v = rng.normal(size=10)
         assert np.allclose(tridiag_matvec(ops.mass_main, ops.mass_off, v),
-                           ops.mass @ v, atol=1e-14)
-
-    def test_banded_serialization_round_trip(self):
-        mesh = build_mesh(1.0, 6)
-        K = assemble_stiffness(mesh, np.linspace(1, 2, 7))
-        d = banded_diagonals(K)
-        assert set(d) == {-1, 0, 1}
-        dense = K.toarray()
-        assert np.allclose(d[0], np.diag(dense))
-        assert np.allclose(d[1], np.diag(dense, 1))
-        assert np.allclose(d[-1], np.diag(dense, -1))
+                           _mass(mesh) @ v, atol=1e-14)
 
     def test_bandwidth_at_most_two(self):
         mesh = build_mesh(1.0, 20)
-        for mat in (assemble_mass(mesh),
-                    assemble_stiffness(mesh, np.ones(21)),
-                    neumann_bilaplacian(mesh)):
-            assert max(abs(int(o)) for o in mat.offsets) <= 2
+        ops = mesh_operators(mesh)
+        for ab in (ops.bilaplacian, ops.lumped_bilaplacian):
+            # the two fill rows and the slots outside the matrix stay zero
+            assert not np.any(ab[:2])
+            assert not np.any(ab[2, :2]) and not np.any(ab[3, :1])
+            assert not np.any(ab[5, -1:]) and not np.any(ab[6, -2:])
 
     def test_assembly_scales_roughly_linearly(self):
         def best_time(N):
@@ -240,7 +263,7 @@ class TestHelpers:
             best = math.inf
             for _ in range(5):
                 t0 = time.perf_counter()
-                assemble_stiffness(mesh, a)
+                stiffness_diagonals(mesh, a)
                 best = min(best, time.perf_counter() - t0)
             return best
 
@@ -248,3 +271,12 @@ class TestHelpers:
         t_big = best_time(40_000)
         # lenient bound: linear assembly should not blow up quadratically
         assert t_big <= 10.0 * t_small + 1e-3
+
+
+def test_import_loads_no_sparse_matrices():
+    # operators are band arrays end to end; scipy.sparse must not come back
+    code = "import sys, viscodiff; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                         "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

@@ -30,9 +30,11 @@ from viscodiff.discretization import (
     BoundaryData,
     DiscreteOperators,
     assemble_flux_vector,
-    assemble_mass,
     boundary_functional,
     build_mesh,
+    lumped_mass_diagonal,
+    mass_diagonals,
+    mesh_operators,
     stiffness_diagonals,
     tridiag_matvec,
 )
@@ -63,7 +65,7 @@ def _fickian_phys(D=1.0):
 
 
 def _mass(mesh, u):
-    return float(np.sum(assemble_mass(mesh) @ u))
+    return float(np.sum(tridiag_matvec(*mass_diagonals(mesh), u)))
 
 
 class TestSolverConfig:
@@ -155,7 +157,8 @@ class TestStep:
         model = constant_model(beta1=-20.0)
         cfg = SolverConfig(dt=0.1, T_end=0.1, stress_scheme="explicit")
         state = State(t=0.0, u=np.zeros(5), sigma_v=np.ones(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(LinearSolveFailure,
+                           match=r"step 0: dt \* max\|beta1\| = 2 >= 1"):
             step(state, mesh, model, ZERO_INFLUX, cfg)
 
     def test_explicit_matches_implicit_to_first_order(self):
@@ -269,6 +272,8 @@ class TestStep:
         ops = discretization.mesh_operators(build_mesh(1.0, 8))
         with pytest.raises(ValueError):
             ops.mass_main[0] = 1.0
+        with pytest.raises(ValueError):
+            ops.lumped_bilaplacian[4, 0] = 1.0
 
 
 class TestMassBalance:
@@ -321,11 +326,31 @@ def _tanh_mix():
     )
 
 
+# scipy.sparse assembly of the operators, the reference that the band
+# arrays and the step kernel must match bit for bit
+def _sparse_tridiag(main, off):
+    n = main.size
+    data = np.zeros((3, n))
+    data[0, :-1] = off
+    data[1, :] = main
+    data[2, 1:] = off
+    return sp.dia_matrix((data, [-1, 0, 1]), shape=(n, n))
+
+
+def _sparse_bilaplacian(mesh):
+    """(I + L_h)^2 with L_h = M_L^{-1} K(1)."""
+    K = _sparse_tridiag(*stiffness_diagonals(mesh, np.ones(mesh.N + 1)))
+    Lh = sp.dia_matrix(sp.diags(1.0 / lumped_mass_diagonal(mesh)) @ K)
+    eye = sp.identity(mesh.N + 1)
+    return sp.dia_matrix((eye + Lh) @ (eye + Lh))
+
+
 def _sparse_reference_step(state, mesh, model, bd, cfg):
     """The step assembled with scipy.sparse and solved with scipy's banded
     solvers, for comparison with the solver's LAPACK kernel: (2, 2) band
     storage for epsilon > 0, the tridiagonal SPD solve for epsilon = 0."""
-    ops = DiscreteOperators.build(mesh)
+    ml = lumped_mass_diagonal(mesh)
+    bilap = _sparse_bilaplacian(mesh)
     dt, eps = cfg.dt, cfg.epsilon
     u, s = state.u, state.sigma_v
     D, E, f, b1, g = (
@@ -333,7 +358,8 @@ def _sparse_reference_step(state, mesh, model, bd, cfg):
         for c in (model.D, model.E, model.f, model.beta1, model.gamma))
     kD_main, kD_off = stiffness_diagonals(mesh, D)
     kE_main, kE_off = stiffness_diagonals(mesh, E)
-    rhs = (tridiag_matvec(ops.mass_main, ops.mass_off, u)
+    m_main, m_off = mass_diagonals(mesh)
+    rhs = (tridiag_matvec(m_main, m_off, u)
            - dt * (tridiag_matvec(kE_main, kE_off, s)
                    + assemble_flux_vector(mesh, f))
            + dt * boundary_functional(mesh, bd, state.t + dt))
@@ -345,7 +371,8 @@ def _sparse_reference_step(state, mesh, model, bd, cfg):
             ab[2 - off, :] = row
         return solve_banded((2, 2), ab, b)
 
-    A = ops.mass + dt * sp.diags([kD_off, kD_main, kD_off], [-1, 0, 1])
+    A = (_sparse_tridiag(m_main, m_off)
+         + dt * sp.diags([kD_off, kD_main, kD_off], [-1, 0, 1]))
     if eps == 0.0:
         ab = np.zeros((2, u.size))
         ab[0, 1:] = A.diagonal(1)
@@ -356,15 +383,25 @@ def _sparse_reference_step(state, mesh, model, bd, cfg):
         else:
             s_next = (s + dt * g * u_next) / (1.0 - dt * b1)
         return State(t=state.t + dt, u=u_next, sigma_v=s_next)
-    A = A + (dt * eps) * sp.csr_matrix(sp.diags(ops.lumped) @ ops.bilaplacian)
+    A = A + (dt * eps) * sp.csr_matrix(sp.diags(ml) @ bilap)
     u_next = solve(A, rhs)
     if cfg.stress_scheme == "explicit":
         s_next = s + dt * (b1 * s + g * u_next)
-        s_next -= dt * eps * (ops.bilaplacian @ s)
+        s_next -= dt * eps * (bilap @ s)
     else:
-        B = sp.diags(1.0 - dt * b1) + (dt * eps) * sp.csr_matrix(ops.bilaplacian)
+        B = sp.diags(1.0 - dt * b1) + (dt * eps) * sp.csr_matrix(bilap)
         s_next = solve(B, s + dt * g * u_next)
     return State(t=state.t + dt, u=u_next, sigma_v=s_next)
+
+
+def _dense_bands(ab):
+    """Dense matrix of a (2, 2) band array: ab[4 - d, j] is entry (j - d, j)."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(-2, 3):
+        j = np.arange(max(d, 0), min(n, n + d))
+        A[j - d, j] = ab[4 - d, j]
+    return A
 
 
 class TestRegularized:
@@ -391,17 +428,32 @@ class TestRegularized:
     @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 0.0])
     def test_matches_sparse_reference(self, eps, scheme):
-        mesh = build_mesh(1.0, 16)
+        # at L = 1 every operator entry is dyadic, so summation order
+        # shows only at a length like 0.7
         model = transform(_tanh_mix())
         bd = BoundaryData(phi_left=lambda t: 0.3, phi_right=lambda t: -0.1)
         cfg = SolverConfig(dt=1e-3, T_end=1e-3, epsilon=eps,
                            stress_scheme=scheme)
-        state = State(t=0.0, u=0.3 + 0.2 * np.cos(math.pi * mesh.nodes),
-                      sigma_v=0.1 * np.sin(2 * math.pi * mesh.nodes))
-        ref = _sparse_reference_step(state, mesh, model, bd, cfg)
-        out = step_regularized(state, mesh, model, bd, cfg)
-        assert np.array_equal(out.u, ref.u)
-        assert np.array_equal(out.sigma_v, ref.sigma_v)
+        for L in (1.0, 0.7):
+            mesh = build_mesh(L, 16)
+            x = mesh.nodes / L
+            state = State(t=0.0, u=0.3 + 0.2 * np.cos(math.pi * x),
+                          sigma_v=0.1 * np.sin(2 * math.pi * x))
+            ref = _sparse_reference_step(state, mesh, model, bd, cfg)
+            out = step_regularized(state, mesh, model, bd, cfg)
+            assert np.array_equal(out.u, ref.u), L
+            assert np.array_equal(out.sigma_v, ref.sigma_v), L
+
+    @pytest.mark.parametrize("L", [0.7, 3.3])
+    @pytest.mark.parametrize("N", [2, 3, 64])
+    def test_cached_bands_match_sparse_operators(self, L, N):
+        mesh = build_mesh(L, N)
+        ops = mesh_operators(mesh)
+        bilap = _sparse_bilaplacian(mesh)
+        lumped_bilap = sp.diags(lumped_mass_diagonal(mesh)) @ bilap
+        assert np.array_equal(_dense_bands(ops.bilaplacian), bilap.toarray())
+        assert np.array_equal(_dense_bands(ops.lumped_bilaplacian),
+                              lumped_bilap.toarray())
 
     def test_singular_band_system_names_its_step(self):
         # a zero pivot is the only failure dgbsv reports; no public input
@@ -417,7 +469,7 @@ class TestRegularized:
         bd = BoundaryData(phi_left=lambda t: 0.3 if t <= 0.25 else 0.0,
                           phi_right=lambda t: 0.0)
         u0 = np.full(33, 0.2)
-        M = assemble_mass(mesh)
+        M = _sparse_tridiag(*mass_diagonals(mesh))
 
         def terminal(eps):
             init = InitialData(u0, np.zeros_like(u0), phys)
