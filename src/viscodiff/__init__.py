@@ -12,12 +12,10 @@ from .coefficients import (
     LongTimeCondition,
     PhysicalCoefficients,
     ScalarModel,
-    StressDiffusionParams,
     TransformedModel,
     check_assumptions,
     check_longtime_condition,
     constant_model,
-    eval_E0,
     find_gamma,
     gradient_coefficients,
     make_scalar_model,
@@ -48,7 +46,6 @@ from .solver import (
     reconstruct_sigma,
     run,
     step,
-    step_regularized,
 )
 
 __version__ = "0.1.0"

@@ -40,7 +40,6 @@ from .diagnostics import (
     homogenization_metric,
     lyapunov_decay_check,
     mass_balance_check,
-    record,
 )
 from .discretization import mesh_operators, tridiag_matvec
 from .output import write_diagnostics, write_flux, write_snapshot
@@ -64,37 +63,23 @@ EPS_SCAN_VALUES = (1e-2, 1e-3, 1e-4)
 # signature trackers (phenomenology scans; never gate the exit code)
 
 
-class _ExtremaTracker:
-    """Running extrema of the nodal concentration over the whole run."""
-
-    def __init__(self):
-        self.max_over_time = -math.inf
-        self.min_over_time = math.inf
-        self.terminal_max = None
-        self.terminal_min = None
-        self.amplitude = 0.0
-
-    def __call__(self, state):
-        umax = float(np.max(state.u))
-        umin = float(np.min(state.u))
-        self.max_over_time = max(self.max_over_time, umax)
-        self.min_over_time = min(self.min_over_time, umin)
-        self.amplitude = max(self.amplitude, umax - umin)
-        self.terminal_max, self.terminal_min = umax, umin
-
-    def overshoot(self) -> tuple[bool, str]:
-        scale = max(self.amplitude, 1e-12)
-        excess = self.max_over_time - self.terminal_max
+def _extremum_signature(records, kind: str) -> tuple[bool, str]:
+    """Overshoot: the peak of u over the run stands above its terminal
+    maximum.  Undershoot: the trough stands below its terminal minimum.
+    Either counts when it exceeds 1% of the largest spread of u."""
+    scale = max(max(r.u_max - r.u_min for r in records), 1e-12)
+    last = records[-1]
+    if kind == "overshoot":
+        peak = max(r.u_max for r in records)
+        excess = peak - last.u_max
         return excess > 0.01 * scale, (
-            f"peak u {self.max_over_time:.6g} vs terminal max "
-            f"{self.terminal_max:.6g} (excess {excess:.3g})")
-
-    def undershoot(self) -> tuple[bool, str]:
-        scale = max(self.amplitude, 1e-12)
-        deficit = self.terminal_min - self.min_over_time
-        return deficit > 0.01 * scale, (
-            f"trough u {self.min_over_time:.6g} vs terminal min "
-            f"{self.terminal_min:.6g} (deficit {deficit:.3g})")
+            f"peak u {peak:.6g} vs terminal max "
+            f"{last.u_max:.6g} (excess {excess:.3g})")
+    trough = min(r.u_min for r in records)
+    deficit = last.u_min - trough
+    return deficit > 0.01 * scale, (
+        f"trough u {trough:.6g} vs terminal min "
+        f"{last.u_min:.6g} (deficit {deficit:.3g})")
 
 
 class _FrontTracker:
@@ -146,15 +131,6 @@ class _FrontTracker:
             f"over {len(self.times)} samples")
 
 
-class _MultiObserver:
-    def __init__(self, *observers):
-        self.observers = [o for o in observers if o is not None]
-
-    def __call__(self, state):
-        for o in self.observers:
-            o(state)
-
-
 # ---------------------------------------------------------------------------
 # scenario execution
 
@@ -163,8 +139,9 @@ def _override(cfg: ScenarioConfig, dt: Optional[float],
               n_cells: Optional[int]) -> ScenarioConfig:
     values = dict(cfg.values)
     if dt is not None:
-        if dt <= 0:
-            raise ConfigError("--dt must be positive", key="time.dt")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ConfigError("--dt must be positive and finite",
+                              key="time.dt")
         values["time.dt"] = float(dt)
     if n_cells is not None:
         if n_cells < 2:
@@ -177,12 +154,22 @@ def _longtime(cfg: ScenarioConfig, model):
     """Resolve the decay-condition weight, or None when not requested."""
     if not cfgmod.has_longtime(cfg):
         return None
-    box = cfgmod.longtime_box(cfg)
-    n = cfg.get("longtime.n_samples", 4096)
     if "longtime.Gamma" in cfg.values:
-        return check_longtime_condition(model, cfg["longtime.Gamma"], box, n)
+        return check_longtime_condition(model, cfg["longtime.Gamma"],
+                                        cfgmod.longtime_box(cfg),
+                                        cfg.get("longtime.n_samples", 4096))
+    return _scan_gamma(cfg, model)
+
+
+def _scan_gamma(cfg: ScenarioConfig, model):
+    """The best decay-condition weight on the gamma grid (default 0.1..10)."""
+    box = cfgmod.longtime_box(cfg)
+    if box.volume == 0:
+        raise ConfigError("a Gamma scan needs a longtime box with lo < hi "
+                          "on every axis (time.T_end > 0 for the default t "
+                          "range)", key="longtime.box")
     grid = cfg.get("longtime.gamma_grid") or list(np.geomspace(0.1, 10.0, 25))
-    return find_gamma(model, box, grid, n)
+    return find_gamma(model, box, grid, cfg.get("longtime.n_samples", 4096))
 
 
 def _analytic_error(cfg: ScenarioConfig, mesh, final_state) -> float:
@@ -228,28 +215,24 @@ def _execute(cfg: ScenarioConfig, quiet: bool):
     lt = _longtime(cfg, model)
     gamma = lt.Gamma if lt is not None else 1.0
 
-    extrema = _ExtremaTracker()
     front = None
     if cfg["signature"] == "front":
         front = _FrontTracker(mesh, cfg.get("front.threshold", 0.5))
-    observer = _MultiObserver(extrema, front)
 
     output_every = cfg["time.output_every"] or None
     result = run(init, mesh, model, bd, scfg, output_every=output_every,
-                 gamma=gamma, observer=observer)
-    return mesh, phys, bd, lt, result, extrema, front
+                 gamma=gamma, observer=front)
+    return mesh, phys, bd, lt, result, front
 
 
-def _signature_lines(cfg: ScenarioConfig, extrema, front) -> list[str]:
+def _signature_lines(cfg: ScenarioConfig, records, front) -> list[str]:
     kind = cfg["signature"]
     if kind == "none":
         return []
-    if kind == "overshoot":
-        found, desc = extrema.overshoot()
-    elif kind == "undershoot":
-        found, desc = extrema.undershoot()
-    else:
+    if kind == "front":
         found, desc = front.fit()
+    else:
+        found, desc = _extremum_signature(records, kind)
     verdict = "yes" if found else "no"
     return [f"signature detected: {verdict}",
             f"signature kind: {kind}", f"signature detail: {desc}"]
@@ -282,8 +265,7 @@ def _run_checks(cfg: ScenarioConfig, mesh, bd, lt, result) -> list[CheckReport]:
 
 
 def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
-                   result, extrema, front,
-                   checks: list[CheckReport]) -> None:
+                   result, front, checks: list[CheckReport]) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
     write_diagnostics(outdir / "diagnostics.csv", result.records,
@@ -316,7 +298,7 @@ def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
     for c in checks:
         lines.append(f"check {c.name}: {'PASS' if c.ok else 'FAIL'} "
                      f"- {c.message}")
-    lines.extend(_signature_lines(cfg, extrema, front))
+    lines.extend(_signature_lines(cfg, result.records, front))
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -330,9 +312,9 @@ def homogenization_from_record(rec, L: float) -> float:
 
 
 def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
-    mesh, phys, bd, lt, result, extrema, front = _execute(cfg, quiet)
+    mesh, phys, bd, lt, result, front = _execute(cfg, quiet)
     checks = _run_checks(cfg, mesh, bd, lt, result)
-    _write_outputs(outdir, cfg, mesh, phys, lt, result, extrema, front, checks)
+    _write_outputs(outdir, cfg, mesh, phys, lt, result, front, checks)
     if not quiet:
         rec = result.records[-1]
         print(f"completed {len(result.records) - 1} steps to "
@@ -356,11 +338,7 @@ def _cmd_check_assumptions(cfg: ScenarioConfig, quiet: bool) -> int:
 
 
 def _cmd_find_gamma(cfg: ScenarioConfig, quiet: bool) -> int:
-    model = cfgmod.build_model(cfg)
-    box = cfgmod.longtime_box(cfg)
-    grid = cfg.get("longtime.gamma_grid") or list(np.geomspace(0.1, 10.0, 25))
-    n = cfg.get("longtime.n_samples", 4096)
-    lt = find_gamma(model, box, grid, n_samples=n)
+    lt = _scan_gamma(cfg, cfgmod.build_model(cfg))
     print(f"Gamma = {lt.Gamma:.12g}")
     print(f"Gamma_0 = {lt.Gamma_0:.12g}")
     return EXIT_OK

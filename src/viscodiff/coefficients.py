@@ -10,7 +10,6 @@ condition on the coupled quadratic form.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -18,7 +17,6 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "StressDiffusionParams",
     "PhysicalCoefficients",
     "TransformedModel",
     "AssumptionBounds",
@@ -26,7 +24,6 @@ __all__ = [
     "Box",
     "ScalarModel",
     "make_scalar_model",
-    "eval_E0",
     "transform",
     "gradient_coefficients",
     "check_assumptions",
@@ -89,38 +86,6 @@ class GammaSearchFailure(Exception):
 
 class NonSmoothCoefficient(Exception):
     """Finite-difference stencils disagree beyond tolerance."""
-
-
-# ---------------------------------------------------------------------------
-# parameter records and closed-form laws
-
-
-@dataclass(frozen=True)
-class StressDiffusionParams:
-    """Parameters of the stress-diffusion coefficient vanishing at u=0 and u=1."""
-
-    alpha_1: float
-    alpha_2: float
-
-    def __post_init__(self):
-        if self.alpha_1 <= 0 or self.alpha_2 <= 0:
-            raise ValueError("require alpha_1 > 0 and alpha_2 > 0")
-
-
-def eval_E0(u, p: StressDiffusionParams):
-    """Stress-diffusion coefficient alpha_1*u*(u-1)^2 / (alpha_2 + (u-1)^2)."""
-    u = np.asarray(u, dtype=float)
-    w = (u - 1.0) ** 2
-    return p.alpha_1 * u * w / (p.alpha_2 + w)
-
-
-def eval_E0_du(u, p: StressDiffusionParams):
-    """Analytic u-derivative of eval_E0."""
-    u = np.asarray(u, dtype=float)
-    w = (u - 1.0) ** 2
-    q = w / (p.alpha_2 + w)
-    dq = 2.0 * (u - 1.0) * p.alpha_2 / (p.alpha_2 + w) ** 2
-    return p.alpha_1 * (q + u * dq)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +164,25 @@ def make_scalar_model(name: str, **params) -> ScalarModel:
         return ScalarModel("tanh", {"lo": lo, "hi": hi, "delta": delta,
                                     "center": center}, fn, dfn, antider)
     if name == "cohen-e0":
-        p = StressDiffusionParams(float(params.pop("alpha_1")),
-                                  float(params.pop("alpha_2")))
+        a1, a2 = float(params.pop("alpha_1")), float(params.pop("alpha_2"))
         _reject_extras(name, params)
-        return ScalarModel(
-            "cohen-e0",
-            {"alpha_1": p.alpha_1, "alpha_2": p.alpha_2},
-            fn=lambda u: eval_E0(u, p),
-            dfn=lambda u: eval_E0_du(u, p),
-            antiderivative=None,
-        )
+        if a1 <= 0 or a2 <= 0:
+            raise ValueError("require alpha_1 > 0 and alpha_2 > 0")
+
+        def fn(u):
+            # alpha_1 u (u-1)^2 / (alpha_2 + (u-1)^2): zero at u = 0 and u = 1
+            u = np.asarray(u, dtype=float)
+            w = (u - 1.0) ** 2
+            return a1 * u * w / (a2 + w)
+
+        def dfn(u):
+            u = np.asarray(u, dtype=float)
+            w = (u - 1.0) ** 2
+            q = w / (a2 + w)
+            dq = 2.0 * (u - 1.0) * a2 / (a2 + w) ** 2
+            return a1 * (q + u * dq)
+
+        return ScalarModel("cohen-e0", {"alpha_1": a1, "alpha_2": a2}, fn, dfn)
     if name == "polynomial":
         coeffs = [float(c) for c in params.pop("coeffs")]
         _reject_extras(name, params)
@@ -259,26 +233,6 @@ class PhysicalCoefficients:
     beta0_du: Optional[Callable[[np.ndarray], np.ndarray]] = None
     mu0_du: Optional[Callable[[np.ndarray], np.ndarray]] = None
     nu0_const: Optional[float] = None
-
-    def validate(self, u_range=(0.0, 1.0), box: Optional["Box"] = None,
-                 n_samples: int = 256) -> None:
-        """Sampled sanity checks: nu0 >= 0, consistent antiderivative, D0 > 0."""
-        u = np.linspace(u_range[0], u_range[1], n_samples)
-        nu = np.asarray(self.nu0(u), dtype=float)
-        if np.any(nu < 0):
-            raise ValueError("nu0 must be non-negative")
-        if abs(float(self.nu0_antiderivative(0.0))) > 1e-12:
-            raise ValueError("antiderivative of nu0 must vanish at 0")
-        du = 1e-6
-        approx = (np.asarray(self.nu0_antiderivative(u + du), float)
-                  - np.asarray(self.nu0_antiderivative(u - du), float)) / (2 * du)
-        if np.max(np.abs(approx - nu)) > 1e-4 * (1.0 + np.max(np.abs(nu))):
-            raise ValueError("antiderivative of nu0 is inconsistent with nu0")
-        if box is not None:
-            t, x, uu, s = box.grid(n_samples)
-            d0 = np.asarray(self.D0(t, x, uu, s), dtype=float)
-            if np.min(d0) <= 0:
-                raise ValueError("D0 must be uniformly positive on the box")
 
 
 @dataclass

@@ -209,7 +209,13 @@ def _raw_pairs(text: str):
         key = key.strip()
         if not key:
             raise ConfigError("missing key", line=line_no)
-        pairs.append((key, _parse_value(val, line_no), line_no))
+        value = _parse_value(val, line_no)
+        numbers = value if isinstance(value, list) else (value,)
+        if isinstance(value, (float, list)) and not all(map(math.isfinite,
+                                                            numbers)):
+            raise ConfigError(f"numbers must be finite, got {val.strip()}",
+                              line=line_no, key=key)
+        pairs.append((key, value, line_no))
     return pairs
 
 
@@ -362,13 +368,24 @@ def parse_config(text: str) -> ScenarioConfig:
     _validate_group(values, "boundary.phi_right", _SIGNAL_KINDS, lines)
 
     for key in ("longtime.box.t", "longtime.box.x", "longtime.box.u",
-                "longtime.box.s", "longtime.gamma_grid"):
-        if key in values:
-            vals = values[key]
-            if (key != "longtime.gamma_grid" and len(vals) != 2) or not all(
-                    isinstance(v, float) and math.isfinite(v) for v in vals):
-                raise ConfigError(f"expected a finite numeric range for {key}",
-                                  key=key, line=lines.get(key))
+                "longtime.box.s"):
+        if key in values and (len(values[key]) != 2
+                              or values[key][0] > values[key][1]):
+            raise ConfigError(f"expected a range [lo, hi] with lo <= hi "
+                              f"for {key}", key=key, line=lines.get(key))
+    grid = values.get("longtime.gamma_grid")
+    if grid is not None and (not grid or min(grid) <= 0):
+        raise ConfigError("longtime.gamma_grid must be a non-empty list of "
+                          "positive numbers", key="longtime.gamma_grid",
+                          line=lines.get("longtime.gamma_grid"))
+    if values.get("longtime.Gamma", 1.0) <= 0:
+        raise ConfigError("longtime.Gamma must be positive",
+                          key="longtime.Gamma",
+                          line=lines.get("longtime.Gamma"))
+    if values.get("longtime.n_samples", 1) < 1:
+        raise ConfigError("longtime.n_samples must be at least 1",
+                          key="longtime.n_samples",
+                          line=lines.get("longtime.n_samples"))
 
     return ScenarioConfig(values=values)
 

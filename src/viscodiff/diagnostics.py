@@ -9,7 +9,7 @@ the trapezoid rule at the recording cadence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,10 @@ CSV_COLUMNS = ("t", "mass", "l2_u", "h1semi_u", "l2_s", "h1semi_s",
 
 # absolute slack per step in decay checks, absorbing linear-solver round-off
 DECAY_STEP_SLACK = 1e-8
+# relative tolerance of the mass balance check
+MASS_BALANCE_TOL = 1e-10
+# relative growth allowed across the epsilon family in the a-priori check
+APRIORI_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -70,17 +74,15 @@ def _quadratic(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(v, tridiag_matvec(main, off, v)))
 
 
-def record(state, mesh: Mesh, lt: Optional[LongTimeCondition] = None,
-           gamma: float = 1.0,
+def record(state, mesh: Mesh, gamma: float = 1.0,
            prev: Optional[DiagnosticsRecord] = None) -> DiagnosticsRecord:
     """Snapshot the monitored quantities for one state.
 
-    ``lt`` (or the plain ``gamma`` fallback) sets the weight of the
+    ``gamma`` (the decay-condition weight Gamma) weights the
     concentration term in the Lyapunov functional; ``prev`` continues
     the running time integrals of the squared gradients.
     """
-    G = lt.Gamma if lt is not None else gamma
-    if G <= 0:
+    if gamma <= 0:
         raise ValueError("Gamma must be positive")
     ops = mesh_operators(mesh)
     u, s = state.u, state.sigma_v
@@ -104,7 +106,7 @@ def record(state, mesh: Mesh, lt: Optional[LongTimeCondition] = None,
         h1semi_u=float(np.sqrt(h1u_sq)),
         l2_s=float(np.sqrt(l2s_sq)),
         h1semi_s=float(np.sqrt(h1s_sq)),
-        lyapunov=0.5 * G * G * l2u_sq + 0.5 * h1s_sq,
+        lyapunov=0.5 * gamma * gamma * l2u_sq + 0.5 * h1s_sq,
         cum_grad_u=cum_u,
         cum_grad_s=cum_s,
         u_min=float(np.min(u)),
@@ -122,8 +124,7 @@ def homogenization_metric(state, mesh: Mesh) -> float:
 
 
 def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
-                         lt: LongTimeCondition,
-                         tol: float = DECAY_STEP_SLACK) -> CheckReport:
+                         lt: LongTimeCondition) -> CheckReport:
     """Monotone decay of the Lyapunov functional plus the implied gradient bound.
 
     Intended for runs with no interior forcing and zero influx.  Checks
@@ -131,6 +132,7 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
     gradient integrals stay below lyapunov(0)/min(Gamma_0*Gamma^2, Gamma_0).
     """
     G, G0 = lt.Gamma, lt.Gamma_0
+    tol = DECAY_STEP_SLACK
     lyap0 = series[0].lyapunov
     bound = lyap0 / min(G0 * G * G, G0) + tol
     for k in range(1, len(series)):
@@ -165,7 +167,7 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
 
 
 def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
-                       tol: float = 1e-10, *, epsilon: float = 0.0) -> CheckReport:
+                       *, epsilon: float = 0.0) -> CheckReport:
     """Total mass must track the time-accumulated boundary influx exactly.
 
     Assumes the series was recorded every step, so the expected mass
@@ -181,25 +183,25 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
                                      + float(bd.phi_right(series[k].t)))
                     ) / (1.0 + dt * epsilon)
         drift = series[k].mass - expected
-        if abs(drift) > tol * scale:
+        if abs(drift) > MASS_BALANCE_TOL * scale:
             return CheckReport(
                 ok=False, name="mass_balance", first_violation=k,
                 message=(f"mass drift {drift:.3e} at step {k} "
-                         f"(t={series[k].t:.6g}) exceeds {tol:g} relative"))
+                         f"(t={series[k].t:.6g}) exceeds "
+                         f"{MASS_BALANCE_TOL:g} relative"))
     return CheckReport(
         ok=True, name="mass_balance",
         message=(f"mass tracks influx over {len(series) - 1} steps "
                  f"(net gain {series[-1].mass - series[0].mass:.12g})"))
 
 
-def apriori_scaling_check(runs: Mapping[float, "RunResult"],
-                          margin: float = 0.1) -> CheckReport:
+def apriori_scaling_check(runs: Mapping[float, "RunResult"]) -> CheckReport:
     """Boundedness of the regularization-energy family across epsilon.
 
     The epsilon-weighted H2-type energies of each run must stay within
-    (1 + margin) of the largest-epsilon run's values, and the sup-in-time
-    H1 norm of the stress must stay within the relative margin across
-    the family.  A single run passes vacuously.
+    (1 + APRIORI_MARGIN) of the largest-epsilon run's values, and the
+    sup-in-time H1 norm of the stress must stay within that relative
+    margin across the family.  A single run passes vacuously.
     """
     if len(runs) <= 1:
         return CheckReport(ok=True, name="apriori_scaling",
@@ -214,6 +216,7 @@ def apriori_scaling_check(runs: Mapping[float, "RunResult"],
         "sup_h1_s": {e: runs[e].sup_h1_s for e in eps_sorted},
     }
     floor = 1e-12
+    margin = APRIORI_MARGIN
     for e in eps_sorted[1:]:
         r = runs[e]
         if r.reg_energy_u > (1 + margin) * ref.reg_energy_u + floor:
@@ -233,8 +236,6 @@ def apriori_scaling_check(runs: Mapping[float, "RunResult"],
             ok=False, name="apriori_scaling", details=details,
             message=(f"sup-in-time H1 norm of stress spreads beyond "
                      f"{margin:.0%}: [{lo:.6g}, {hi:.6g}]"))
-    dual_vals = [runs[e].dual_time_derivative for e in eps_sorted]
-    details["dual_bounded"] = max(dual_vals) <= (1 + margin) * dual_vals[0] + floor
     return CheckReport(
         ok=True, name="apriori_scaling", details=details,
         message=(f"bounded across eps={eps_sorted}: sup H1(s) in "

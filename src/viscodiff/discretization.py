@@ -40,11 +40,6 @@ class Mesh:
     nodes: np.ndarray
 
     @property
-    def boundary(self):
-        """End-node indices with outward normal signs."""
-        return ((0, -1.0), (self.N, +1.0))
-
-    @property
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
@@ -65,9 +60,9 @@ class BoundaryData:
     phi_left: Callable[[float], float]
     phi_right: Callable[[float], float]
 
-    def validate(self, T: float, n_quad: int = 1000) -> None:
+    def validate(self, T: float) -> None:
         """Check finiteness and square-integrability on [0, T] by quadrature."""
-        t = np.linspace(0.0, T, n_quad)
+        t = np.linspace(0.0, T, 1000)
         for name, fn in (("phi_left", self.phi_left), ("phi_right", self.phi_right)):
             vals = np.asarray([float(fn(tt)) for tt in t])
             if not np.all(np.isfinite(vals)):

@@ -41,7 +41,6 @@ __all__ = [
     "NumericalFailure",
     "LinearSolveFailure",
     "step",
-    "step_regularized",
     "run",
     "compute_flux",
     "reconstruct_sigma",
@@ -124,7 +123,6 @@ class InitialData:
         if np.max(np.abs(back - self.sigma0)) > 1e-12 * (
                 1.0 + np.max(np.abs(self.sigma0))):
             raise ValueError("change of variables is not self-consistent")
-        self._antiderivative = phys.nu0_antiderivative
 
     def initial_state(self) -> State:
         return State(t=0.0, u=self.u0.copy(), sigma_v=self.varsigma0.copy())
@@ -274,18 +272,8 @@ def _solve_banded(ab: np.ndarray, rhs: np.ndarray, step_index: int,
 
 def step(state: State, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
          cfg: SolverConfig) -> State:
-    """One semi-implicit step of the unregularized system (epsilon must be 0)."""
-    if cfg.epsilon != 0.0:
-        raise ValueError("step requires epsilon == 0; use step_regularized")
-    return step_regularized(state, mesh, model, bd, cfg)
-
-
-def step_regularized(state: State, mesh: Mesh, model: TransformedModel,
-                     bd: BoundaryData, cfg: SolverConfig) -> State:
-    """One step with the fourth-order regularization term added (any epsilon).
-
-    With epsilon == 0 this is the plain step.
-    """
+    """One semi-implicit step, with the fourth-order regularization term
+    when epsilon > 0."""
     state.check(mesh)
     return _Stepper(mesh, model, bd, cfg).advance(state, state.t + cfg.dt)
 
@@ -302,6 +290,7 @@ class RunResult:
     reg_energy_s: float
     # cumulative squared dual-type norm of the discrete time derivative of u
     dual_time_derivative: float
+    # largest H1 norm of the transformed stress over the records
     sup_h1_s: float
 
     @property
@@ -338,15 +327,12 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     dual_d, dual_e, _ = dpttrf(ml + mlK_main, mlK_off)
 
     reg_u = reg_s = dual = 0.0
-    sup_h1_s = _h1_norm(records[0], )
 
     for k in range(1, n_steps + 1):
         prev_u = state.u
         # k*dt, not a running sum, so step times do not drift from the grid
         state = stepper.advance(state, k * cfg.dt, step_index=k)
-        rec = record(state, mesh, gamma=gamma, prev=records[-1])
-        records.append(rec)
-        sup_h1_s = max(sup_h1_s, _h1_norm(rec))
+        records.append(record(state, mesh, gamma=gamma, prev=records[-1]))
 
         if cfg.epsilon > 0:
             wu = state.u + (tridiag_matvec(mlK_main, mlK_off, state.u) / ml)
@@ -366,10 +352,8 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
 
     if n_steps > 0:
         trajectory.append(state.copy())
+    sup_h1_s = float(np.max(np.hypot([r.l2_s for r in records],
+                                     [r.h1semi_s for r in records])))
     return RunResult(trajectory=trajectory, records=records, epsilon=cfg.epsilon,
                      reg_energy_u=reg_u, reg_energy_s=reg_s,
                      dual_time_derivative=dual, sup_h1_s=sup_h1_s)
-
-
-def _h1_norm(rec: DiagnosticsRecord) -> float:
-    return float(np.hypot(rec.l2_s, rec.h1semi_s))

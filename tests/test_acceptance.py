@@ -14,10 +14,8 @@ import pytest
 from viscodiff.cli import EXIT_OK, main
 from viscodiff.coefficients import (
     Box,
-    StressDiffusionParams,
     check_longtime_condition,
     constant_model,
-    eval_E0,
     gradient_coefficients,
     make_scalar_model,
     physical_from_models,
@@ -203,8 +201,8 @@ def test_criterion_5_coefficient_identities():
     beta0 = make_scalar_model("tanh", beta_G=1.0, beta_R=2.0, u_RG=0.5,
                               delta=0.05)
     mid_ok = abs(float(beta0(0.5)) - 0.5 * (2.0 + 1.0)) <= 1e-14
-    sd = StressDiffusionParams(alpha_1=1.0, alpha_2=0.01)
-    ends_ok = float(eval_E0(0.0, sd)) == 0.0 and float(eval_E0(1.0, sd)) == 0.0
+    sd = make_scalar_model("cohen-e0", alpha_1=1.0, alpha_2=0.01)
+    ends_ok = float(sd(0.0)) == 0.0 and float(sd(1.0)) == 0.0
 
     # constant-nu0 model: gamma(u) = m - b*c identically, so continuity at
     # u = 0 holds with the exact limit value

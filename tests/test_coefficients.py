@@ -13,12 +13,9 @@ from viscodiff.coefficients import (
     GammaSearchFailure,
     LongTimeConditionFailure,
     PhysicalCoefficients,
-    StressDiffusionParams,
     check_assumptions,
     check_longtime_condition,
     constant_model,
-    eval_E0,
-    eval_E0_du,
     find_gamma,
     gradient_coefficients,
     make_scalar_model,
@@ -35,7 +32,7 @@ from viscodiff.config import (
 
 BETA0 = make_scalar_model("tanh", beta_G=1.0, beta_R=2.0, u_RG=0.5,
                           delta=0.05)
-SD = StressDiffusionParams(alpha_1=1.0, alpha_2=0.01)
+SD = make_scalar_model("cohen-e0", alpha_1=1.0, alpha_2=0.01)
 D0_TANH = make_scalar_model("tanh", D_G=0.1, D_R=1.0, u_RG=0.5, delta=0.05)
 
 
@@ -50,16 +47,16 @@ class TestScalarLaws:
         assert abs(BETA0(0.5) - 0.5 * (2.0 + 1.0)) <= 1e-14
 
     def test_E0_scalar_value(self):
-        assert eval_E0(0.5, SD) == pytest.approx(0.5 * 0.25 / 0.26, abs=1e-12)
-        assert eval_E0(0.5, SD) == pytest.approx(0.4807692308, abs=1e-9)
+        assert SD(0.5) == pytest.approx(0.5 * 0.25 / 0.26, abs=1e-12)
+        assert SD(0.5) == pytest.approx(0.4807692308, abs=1e-9)
 
     def test_E0_endpoints_exact(self):
-        assert eval_E0(0.0, SD) == 0.0
-        assert eval_E0(1.0, SD) == 0.0
+        assert SD(0.0) == 0.0
+        assert SD(1.0) == 0.0
 
     def test_E0_nonnegative_on_unit_interval(self):
         u = np.linspace(0.0, 1.0, 1001)
-        assert np.all(eval_E0(u, SD) >= 0.0)
+        assert np.all(SD(u) >= 0.0)
 
     def test_D0_tanh_scalar_value(self):
         assert D0_TANH(0.55) == pytest.approx(
@@ -69,8 +66,8 @@ class TestScalarLaws:
     def test_E0_du_matches_finite_difference(self):
         u = np.linspace(-0.5, 1.5, 101)
         h = 1e-6
-        fd = (eval_E0(u + h, SD) - eval_E0(u - h, SD)) / (2 * h)
-        assert np.allclose(eval_E0_du(u, SD), fd, atol=1e-7)
+        fd = (SD(u + h) - SD(u - h)) / (2 * h)
+        assert np.allclose(SD.dfn(u), fd, atol=1e-7)
 
     @given(st.floats(0.2, 0.8), st.floats(0.2, 0.8))
     @settings(max_examples=100, deadline=None)
@@ -89,8 +86,9 @@ class TestScalarLaws:
             with pytest.raises(ValueError, match="delta > 0"):
                 make_scalar_model("tanh", D_G=0.1, D_R=1.0, u_RG=0.5,
                                   delta=delta)
-        with pytest.raises(ValueError):
-            StressDiffusionParams(alpha_1=0.0, alpha_2=0.1)
+        for a1, a2 in ((0.0, 0.1), (1.0, -0.1)):
+            with pytest.raises(ValueError, match="alpha_1 > 0"):
+                make_scalar_model("cohen-e0", alpha_1=a1, alpha_2=a2)
 
 
 class TestScalarModelRegistry:
@@ -122,12 +120,6 @@ class TestScalarModelRegistry:
         assert m(3.0) == pytest.approx(7.0)
         assert m.dfn(3.0) == pytest.approx(2.0)
         assert m.antiderivative(2.0) == pytest.approx(2.0 + 4.0)
-
-    def test_cohen_matches_eval(self):
-        m = make_scalar_model("cohen-e0", alpha_1=1.0, alpha_2=0.01)
-        u = np.linspace(0, 1, 11)
-        assert np.array_equal(m(u), eval_E0(u, SD))
-        assert m.antiderivative is None
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -161,7 +153,7 @@ class TestTransform:
         u = np.linspace(0.1, 0.9, 9)
         s = np.linspace(-1, 1, 9)
         assert np.allclose(model.D(0, 0, u, s), 2.0)
-        assert np.allclose(model.E(0, 0, u, s), eval_E0(u, SD))
+        assert np.allclose(model.E(0, 0, u, s), SD(u))
         assert np.allclose(model.f(0, 0, u, s), -0.5 * u)
         assert np.allclose(model.beta1(0, 0, u, s), -1.5)
         assert np.allclose(model.gamma(0, 0, u, s), 0.7)
@@ -328,7 +320,7 @@ class TestBoxAndAssumptions:
         box = Box(t=(0, 0), x=(0, 0), u=(0, 1), s=(0.2, 0.2))
         bounds = check_assumptions(model, box, n_samples=4096)
         grid = np.linspace(0, 1, 1_000_001)
-        k_e_exact = float(np.max(eval_E0(grid, SD)))
+        k_e_exact = float(np.max(SD(grid)))
         assert bounds.K_E == pytest.approx(k_e_exact, rel=1e-2)
 
     def test_ellipticity_violation_reported(self):

@@ -95,6 +95,16 @@ class TestParsing:
             again = parse_config(serialize_config(cfg))
             assert again.values == cfg.values
 
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", "nan"), ("time.dt", "inf"), ("time.dt", "nan"),
+        ("time.T_end", "1e999"), ("mesh.L", "nan"),
+        ("model.D0.delta", "nan"), ("longtime.box.u", "[0.0, nan]"),
+        ("longtime.gamma_grid", "[1.0, -inf]")])
+    def test_non_finite_number_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="finite") as exc:
+            parse_config(f'model.D0 = "tanh"\n{key} = {value}\n')
+        assert (exc.value.line, exc.value.key) == (2, key)
+
     def test_all_presets_parse(self):
         for name in PRESETS:
             cfg = preset_config(name)
@@ -295,9 +305,51 @@ class TestCli:
         assert main(args + ["--quiet"]) == EXIT_CHECK_FAILED
         assert "check failed:" in capsys.readouterr().err
 
+    def test_non_finite_input_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "nan.cfg"
+        p.write_text('preset = "eps-scan"\nepsilon = nan\n')
+        cases = [(["run", str(p)], "epsilon"),
+                 (["preset", "eps-scan", "--dt", "nan"], "time.dt"),
+                 (["preset", "eps-scan", "--dt", "inf"], "time.dt")]
+        for args, key in cases:
+            assert main(args + ["--out", str(tmp_path / "o"),
+                                "--quiet"]) == EXIT_CONFIG_ERROR, args
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and key in err
+
+    @pytest.mark.parametrize("line", [
+        "longtime.box.u = [1.0, 0.0]", "longtime.Gamma = -1.0",
+        "longtime.gamma_grid = [-1.0, 2.0]", "longtime.gamma_grid = []",
+        "longtime.n_samples = 0"])
+    def test_bad_longtime_value_exit_two(self, tmp_path, capsys, line):
+        p = tmp_path / "lt.cfg"
+        p.write_text(f"time.T_end = 0.01\n{line}\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "(line 2)" in err and repr(line.split(" =")[0]) in err
+
+    def test_zero_volume_gamma_scan_exit_two(self, tmp_path, capsys):
+        flat = tmp_path / "flat.cfg"
+        flat.write_text("time.T_end = 0.01\nlongtime.box.u = [0.5, 0.5]\n"
+                        "longtime.gamma_grid = [1.0]\n")
+        instant = tmp_path / "instant.cfg"
+        instant.write_text("time.T_end = 0.0\n")
+        for args in (["run", str(flat), "--out", str(tmp_path / "o")],
+                     ["find-gamma", str(instant)]):
+            assert main(args + ["--quiet"]) == EXIT_CONFIG_ERROR, args
+            assert "longtime.box" in capsys.readouterr().err
+
     def test_summary_contains_signature_line(self, tmp_path):
         out = tmp_path / "o"
         main(["preset", "sorption", "--out", str(out), "--quiet",
               "--dt", "0.002", "--n-cells", "64"])
         text = (out / "summary.txt").read_text()
         assert "signature detected:" in text
+        # the overshoot numbers are the u_max column of diagnostics.csv
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        col = rows[0].split(",").index("u_max")
+        u_max = [float(r.split(",")[col]) for r in rows[1:]]
+        assert (f"signature detail: peak u {max(u_max):.6g} vs terminal max "
+                f"{u_max[-1]:.6g} (excess ") in text

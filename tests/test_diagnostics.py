@@ -58,8 +58,7 @@ class TestRecord:
         # Gamma = 2, u = 1 on [0,1], varsigma linear with slope 1 -> 2.5
         mesh = build_mesh(1.0, 64)
         state = State(t=0.0, u=np.ones(65), sigma_v=mesh.nodes.copy())
-        lt = LongTimeCondition(Gamma=2.0, Gamma_0=0.5, verified_box=BOX)
-        rec = record(state, mesh, lt=lt)
+        rec = record(state, mesh, gamma=2.0)
         assert rec.lyapunov == pytest.approx(2.5, rel=1e-12)
 
     def test_gamma_must_be_positive(self):

@@ -70,10 +70,6 @@ class TestMesh:
         with pytest.raises(ValueError):
             build_mesh(0.0, 4)
 
-    def test_boundary_normals(self):
-        mesh = build_mesh(1.0, 8)
-        assert mesh.boundary == ((0, -1.0), (8, 1.0))
-
 
 class TestMass:
     def test_n2_entries(self):

@@ -49,7 +49,6 @@ from viscodiff.solver import (
     reconstruct_sigma,
     run,
     step,
-    step_regularized,
 )
 
 
@@ -171,13 +170,6 @@ class TestStep:
         b = step(state.copy(), mesh, model, ZERO_INFLUX,
                  SolverConfig(dt=dt, T_end=dt, stress_scheme="explicit"))
         assert np.max(np.abs(a.sigma_v - b.sigma_v)) <= 5.0 * dt ** 2
-
-    def test_step_rejects_positive_epsilon(self):
-        mesh = build_mesh(1.0, 4)
-        state = State(t=0.0, u=np.zeros(5), sigma_v=np.zeros(5))
-        with pytest.raises(ValueError):
-            step(state, mesh, constant_model(), ZERO_INFLUX,
-                 SolverConfig(dt=0.1, T_end=0.1, epsilon=1e-3))
 
     def test_nan_watchdog(self):
         mesh = build_mesh(1.0, 8)
@@ -406,22 +398,25 @@ def _dense_bands(ab):
 
 class TestRegularized:
     def test_epsilon_zero_dispatch_identity(self):
+        # step takes any epsilon and is the step run takes
         mesh = build_mesh(1.0, 16)
-        model = transform(_tanh_mix())
-        cfg = SolverConfig(dt=1e-3, T_end=1e-3, epsilon=0.0)
-        state = State(t=0.0, u=0.3 + 0.2 * np.cos(math.pi * mesh.nodes),
-                      sigma_v=np.zeros(17))
-        a = step(state.copy(), mesh, model, ZERO_INFLUX, cfg)
-        b = step_regularized(state.copy(), mesh, model, ZERO_INFLUX, cfg)
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.sigma_v, b.sigma_v)
+        phys = _tanh_mix()
+        model = transform(phys)
+        init = InitialData(0.3 + 0.2 * np.cos(math.pi * mesh.nodes),
+                           np.zeros(17), phys)
+        for eps in (0.0, 1e-2):
+            cfg = SolverConfig(dt=1e-3, T_end=1e-3, epsilon=eps)
+            a = step(init.initial_state(), mesh, model, ZERO_INFLUX, cfg)
+            b = run(init, mesh, model, ZERO_INFLUX, cfg).final_state
+            assert np.array_equal(a.u, b.u), eps
+            assert np.array_equal(a.sigma_v, b.sigma_v), eps
 
     def test_constant_state_stays_spatially_constant(self):
         mesh = build_mesh(1.0, 16)
         model = constant_model(D=1.0, E=0.2, beta1=-1.0, gamma=0.3)
         cfg = SolverConfig(dt=1e-2, T_end=1e-2, epsilon=1e-2)
         state = State(t=0.0, u=np.full(17, 0.6), sigma_v=np.full(17, 0.1))
-        out = step_regularized(state, mesh, model, ZERO_INFLUX, cfg)
+        out = step(state, mesh, model, ZERO_INFLUX, cfg)
         assert np.ptp(out.u) <= 1e-13
         assert np.ptp(out.sigma_v) <= 1e-13
 
@@ -440,7 +435,7 @@ class TestRegularized:
             state = State(t=0.0, u=0.3 + 0.2 * np.cos(math.pi * x),
                           sigma_v=0.1 * np.sin(2 * math.pi * x))
             ref = _sparse_reference_step(state, mesh, model, bd, cfg)
-            out = step_regularized(state, mesh, model, bd, cfg)
+            out = step(state, mesh, model, bd, cfg)
             assert np.array_equal(out.u, ref.u), L
             assert np.array_equal(out.sigma_v, ref.sigma_v), L
 
