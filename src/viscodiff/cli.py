@@ -44,6 +44,7 @@ from .diagnostics import (
 from .discretization import mesh_operators, tridiag_matvec
 from .output import write_diagnostics, write_flux, write_snapshot
 from .solver import (
+    DualTimeDerivative,
     LinearSolveFailure,
     NumericalFailure,
     compute_flux,
@@ -137,17 +138,13 @@ class _FrontTracker:
 
 def _override(cfg: ScenarioConfig, dt: Optional[float],
               n_cells: Optional[int]) -> ScenarioConfig:
+    """The scenario with --dt/--n-cells applied, under the file's rules."""
     values = dict(cfg.values)
     if dt is not None:
-        if not (math.isfinite(dt) and dt > 0):
-            raise ConfigError("--dt must be positive and finite",
-                              key="time.dt")
-        values["time.dt"] = float(dt)
+        values["time.dt"] = dt
     if n_cells is not None:
-        if n_cells < 2:
-            raise ConfigError("--n-cells must be at least 2", key="mesh.N")
-        values["mesh.N"] = int(n_cells)
-    return ScenarioConfig(values=values)
+        values["mesh.N"] = n_cells
+    return cfgmod.validate(values)
 
 
 def _longtime(cfg: ScenarioConfig, model):
@@ -174,14 +171,8 @@ def _scan_gamma(cfg: ScenarioConfig, model):
 
 def _analytic_error(cfg: ScenarioConfig, mesh, final_state) -> float:
     """Mass-weighted L2 error against the decaying cosine solution."""
-    kind, p = cfg.group("initial.u0")
-    if kind != "cosine":
-        raise ConfigError('check.analytic = "heat-cosine" requires a cosine '
-                          "initial profile", key="check.analytic")
+    _, p = cfg.group("initial.u0")
     _, dp = cfg.group("model.D0")
-    if cfg["model.D0"] != "constant":
-        raise ConfigError('check.analytic = "heat-cosine" requires constant '
-                          "diffusivity", key="check.analytic")
     lam = dp["value"] * (p["mode"] * math.pi / mesh.L) ** 2
     exact = p["mean"] + p["amplitude"] * math.exp(-lam * final_state.t) \
         * np.cos(p["mode"] * math.pi * mesh.nodes / mesh.L)
@@ -244,17 +235,8 @@ def _run_checks(cfg: ScenarioConfig, mesh, bd, lt, result) -> list[CheckReport]:
         checks.append(mass_balance_check(result.records, bd,
                                          epsilon=result.epsilon))
     if cfg["check.lyapunov"]:
-        if lt is None:
-            checks.append(CheckReport(
-                ok=False, name="lyapunov_decay",
-                message="check.lyapunov requires a longtime section"))
-        else:
-            checks.append(lyapunov_decay_check(result.records, lt))
+        checks.append(lyapunov_decay_check(result.records, lt))
     if "check.analytic" in cfg.values:
-        if cfg["check.analytic"] != "heat-cosine":
-            raise ConfigError(
-                f"unknown analytic reference {cfg['check.analytic']!r}",
-                key="check.analytic")
         tol = cfg.get("check.analytic_tol", 1e-2)
         err = _analytic_error(cfg, mesh, result.final_state)
         checks.append(CheckReport(
@@ -262,6 +244,10 @@ def _run_checks(cfg: ScenarioConfig, mesh, bd, lt, result) -> list[CheckReport]:
             message=f"L2 error vs decaying cosine {err:.6g} "
                     f"({'within' if err <= tol else 'exceeds'} {tol:g})"))
     return checks
+
+
+def _check_line(c: CheckReport) -> str:
+    return f"check {c.name}: {'PASS' if c.ok else 'FAIL'} - {c.message}"
 
 
 def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
@@ -295,9 +281,7 @@ def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
         if below is not None:
             lines.append(f"homogenization metric first below 1e-4 at "
                          f"t={below:.6g}")
-    for c in checks:
-        lines.append(f"check {c.name}: {'PASS' if c.ok else 'FAIL'} "
-                     f"- {c.message}")
+    lines.extend(map(_check_line, checks))
     lines.extend(_signature_lines(cfg, result.records, front))
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
@@ -320,7 +304,7 @@ def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
         print(f"completed {len(result.records) - 1} steps to "
               f"t={result.final_state.t:g}; final mass {rec.mass:.12g}")
         for c in checks:
-            print(f"check {c.name}: {'PASS' if c.ok else 'FAIL'} - {c.message}")
+            print(_check_line(c))
         print(f"outputs in {outdir}")
     return EXIT_OK if all(c.ok for c in checks) else EXIT_CHECK_FAILED
 
@@ -346,11 +330,12 @@ def _cmd_find_gamma(cfg: ScenarioConfig, quiet: bool) -> int:
 
 def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     all_eps = (0.0,) + EPS_SCAN_VALUES
-    results = {}
+    results, duals = {}, {}
     for eps in all_eps:
         mesh, _phys, model, bd, init, scfg = _build(
-            ScenarioConfig(values={**cfg.values, "epsilon": eps}))
-        results[eps] = run(init, mesh, model, bd, scfg)
+            cfgmod.validate({**cfg.values, "epsilon": eps}))
+        duals[eps] = DualTimeDerivative(mesh, scfg.dt)
+        results[eps] = run(init, mesh, model, bd, scfg, observer=duals[eps])
 
     u_ref = results[0.0].final_state.u
     scaling = apriori_scaling_check({e: results[e] for e in EPS_SCAN_VALUES})
@@ -374,11 +359,9 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
         lines.append(f"eps={e:g}: sup H1(s)={r.sup_h1_s:.8g} "
                      f"regE_u={r.reg_energy_u:.8g} "
                      f"regE_s={r.reg_energy_s:.8g} "
-                     f"dual={r.dual_time_derivative:.8g}"
+                     f"dual={duals[e].value:.8g}"
                      + (f" dist_to_eps0={distances[e]:.8g}" if e else ""))
-    for c in checks:
-        lines.append(f"check {c.name}: {'PASS' if c.ok else 'FAIL'} "
-                     f"- {c.message}")
+    lines.extend(map(_check_line, checks))
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
     for e in all_eps:
         tag = f"{e:g}".replace(".", "p").replace("-", "m")

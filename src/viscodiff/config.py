@@ -10,7 +10,8 @@ example::
 Values are ints, floats, booleans (true/false), quoted strings, or
 bracketed numeric lists.  A ``preset = "name"`` line starts from the
 named built-in scenario and overrides it.  Parsing applies the defaults
-table below and reports unknown or ill-typed keys with line numbers;
+table below, then ``validate`` checks the result against the rule table
+and reports unknown, ill-typed or out-of-range keys with line numbers;
 serialize/parse round-trips are semantically exact.
 """
 
@@ -39,6 +40,7 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "parse_config",
+    "validate",
     "serialize_config",
     "preset_config",
     "PRESET_NAMES",
@@ -92,27 +94,38 @@ DEFAULTS: dict[str, object] = {
     "signature": "none",
 }
 
-_SIMPLE_SCHEMA: dict[str, type] = {
-    "mesh.L": float,
-    "mesh.N": int,
-    "time.dt": float,
-    "time.T_end": float,
-    "time.output_every": int,
-    "epsilon": float,
-    "stress_scheme": str,
-    "check.mass_balance": bool,
-    "check.lyapunov": bool,
-    "check.analytic": str,
-    "check.analytic_tol": float,
-    "signature": str,
-    "front.threshold": float,
-    "longtime.Gamma": float,
-    "longtime.gamma_grid": list,
-    "longtime.n_samples": int,
-    "longtime.box.t": list,
-    "longtime.box.x": list,
-    "longtime.box.u": list,
-    "longtime.box.s": list,
+_SCHEMES = ("implicit-decay", "explicit")
+_SIGNATURES = ("none", "overshoot", "undershoot", "front")
+_RANGE = (list, lambda v: len(v) == 2 and v[0] <= v[1],
+          "must be a range [lo, hi] with lo <= hi")
+
+# every key outside the groups: (type, test of the value, what the test
+# requires); keys absent from DEFAULTS are optional
+_RULES: dict[str, tuple] = {
+    "mesh.L": (float, lambda v: v > 0, "must be positive"),
+    "mesh.N": (int, lambda v: v >= 2, "must be at least 2"),
+    "time.dt": (float, lambda v: v > 0, "must be positive"),
+    "time.T_end": (float, lambda v: v >= 0, "must be non-negative"),
+    "time.output_every": (int, lambda v: v >= 0, "must be non-negative"),
+    "epsilon": (float, lambda v: v >= 0, "must be non-negative"),
+    "stress_scheme": (str, lambda v: v in _SCHEMES,
+                      f"must be one of {list(_SCHEMES)}"),
+    "check.mass_balance": (bool, None, ""),
+    "check.lyapunov": (bool, None, ""),
+    "check.analytic": (str, lambda v: v == "heat-cosine",
+                       'must be "heat-cosine"'),
+    "check.analytic_tol": (float, lambda v: v > 0, "must be positive"),
+    "signature": (str, lambda v: v in _SIGNATURES,
+                  f"must be one of {list(_SIGNATURES)}"),
+    "front.threshold": (float, None, ""),
+    "longtime.Gamma": (float, lambda v: v > 0, "must be positive"),
+    "longtime.gamma_grid": (list, lambda v: v and min(v) > 0,
+                            "must be a non-empty list of positive numbers"),
+    "longtime.n_samples": (int, lambda v: v >= 1, "must be at least 1"),
+    "longtime.box.t": _RANGE,
+    "longtime.box.x": _RANGE,
+    "longtime.box.u": _RANGE,
+    "longtime.box.s": _RANGE,
 }
 
 _FIELD_KINDS = {
@@ -127,7 +140,6 @@ _SIGNAL_KINDS = {
     "sinusoid": {"amplitude": None, "omega": None, "phase": 0.0},
     "pulse": {"value": None, "t_on": 0.0, "t_off": None},
 }
-_SIGNATURES = ("none", "overshoot", "undershoot", "front")
 _GROUP_HEADS = tuple(f"model.{r}" for r in MODEL_ROLES) + (
     "initial.u0", "initial.sigma0", "boundary.phi_left", "boundary.phi_right")
 
@@ -209,13 +221,7 @@ def _raw_pairs(text: str):
         key = key.strip()
         if not key:
             raise ConfigError("missing key", line=line_no)
-        value = _parse_value(val, line_no)
-        numbers = value if isinstance(value, list) else (value,)
-        if isinstance(value, (float, list)) and not all(map(math.isfinite,
-                                                            numbers)):
-            raise ConfigError(f"numbers must be finite, got {val.strip()}",
-                              line=line_no, key=key)
-        pairs.append((key, value, line_no))
+        pairs.append((key, _parse_value(val, line_no), line_no))
     return pairs
 
 
@@ -232,7 +238,7 @@ def _overlay(base: dict, pairs) -> dict:
 
 
 def _is_known_key(key: str) -> bool:
-    if key in _SIMPLE_SCHEMA:
+    if key in _RULES:
         return True
     for head in _GROUP_HEADS:
         if key == head:
@@ -245,11 +251,6 @@ def _is_known_key(key: str) -> bool:
 def _coerce(key: str, value, want: type, line: Optional[int]):
     if want is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    if want is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"expected an integer, got {value!r}",
-                              line=line, key=key)
-        return value
     if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
         raise ConfigError(f"expected {want.__name__}, got {value!r}",
                           line=line, key=key)
@@ -307,47 +308,33 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"{sorted(PRESETS)}", line=lines.get("preset"), key="preset")
         base = _overlay(base, _raw_pairs(PRESETS[preset_name]))
 
-    for key, _value, line_no in body:
+    return validate(_overlay(base, body), lines)
+
+
+def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
+    """Check a resolved scenario and fill in its group defaults.
+
+    Every rule on a scenario lives here, so a file, a CLI override and
+    an eps-scan member are held to the same rules.  ``lines`` maps keys
+    to the file lines they came from, for the error messages.
+    """
+    values, lines = dict(values), lines or {}
+    for key, value in values.items():
         if not _is_known_key(key):
             raise ConfigError(f"unknown configuration key {key!r}",
-                              line=line_no, key=key)
-    values = _overlay(base, body)
+                              line=lines.get(key), key=key)
+        numbers = value if isinstance(value, list) else (value,)
+        if isinstance(value, (float, list)) and not all(map(math.isfinite,
+                                                            numbers)):
+            raise ConfigError(f"numbers must be finite, got {value!r}",
+                              line=lines.get(key), key=key)
 
-    for key, want in _SIMPLE_SCHEMA.items():
+    for key, (want, test, need) in _RULES.items():
         if key in values:
-            if want is list:
-                if not isinstance(values[key], list):
-                    raise ConfigError(f"expected a list, got {values[key]!r}",
-                                      line=lines.get(key), key=key)
-            else:
-                values[key] = _coerce(key, values[key], want, lines.get(key))
-
-    # numeric sanity
-    if values["mesh.L"] <= 0:
-        raise ConfigError("mesh.L must be positive", key="mesh.L",
-                          line=lines.get("mesh.L"))
-    if values["mesh.N"] < 2:
-        raise ConfigError("mesh.N must be at least 2", key="mesh.N",
-                          line=lines.get("mesh.N"))
-    if values["time.dt"] <= 0:
-        raise ConfigError("time.dt must be positive", key="time.dt",
-                          line=lines.get("time.dt"))
-    if values["time.T_end"] < 0:
-        raise ConfigError("time.T_end must be non-negative", key="time.T_end",
-                          line=lines.get("time.T_end"))
-    if values["time.output_every"] < 0:
-        raise ConfigError("time.output_every must be non-negative",
-                          key="time.output_every",
-                          line=lines.get("time.output_every"))
-    if values["epsilon"] < 0:
-        raise ConfigError("epsilon must be non-negative", key="epsilon",
-                          line=lines.get("epsilon"))
-    if values["stress_scheme"] not in ("implicit-decay", "explicit"):
-        raise ConfigError(f"unknown stress_scheme {values['stress_scheme']!r}",
-                          key="stress_scheme", line=lines.get("stress_scheme"))
-    if values["signature"] not in _SIGNATURES:
-        raise ConfigError(f"unknown signature {values['signature']!r}",
-                          key="signature", line=lines.get("signature"))
+            v = values[key] = _coerce(key, values[key], want, lines.get(key))
+            if test is not None and not test(v):
+                raise ConfigError(f"{key} {need}, got {v!r}",
+                                  line=lines.get(key), key=key)
 
     # coefficient models must exist in the registry and accept their params
     for role in MODEL_ROLES:
@@ -367,27 +354,16 @@ def parse_config(text: str) -> ScenarioConfig:
     _validate_group(values, "boundary.phi_left", _SIGNAL_KINDS, lines)
     _validate_group(values, "boundary.phi_right", _SIGNAL_KINDS, lines)
 
-    for key in ("longtime.box.t", "longtime.box.x", "longtime.box.u",
-                "longtime.box.s"):
-        if key in values and (len(values[key]) != 2
-                              or values[key][0] > values[key][1]):
-            raise ConfigError(f"expected a range [lo, hi] with lo <= hi "
-                              f"for {key}", key=key, line=lines.get(key))
-    grid = values.get("longtime.gamma_grid")
-    if grid is not None and (not grid or min(grid) <= 0):
-        raise ConfigError("longtime.gamma_grid must be a non-empty list of "
-                          "positive numbers", key="longtime.gamma_grid",
-                          line=lines.get("longtime.gamma_grid"))
-    if values.get("longtime.Gamma", 1.0) <= 0:
-        raise ConfigError("longtime.Gamma must be positive",
-                          key="longtime.Gamma",
-                          line=lines.get("longtime.Gamma"))
-    if values.get("longtime.n_samples", 1) < 1:
-        raise ConfigError("longtime.n_samples must be at least 1",
-                          key="longtime.n_samples",
-                          line=lines.get("longtime.n_samples"))
-
-    return ScenarioConfig(values=values)
+    cfg = ScenarioConfig(values=values)
+    if "check.analytic" in values and (values["initial.u0"] != "cosine"
+                                       or values["model.D0"] != "constant"):
+        raise ConfigError('check.analytic = "heat-cosine" needs a cosine '
+                          "initial.u0 and a constant model.D0",
+                          line=lines.get("check.analytic"), key="check.analytic")
+    if values["check.lyapunov"] and not has_longtime(cfg):
+        raise ConfigError("check.lyapunov = true needs a longtime section",
+                          line=lines.get("check.lyapunov"), key="check.lyapunov")
+    return cfg
 
 
 def _format_value(v) -> str:
@@ -488,8 +464,8 @@ def build_initial(cfg: ScenarioConfig, mesh: Mesh,
 
 
 def build_solver_config(cfg: ScenarioConfig) -> SolverConfig:
-    # parse_config and the CLI overrides check every field but one: that
-    # T_end is a whole number of steps, which SolverConfig checks here
+    # validate checks every field but one: that T_end is a whole number
+    # of steps, which SolverConfig checks here
     try:
         return SolverConfig(dt=cfg["time.dt"], T_end=cfg["time.T_end"],
                             epsilon=cfg["epsilon"],

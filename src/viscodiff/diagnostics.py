@@ -211,8 +211,6 @@ def apriori_scaling_check(runs: Mapping[float, "RunResult"]) -> CheckReport:
     details = {
         "reg_energy_u": {e: runs[e].reg_energy_u for e in eps_sorted},
         "reg_energy_s": {e: runs[e].reg_energy_s for e in eps_sorted},
-        "dual_time_derivative": {e: runs[e].dual_time_derivative
-                                 for e in eps_sorted},
         "sup_h1_s": {e: runs[e].sup_h1_s for e in eps_sorted},
     }
     floor = 1e-12

@@ -1,6 +1,8 @@
 """Scenario parsing, presets, output formats, and the command-line driver."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from viscodiff.cli import (
     main,
 )
 from viscodiff.config import (
+    _GROUP_HEADS,
+    _RULES,
     PRESETS,
     ConfigError,
     build_boundary,
@@ -310,7 +314,9 @@ class TestCli:
         p.write_text('preset = "eps-scan"\nepsilon = nan\n')
         cases = [(["run", str(p)], "epsilon"),
                  (["preset", "eps-scan", "--dt", "nan"], "time.dt"),
-                 (["preset", "eps-scan", "--dt", "inf"], "time.dt")]
+                 (["preset", "eps-scan", "--dt", "inf"], "time.dt"),
+                 (["preset", "eps-scan", "--dt", "-1"], "time.dt"),
+                 (["preset", "eps-scan", "--n-cells", "1"], "mesh.N")]
         for args, key in cases:
             assert main(args + ["--out", str(tmp_path / "o"),
                                 "--quiet"]) == EXIT_CONFIG_ERROR, args
@@ -329,6 +335,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert "(line 2)" in err and repr(line.split(" =")[0]) in err
+
+    @pytest.mark.parametrize("lines, key", [
+        (['check.analytic = "foo"'], "check.analytic"),
+        (['preset = "sorption"', 'check.analytic = "heat-cosine"'],
+         "check.analytic"),
+        (['preset = "fickian"', "check.analytic_tol = -1.0"],
+         "check.analytic_tol"),
+        (["time.T_end = 0.01", "check.lyapunov = true"], "check.lyapunov")])
+    def test_bad_check_input_exit_two_before_any_step(
+            self, tmp_path, capsys, monkeypatch, lines, key):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a step ran")
+        monkeypatch.setattr("viscodiff.cli.run", no_run)
+        p = tmp_path / "bad.cfg"
+        p.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"(line {len(lines)})" in err and repr(key) in err
+        assert not out.exists()
 
     def test_zero_volume_gamma_scan_exit_two(self, tmp_path, capsys):
         flat = tmp_path / "flat.cfg"
@@ -353,3 +381,13 @@ class TestCli:
         u_max = [float(r.split(",")[col]) for r in rows[1:]]
         assert (f"signature detail: peak u {max(u_max):.6g} vs terminal max "
                 f"{u_max[-1]:.6g} (excess ") in text
+
+
+def test_readme_documents_every_key():
+    # a key that validate accepts but the README does not list is a key
+    # a user cannot find
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"## Configuration format\n(.*?)\n## ", readme,
+                        re.S).group(1)
+    missing = [k for k in (*_RULES, *_GROUP_HEADS) if f"`{k}`" not in section]
+    assert not missing

@@ -39,6 +39,7 @@ from viscodiff.discretization import (
     tridiag_matvec,
 )
 from viscodiff.solver import (
+    DualTimeDerivative,
     InitialData,
     LinearSolveFailure,
     NumericalFailure,
@@ -487,8 +488,14 @@ class TestRun:
         phys = build_physical(cfg)
         scfg = build_solver_config(cfg)
         states = []
-        res = run(build_initial(cfg, mesh, phys), mesh, transform(phys),
-                  build_boundary(cfg), scfg, observer=states.append)
+        dual_obs = DualTimeDerivative(mesh, scfg.dt)
+
+        def observe(state):
+            states.append(state)
+            dual_obs(state)
+
+        run(build_initial(cfg, mesh, phys), mesh, transform(phys),
+            build_boundary(cfg), scfg, observer=observe)
         ops = DiscreteOperators.build(mesh)
         ab = np.zeros((2, mesh.N + 1))
         ab[0, 1:] = ops.unit_stiffness_off
@@ -499,7 +506,7 @@ class TestRun:
             dual += scfg.dt * float(np.dot(
                 load, solveh_banded(ab, load, lower=False)))
         assert len(states) == 51
-        assert res.dual_time_derivative == dual
+        assert dual_obs.value == dual
 
     def test_T_end_zero_edge(self):
         mesh = build_mesh(1.0, 8)
