@@ -28,6 +28,7 @@ from .coefficients import (
     GammaSearchFailure,
     LongTimeCondition,
     LongTimeConditionFailure,
+    N_SAMPLES,
     NonSmoothCoefficient,
     check_assumptions,
     check_longtime_condition,
@@ -38,10 +39,10 @@ from .diagnostics import (
     CheckReport,
     apriori_scaling_check,
     homogenization_metric,
+    l2_norm,
     lyapunov_decay_check,
     mass_balance_check,
 )
-from .discretization import mesh_operators, tridiag_matvec
 from .output import write_diagnostics, write_flux, write_snapshot
 from .solver import (
     DualTimeDerivative,
@@ -152,9 +153,9 @@ def _longtime(cfg: ScenarioConfig, model):
     if not cfgmod.has_longtime(cfg):
         return None
     if "longtime.Gamma" in cfg.values:
-        return check_longtime_condition(model, cfg["longtime.Gamma"],
-                                        cfgmod.longtime_box(cfg),
-                                        cfg.get("longtime.n_samples", 4096))
+        return check_longtime_condition(
+            model, cfg["longtime.Gamma"], cfgmod.longtime_box(cfg),
+            cfg.get("longtime.n_samples", N_SAMPLES))
     return _scan_gamma(cfg, model)
 
 
@@ -166,7 +167,8 @@ def _scan_gamma(cfg: ScenarioConfig, model):
                           "on every axis (time.T_end > 0 for the default t "
                           "range)", key="longtime.box")
     grid = cfg.get("longtime.gamma_grid") or list(np.geomspace(0.1, 10.0, 25))
-    return find_gamma(model, box, grid, cfg.get("longtime.n_samples", 4096))
+    return find_gamma(model, box, grid,
+                      cfg.get("longtime.n_samples", N_SAMPLES))
 
 
 def _analytic_error(cfg: ScenarioConfig, mesh, final_state) -> float:
@@ -176,14 +178,7 @@ def _analytic_error(cfg: ScenarioConfig, mesh, final_state) -> float:
     lam = dp["value"] * (p["mode"] * math.pi / mesh.L) ** 2
     exact = p["mean"] + p["amplitude"] * math.exp(-lam * final_state.t) \
         * np.cos(p["mode"] * math.pi * mesh.nodes / mesh.L)
-    return _l2(mesh, final_state.u - exact)
-
-
-def _l2(mesh, v: np.ndarray) -> float:
-    """Mass-weighted L2 norm sqrt(v . M v)."""
-    ops = mesh_operators(mesh)
-    return float(np.sqrt(max(v @ tridiag_matvec(ops.mass_main, ops.mass_off,
-                                                 v), 0.0)))
+    return l2_norm(mesh, final_state.u - exact)
 
 
 def _build(cfg: ScenarioConfig):
@@ -200,15 +195,14 @@ def _build(cfg: ScenarioConfig):
     return mesh, phys, model, bd, init, cfgmod.build_solver_config(cfg)
 
 
-def _execute(cfg: ScenarioConfig, quiet: bool):
+def _execute(cfg: ScenarioConfig):
     """Build and run one scenario; returns everything the writers need."""
     mesh, phys, model, bd, init, scfg = _build(cfg)
     lt = _longtime(cfg, model)
     gamma = lt.Gamma if lt is not None else 1.0
 
-    front = None
-    if cfg["signature"] == "front":
-        front = _FrontTracker(mesh, cfg.get("front.threshold", 0.5))
+    front = (_FrontTracker(mesh, cfg.get("front.threshold", 0.5))
+             if cfg["signature"] == "front" else None)
 
     output_every = cfg["time.output_every"] or None
     result = run(init, mesh, model, bd, scfg, output_every=output_every,
@@ -296,7 +290,7 @@ def homogenization_from_record(rec, L: float) -> float:
 
 
 def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
-    mesh, phys, bd, lt, result, front = _execute(cfg, quiet)
+    mesh, phys, bd, lt, result, front = _execute(cfg)
     checks = _run_checks(cfg, mesh, bd, lt, result)
     _write_outputs(outdir, cfg, mesh, phys, lt, result, front, checks)
     if not quiet:
@@ -310,10 +304,8 @@ def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
 
 
 def _cmd_check_assumptions(cfg: ScenarioConfig, quiet: bool) -> int:
-    model = cfgmod.build_model(cfg)
-    box = cfgmod.longtime_box(cfg)
-    n = cfg.get("longtime.n_samples", 4096)
-    bounds = check_assumptions(model, box, n_samples=n)
+    bounds = check_assumptions(cfgmod.build_model(cfg), cfgmod.longtime_box(cfg),
+                               cfg.get("longtime.n_samples", N_SAMPLES))
     if not quiet:
         print(f"ellipticity constant d = {bounds.d:.6g}")
         for name in ("K_D", "K_E", "K_beta", "K_mu", "K_f", "K_g"):
@@ -339,7 +331,7 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
 
     u_ref = results[0.0].final_state.u
     scaling = apriori_scaling_check({e: results[e] for e in EPS_SCAN_VALUES})
-    distances = {e: _l2(mesh, results[e].final_state.u - u_ref)
+    distances = {e: l2_norm(mesh, results[e].final_state.u - u_ref)
                  for e in EPS_SCAN_VALUES}
     ordered = sorted(EPS_SCAN_VALUES, reverse=True)
     monotone = all(distances[a] >= distances[b] - 1e-14

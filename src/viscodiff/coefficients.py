@@ -45,6 +45,9 @@ FD_STEP = 1e-5
 # which the coefficient is flagged as non-smooth.
 FD_SMOOTHNESS_TOL = 1e-3
 
+# Default number of sample points of a box grid (longtime.n_samples).
+N_SAMPLES = 4096
+
 
 class EllipticityViolation(Exception):
     """Diffusion coefficient fails the uniform positivity bound on the box."""
@@ -533,7 +536,7 @@ def _affine_growth_slope(radius: np.ndarray, values: np.ndarray) -> float:
 
 
 def check_assumptions(model: TransformedModel, box: Box,
-                      n_samples: int = 4096) -> AssumptionBounds:
+                      n_samples: int = N_SAMPLES) -> AssumptionBounds:
     """Empirical coefficient bounds over a deterministic sample grid.
 
     Raises EllipticityViolation when the sampled diffusion coefficient
@@ -602,7 +605,7 @@ def quadratic_form_min_eig(D, E, beta, mu, Gamma):
 
 
 def check_longtime_condition(model: TransformedModel, Gamma: float, box: Box,
-                             n_samples: int = 4096) -> LongTimeCondition:
+                             n_samples: int = N_SAMPLES) -> LongTimeCondition:
     """Infimum over the box of the quadratic-form margin for the given Gamma.
 
     Raises LongTimeConditionFailure (carrying the minimizing point and
@@ -626,7 +629,7 @@ def check_longtime_condition(model: TransformedModel, Gamma: float, box: Box,
 
 def find_gamma(model: TransformedModel, box: Box,
                gamma_grid: Sequence[float],
-               n_samples: int = 4096) -> LongTimeCondition:
+               n_samples: int = N_SAMPLES) -> LongTimeCondition:
     """Scan candidate Gamma values and keep the one with the largest margin."""
     if not gamma_grid:
         raise ValueError("gamma_grid must be non-empty")

@@ -143,6 +143,14 @@ _SIGNAL_KINDS = {
 _GROUP_HEADS = tuple(f"model.{r}" for r in MODEL_ROLES) + (
     "initial.u0", "initial.sigma0", "boundary.phi_left", "boundary.phi_right")
 
+# check.analytic = "heat-cosine" needs u to obey the plain heat equation,
+# which the decaying cosine solves: no stress coupling, forcing or influx
+_HEAT_COSINE = {"initial.u0": "cosine", "model.D0": "constant",
+                "model.E0": "constant", "model.E0.value": 0.0,
+                "model.M0": "constant", "model.M0.value": 0.0,
+                "boundary.phi_left": "zero", "boundary.phi_right": "zero",
+                "epsilon": 0.0}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -351,14 +359,20 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
 
     _validate_group(values, "initial.u0", _FIELD_KINDS, lines)
     _validate_group(values, "initial.sigma0", _FIELD_KINDS, lines)
-    _validate_group(values, "boundary.phi_left", _SIGNAL_KINDS, lines)
-    _validate_group(values, "boundary.phi_right", _SIGNAL_KINDS, lines)
+    for side in ("boundary.phi_left", "boundary.phi_right"):
+        _validate_group(values, side, _SIGNAL_KINDS, lines)
+        on, off = f"{side}.t_on", f"{side}.t_off"
+        if values[side] == "pulse" and values[off] <= values[on]:
+            raise ConfigError(f"{off} must be greater than {on}",
+                              line=lines.get(off, lines.get(on)), key=off)
 
     cfg = ScenarioConfig(values=values)
-    if "check.analytic" in values and (values["initial.u0"] != "cosine"
-                                       or values["model.D0"] != "constant"):
-        raise ConfigError('check.analytic = "heat-cosine" needs a cosine '
-                          "initial.u0 and a constant model.D0",
+    misfit = [k for k, v in _HEAT_COSINE.items() if values.get(k) != v]
+    if "check.analytic" in values and misfit:
+        k = misfit[0]
+        raise ConfigError(f'check.analytic = "heat-cosine" needs {k} = '
+                          f"{_format_value(_HEAT_COSINE[k])}, got "
+                          f"{_format_value(values[k])}",
                           line=lines.get("check.analytic"), key="check.analytic")
     if values["check.lyapunov"] and not has_longtime(cfg):
         raise ConfigError("check.lyapunov = true needs a longtime section",

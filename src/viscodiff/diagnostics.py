@@ -8,8 +8,8 @@ the trapezoid rule at the recording cadence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,15 +21,12 @@ __all__ = [
     "CheckReport",
     "CSV_COLUMNS",
     "record",
+    "l2_norm",
     "homogenization_metric",
     "lyapunov_decay_check",
     "apriori_scaling_check",
     "mass_balance_check",
-    "format_csv",
 ]
-
-CSV_COLUMNS = ("t", "mass", "l2_u", "h1semi_u", "l2_s", "h1semi_s",
-               "lyapunov", "cum_grad_u", "cum_grad_s", "u_min", "u_max")
 
 # absolute slack per step in decay checks, absorbing linear-solver round-off
 DECAY_STEP_SLACK = 1e-8
@@ -39,8 +36,9 @@ MASS_BALANCE_TOL = 1e-10
 APRIORI_MARGIN = 0.1
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
+    """One row of diagnostics.csv; the fields are its columns, in order."""
+
     t: float
     mass: float
     l2_u: float
@@ -54,17 +52,16 @@ class DiagnosticsRecord:
     u_max: float
 
 
+CSV_COLUMNS = DiagnosticsRecord._fields
+
+
 @dataclass
 class CheckReport:
     ok: bool
     name: str
     message: str
     first_violation: Optional[int] = None
-    details: dict = None
-
-    def __post_init__(self):
-        if self.details is None:
-            self.details = {}
+    details: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.ok
@@ -114,13 +111,18 @@ def record(state, mesh: Mesh, gamma: float = 1.0,
     )
 
 
+def l2_norm(mesh: Mesh, v: np.ndarray) -> float:
+    """Mass-weighted L2 norm sqrt(v . M v)."""
+    ops = mesh_operators(mesh)
+    return float(np.sqrt(max(_quadratic(ops.mass_main, ops.mass_off, v), 0.0)))
+
+
 def homogenization_metric(state, mesh: Mesh) -> float:
     """Mass-weighted L2 distance of u from its mesh mean; zero iff constant."""
     ops = mesh_operators(mesh)
     ubar = float(np.sum(tridiag_matvec(ops.mass_main, ops.mass_off,
                                        state.u))) / mesh.L
-    return float(np.sqrt(max(
-        _quadratic(ops.mass_main, ops.mass_off, state.u - ubar), 0.0)))
+    return l2_norm(mesh, state.u - ubar)
 
 
 def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
@@ -239,15 +241,3 @@ def apriori_scaling_check(runs: Mapping[float, "RunResult"]) -> CheckReport:
         message=(f"bounded across eps={eps_sorted}: sup H1(s) in "
                  f"[{lo:.6g}, {hi:.6g}]"))
 
-
-def format_csv(series: Sequence[DiagnosticsRecord],
-               header_note: Optional[str] = None) -> str:
-    """Render a diagnostics series as CSV with the documented column order."""
-    lines = []
-    if header_note is not None:
-        lines.append(f"# {header_note}")
-    lines.append(",".join(CSV_COLUMNS))
-    for r in series:
-        lines.append(",".join(
-            format(getattr(r, c), ".17g") for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, format_csv
+from .diagnostics import CSV_COLUMNS, DiagnosticsRecord
 
 __all__ = [
     "SNAPSHOT_COLUMNS",
+    "format_csv",
     "write_snapshot",
     "read_snapshot",
     "write_flux",
@@ -25,7 +26,15 @@ __all__ = [
 
 SNAPSHOT_COLUMNS = ("x", "u", "varsigma", "sigma")
 
-_FMT = ".17g"
+
+def format_csv(header: Sequence[str], rows: Iterable[Sequence[float]],
+               note: Optional[str] = None) -> str:
+    """An optional ``# note`` line, the header, then one %.17g line per row."""
+    template = ",".join(["%.17g"] * len(header))
+    lines = [] if note is None else [f"# {note}"]
+    lines.append(",".join(header))
+    lines.extend(template % tuple(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def write_snapshot(path: Union[str, Path], x: np.ndarray, u: np.ndarray,
@@ -35,10 +44,7 @@ def write_snapshot(path: Union[str, Path], x: np.ndarray, u: np.ndarray,
     n = len(x)
     if any(len(c) != n for c in cols):
         raise ValueError("snapshot columns must have equal length")
-    lines = [",".join(SNAPSHOT_COLUMNS)]
-    for row in zip(*cols):
-        lines.append(",".join(format(float(v), _FMT) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(format_csv(SNAPSHOT_COLUMNS, zip(*cols)))
 
 
 def read_snapshot(path: Union[str, Path]) -> dict[str, np.ndarray]:
@@ -68,18 +74,11 @@ def write_flux(path: Union[str, Path], x_mid: np.ndarray,
     """
     if len(x_mid) != len(flux):
         raise ValueError("flux columns must have equal length")
-    lines = ["x_mid,flux"]
-    for xm, j in zip(x_mid, flux):
-        lines.append(f"{float(xm):{_FMT}},{float(j):{_FMT}}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(format_csv(("x_mid", "flux"), zip(x_mid, flux)))
 
 
 def write_diagnostics(path: Union[str, Path],
                       series: Sequence[DiagnosticsRecord],
                       header_note: Optional[str] = None) -> None:
-    """Diagnostics CSV; the optional note becomes a leading ``#`` line.
-
-    Apart from that timestamped comment line, the output is
-    byte-identical across repeated runs of the same scenario.
-    """
-    Path(path).write_text(format_csv(series, header_note=header_note))
+    """Diagnostics CSV, one row per record; the note leads as a ``#`` line."""
+    Path(path).write_text(format_csv(CSV_COLUMNS, series, header_note))

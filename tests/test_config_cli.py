@@ -342,7 +342,17 @@ class TestCli:
          "check.analytic"),
         (['preset = "fickian"', "check.analytic_tol = -1.0"],
          "check.analytic_tol"),
-        (["time.T_end = 0.01", "check.lyapunov = true"], "check.lyapunov")])
+        (["time.T_end = 0.01", "check.lyapunov = true"], "check.lyapunov"),
+        # the decaying cosine is no solution with influx or stress coupling
+        (['preset = "fickian"', 'boundary.phi_left = "constant"',
+          "boundary.phi_left.value = 0.5", 'check.analytic = "heat-cosine"'],
+         "check.analytic"),
+        (['preset = "fickian"', "model.E0.value = 0.5", "model.mu0.value = 3.0",
+          'initial.sigma0 = "cosine"', "initial.sigma0.amplitude = 0.1",
+          'check.analytic = "heat-cosine"'], "check.analytic"),
+        # a pulse that ends before it starts would inject nothing
+        (['preset = "sorption"', "boundary.phi_left.t_on = 2.0",
+          "boundary.phi_left.t_off = 1.0"], "boundary.phi_left.t_off")])
     def test_bad_check_input_exit_two_before_any_step(
             self, tmp_path, capsys, monkeypatch, lines, key):
         def no_run(*args, **kwargs):

@@ -1,6 +1,5 @@
 """Norm monitors, Lyapunov/mass checks, and the CSV serialization."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,13 +12,13 @@ from viscodiff.coefficients import Box, LongTimeCondition, constant_model
 from viscodiff.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
-    format_csv,
     homogenization_metric,
     lyapunov_decay_check,
     mass_balance_check,
     record,
 )
 from viscodiff.discretization import ZERO_INFLUX, BoundaryData, build_mesh
+from viscodiff.output import format_csv
 from viscodiff.solver import InitialData, SolverConfig, State, run
 from viscodiff.coefficients import make_scalar_model, physical_from_models
 
@@ -179,8 +178,7 @@ class TestMassBalance:
         assert not mass_balance_check(res.records, bd).ok
         assert mass_balance_check(res.records, bd, epsilon=1e-2).ok
         perturbed = list(res.records)
-        perturbed[50] = dataclasses.replace(perturbed[50],
-                                            mass=perturbed[50].mass + 1e-8)
+        perturbed[50] = perturbed[50]._replace(mass=perturbed[50].mass + 1e-8)
         report = mass_balance_check(perturbed, bd, epsilon=1e-2)
         assert not report.ok
         assert report.first_violation == 50
@@ -201,13 +199,14 @@ class TestCsv:
         assert CSV_COLUMNS == ("t", "mass", "l2_u", "h1semi_u", "l2_s",
                                "h1semi_s", "lyapunov", "cum_grad_u",
                                "cum_grad_s", "u_min", "u_max")
+        assert CSV_COLUMNS == DiagnosticsRecord._fields
 
     def test_round_trip_values(self):
         rec = DiagnosticsRecord(t=0.1, mass=1 / 3, l2_u=0.2, h1semi_u=0.3,
                                 l2_s=0.0, h1semi_s=0.0, lyapunov=0.02,
                                 cum_grad_u=0.0, cum_grad_s=0.0,
                                 u_min=-1e-17, u_max=0.9)
-        text = format_csv([rec])
+        text = format_csv(CSV_COLUMNS, [rec])
         lines = text.strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         vals = [float(v) for v in lines[1].split(",")]
@@ -216,5 +215,5 @@ class TestCsv:
 
     def test_header_note_line(self):
         rec = DiagnosticsRecord(*([0.0] * 11))
-        text = format_csv([rec], header_note="generated sometime")
+        text = format_csv(CSV_COLUMNS, [rec], note="generated sometime")
         assert text.splitlines()[0] == "# generated sometime"
