@@ -8,13 +8,15 @@ the trapezoid rule at the recording cadence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .coefficients import LongTimeCondition
-from .discretization import BoundaryData, Mesh, mesh_operators, tridiag_matvec
+from .discretization import (BoundaryData, Mesh, mesh_operators, pair,
+                             tridiag_matvec)
 
 __all__ = [
     "DiagnosticsRecord",
@@ -77,19 +79,24 @@ def record(state, mesh: Mesh, gamma: float = 1.0,
 
     ``gamma`` (the decay-condition weight Gamma) weights the
     concentration term in the Lyapunov functional; ``prev`` continues
-    the running time integrals of the squared gradients.
+    the running time integrals of the squared gradients.  The mass and
+    the unit stiffness each act on (u, varsigma) in one product.
     """
     if gamma <= 0:
         raise ValueError("Gamma must be positive")
     ops = mesh_operators(mesh)
     u, s = state.u, state.sigma_v
-    Mu = tridiag_matvec(ops.mass_main, ops.mass_off, u)
+    n = u.size
+    us = pair(u, s)
+    M_us = tridiag_matvec(ops.mass_pair_main, ops.mass_pair_off, us)
+    K_us = tridiag_matvec(ops.unit_stiffness_pair_main,
+                          ops.unit_stiffness_pair_off, us)
+    Mu, Ms = M_us[:n], M_us[n + 1:-1]
+    Ku, Ks = K_us[:n], K_us[n + 1:-1]
     l2u_sq = max(float(np.dot(u, Mu)), 0.0)
-    h1u_sq = max(_quadratic(ops.unit_stiffness_main, ops.unit_stiffness_off, u),
-                 0.0)
-    l2s_sq = max(_quadratic(ops.mass_main, ops.mass_off, s), 0.0)
-    h1s_sq = max(_quadratic(ops.unit_stiffness_main, ops.unit_stiffness_off, s),
-                 0.0)
+    h1u_sq = max(float(np.dot(u, Ku)), 0.0)
+    l2s_sq = max(float(np.dot(s, Ms)), 0.0)
+    h1s_sq = max(float(np.dot(s, Ks)), 0.0)
     if prev is None:
         cum_u = cum_s = 0.0
     else:
@@ -98,16 +105,16 @@ def record(state, mesh: Mesh, gamma: float = 1.0,
         cum_s = prev.cum_grad_s + 0.5 * dt * (prev.h1semi_s ** 2 + h1s_sq)
     return DiagnosticsRecord(
         t=float(state.t),
-        mass=float(np.sum(Mu)),
-        l2_u=float(np.sqrt(l2u_sq)),
-        h1semi_u=float(np.sqrt(h1u_sq)),
-        l2_s=float(np.sqrt(l2s_sq)),
-        h1semi_s=float(np.sqrt(h1s_sq)),
+        mass=float(Mu.sum()),
+        l2_u=math.sqrt(l2u_sq),
+        h1semi_u=math.sqrt(h1u_sq),
+        l2_s=math.sqrt(l2s_sq),
+        h1semi_s=math.sqrt(h1s_sq),
         lyapunov=0.5 * gamma * gamma * l2u_sq + 0.5 * h1s_sq,
         cum_grad_u=cum_u,
         cum_grad_s=cum_s,
-        u_min=float(np.min(u)),
-        u_max=float(np.max(u)),
+        u_min=float(u.min()),
+        u_max=float(u.max()),
     )
 
 

@@ -91,35 +91,51 @@ def lumped_mass_diagonal(mesh: Mesh) -> np.ndarray:
     return d
 
 
+def element_means(w: np.ndarray) -> np.ndarray:
+    """Per-element means of nodal values."""
+    return 0.5 * (w[:-1] + w[1:])
+
+
+def stiffness_from_means(abar: np.ndarray):
+    """(main, off) diagonals of the stiffness form from the per-element
+    weights abar (the element mean of the coefficient over h)."""
+    main = np.zeros(abar.size + 1)
+    main[:-1] += abar
+    main[1:] += abar
+    return main, -abar
+
+
+def load_from_means(wbar: np.ndarray) -> np.ndarray:
+    """Load vector b_i = int wbar * phi_i' from per-element means.
+
+    Entries telescope, so the components always sum to zero.
+    """
+    b = np.zeros(wbar.size + 1)
+    b[:-1] -= wbar
+    b[1:] += wbar
+    return b
+
+
+def _nodal(mesh: Mesh, w, what: str) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.shape != (mesh.N + 1,):
+        raise ValueError(f"{what} must have {mesh.N + 1} entries")
+    return w
+
+
 def stiffness_diagonals(mesh: Mesh, a: np.ndarray):
     """(main, off) diagonals of the weighted stiffness form.
 
     The nodal coefficient a is averaged per element; the form
     annihilates constants exactly.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (mesh.N + 1,):
-        raise ValueError(f"coefficient field must have {mesh.N + 1} entries")
-    abar = 0.5 * (a[:-1] + a[1:]) / mesh.h   # per-element a / h
-    main = np.zeros(mesh.N + 1)
-    main[:-1] += abar
-    main[1:] += abar
-    return main, -abar
+    a = _nodal(mesh, a, "coefficient field")
+    return stiffness_from_means(element_means(a) / mesh.h)
 
 
 def assemble_flux_vector(mesh: Mesh, w: np.ndarray) -> np.ndarray:
-    """Load vector b_i = int wbar * phi_i' with per-element averages of w.
-
-    Entries telescope, so the components always sum to zero.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (mesh.N + 1,):
-        raise ValueError(f"field must have {mesh.N + 1} entries")
-    wbar = 0.5 * (w[:-1] + w[1:])
-    b = np.zeros(mesh.N + 1)
-    b[:-1] -= wbar
-    b[1:] += wbar
-    return b
+    """Load vector b_i = int wbar * phi_i' with per-element averages of w."""
+    return load_from_means(element_means(_nodal(mesh, w, "field")))
 
 
 def boundary_functional(mesh: Mesh, bd: BoundaryData, t: float) -> np.ndarray:
@@ -164,12 +180,40 @@ def _bilaplacian_bands(lumped: np.ndarray, k_main: np.ndarray,
     return bilap, lumped_bilap
 
 
+# the pad node that closes each row of a pair chain (see pair_bands)
+_PAD = np.zeros(1)
+
+
+def pair_bands(main: np.ndarray, off: np.ndarray):
+    """(main, off) diagonals of two copies of a tridiagonal operator on a
+    chain of two rows, each of n nodes followed by one pad node.
+
+    Every coupling to a pad is -0.0 and every pad holds 0.0 (see
+    ``pair``), so a coupling adds -0.0 * 0.0 = -0.0 to a product entry,
+    which leaves the entry unchanged bit for bit: one ``tridiag_matvec``
+    on the chain equals one call on each row.
+    """
+    n = main.size
+    chain_main = np.zeros((2, n + 1))
+    chain_main[:, :n] = main
+    chain_off = np.full((2, n + 1), -0.0)
+    chain_off[:, :n - 1] = off
+    return chain_main.reshape(-1), chain_off.reshape(-1)[:-1]
+
+
+def pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two nodal vectors as one chain for ``pair_bands``: a, pad, b, pad.
+    The rows of a product p on the chain are p[:n] and p[n + 1:-1]."""
+    return np.concatenate((a, _PAD, b, _PAD))
+
+
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Pre-assembled mesh-dependent operators shared across time steps.
 
     They depend on the mesh only through N and h.  Tridiagonal matrices
-    are held as (main, off) diagonals, the regularization operators
+    are held as (main, off) diagonals, the mass and unit stiffness also
+    as ``pair_bands`` chains, the regularization operators
     (I + L_h)^2 and M_L (I + L_h)^2 in (2, 2) band storage.  The arrays
     are read-only, so one instance can be shared by every caller.
     """
@@ -181,13 +225,18 @@ class DiscreteOperators:
     unit_stiffness_off: np.ndarray
     bilaplacian: np.ndarray
     lumped_bilaplacian: np.ndarray
+    mass_pair_main: np.ndarray
+    mass_pair_off: np.ndarray
+    unit_stiffness_pair_main: np.ndarray
+    unit_stiffness_pair_off: np.ndarray
 
     @classmethod
     def build(cls, mesh: Mesh) -> "DiscreteOperators":
         lumped = lumped_mass_diagonal(mesh)
+        mm, mo = mass_diagonals(mesh)
         km, ko = stiffness_diagonals(mesh, np.ones(mesh.N + 1))
-        ops = cls(*mass_diagonals(mesh), lumped, km, ko,
-                  *_bilaplacian_bands(lumped, km, ko))
+        ops = cls(mm, mo, lumped, km, ko, *_bilaplacian_bands(lumped, km, ko),
+                  *pair_bands(mm, mo), *pair_bands(km, ko))
         for arr in vars(ops).values():
             arr.flags.writeable = False
         return ops

@@ -25,13 +25,18 @@ from .diagnostics import DiagnosticsRecord, record
 from .discretization import (
     BoundaryData,
     Mesh,
-    assemble_flux_vector,
     band_matvec,
     boundary_functional,
+    element_means,
+    load_from_means,
     mesh_operators,
-    stiffness_diagonals,
+    pair,
+    stiffness_from_means,
     tridiag_matvec,
 )
+# not called here: the step kernel assembles from element means.  It
+# stays a module attribute because perfbench/tracing.py wraps it by name.
+from .discretization import stiffness_diagonals  # noqa: F401
 
 __all__ = [
     "State",
@@ -119,10 +124,14 @@ class InitialData:
             raise ValueError("initial data must be finite")
         shift = np.asarray(phys.nu0_antiderivative(self.u0), dtype=float)
         self.varsigma0 = self.sigma0 - shift
-        # round-trip consistency of the change of variables
+        if not np.all(np.isfinite(self.varsigma0)):
+            raise ValueError("initial transformed stress sigma0 - int_0^u0 nu0 "
+                             "is not finite")
+        # round-trip consistency of the change of variables, up to the
+        # round-off of the larger of the two terms
         back = self.varsigma0 + shift
         if np.max(np.abs(back - self.sigma0)) > 1e-12 * (
-                1.0 + np.max(np.abs(self.sigma0))):
+                1.0 + np.max(np.abs(self.sigma0) + np.abs(shift))):
             raise ValueError("change of variables is not self-consistent")
 
     def initial_state(self) -> State:
@@ -153,6 +162,13 @@ def compute_flux(state: State, mesh: Mesh,
 class _Stepper:
     """Per-run workspace: pre-assembled operators and the step kernel.
 
+    Per step, the five lagged coefficient fields are copied into the
+    rows of one (5, n) buffer and tested for finiteness with one sum.
+    The first three rows (D, E, f) are averaged per element in one pass
+    over them as one chain of 3n nodes, and the stiffness bands of D and
+    E come from one scatter over their chain.  The buffer is scratch
+    space only: every step returns freshly allocated u and varsigma.
+
     The epsilon = 0 concentration system is tridiagonal SPD and goes to
     LAPACK dptsv.  With epsilon > 0 both step systems are pentadiagonal
     and go to dgbsv in (2, 2) band storage, with the two rows of fill
@@ -170,32 +186,40 @@ class _Stepper:
         self.cfg = cfg
         self.ops = mesh_operators(mesh)
         self.n = mesh.N + 1
+        self.fields = np.empty((len(_FIELD_NAMES), self.n))
         if cfg.epsilon > 0:
             w = cfg.dt * cfg.epsilon
             self.reg_u = w * self.ops.lumped_bilaplacian
             self.reg_s = w * self.ops.bilaplacian
 
-    def _coefficient_fields(self, state: State):
-        shape = (self.n,)
-        return [v if v.shape == shape else np.broadcast_to(v, shape)
-                for v in self.model.fields(state.t, self.mesh.nodes,
-                                           state.u, state.sigma_v)]
-
     def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
         mesh, cfg, ops = self.mesh, self.cfg, self.ops
         dt, eps = cfg.dt, cfg.epsilon
-        fields = self._coefficient_fields(state)
-        bad = _nonfinite(_FIELD_NAMES, fields)
+        n, fields = self.n, self.fields
+        # a field returned as a scalar fills its row by broadcasting
+        for i, v in enumerate(self.model.fields(state.t, mesh.nodes, state.u,
+                                                state.sigma_v)):
+            fields[i] = v
+        bad = _nonfinite(_FIELD_NAMES, fields, fields.sum())
         if bad is not None:
             raise NumericalFailure(step_index, state.t, f"{bad} coefficient field")
-        Dn, En, fn, b1n, gn = fields
+        b1n, gn = fields[3], fields[4]
 
-        kD_main, kD_off = stiffness_diagonals(mesh, Dn)
-        kE_main, kE_off = stiffness_diagonals(mesh, En)
+        # element means of the rows D, E, f read as one chain of 3n
+        # nodes; the two means that straddle a row joint are not used
+        means = element_means(fields[:3].reshape(-1))
+        # the bands of D and E from their chain, with zero weight on the
+        # joint element: 0.0 + 0.0 and (0.0 + x) + 0.0 are exact, so each
+        # row's bands equal stiffness_diagonals of that row, bit for bit
+        abar = means[:2 * n - 1] / mesh.h
+        abar[n - 1] = 0.0
+        k_main, k_off = stiffness_from_means(abar)
+        kD_main, kE_main = k_main[:n], k_main[n:]
+        kD_off, kE_off = k_off[:n - 1], k_off[n:]
         psi = boundary_functional(mesh, self.bd, t_next)
         rhs = (tridiag_matvec(ops.mass_main, ops.mass_off, state.u)
                - dt * (tridiag_matvec(kE_main, kE_off, state.sigma_v)
-                       + assemble_flux_vector(mesh, fn))
+                       + load_from_means(means[2 * n:]))
                + dt * psi)
 
         a_main = ops.mass_main + dt * kD_main
@@ -217,7 +241,7 @@ class _Stepper:
 
         drive = state.sigma_v + dt * gn * u_next
         if cfg.stress_scheme == "explicit":
-            rate = dt * float(np.max(np.abs(b1n)))
+            rate = dt * float(np.abs(b1n).max())
             if rate >= 1.0:
                 raise LinearSolveFailure(
                     f"explicit stress update unstable at step {step_index}: "
@@ -227,7 +251,8 @@ class _Stepper:
                 s_next -= dt * eps * band_matvec(ops.bilaplacian, state.sigma_v)
         elif eps == 0.0:
             denom = 1.0 - dt * b1n
-            if np.any(denom <= 0):
+            # beta1 is finite here, so the minimum is never NaN
+            if denom.min() <= 0:
                 raise LinearSolveFailure(
                     f"implicit stress decay singular at step {step_index}: "
                     "dt * beta1 >= 1 with positive beta1")
@@ -237,7 +262,8 @@ class _Stepper:
             ab[4, :] += 1.0 - dt * b1n
             s_next = _solve_banded(ab, drive, step_index, "stress")
 
-        bad = _nonfinite(("concentration", "stress"), (u_next, s_next))
+        bad = _nonfinite(("concentration", "stress"), (u_next, s_next),
+                         u_next.sum() + s_next.sum())
         if bad is not None:
             raise NumericalFailure(step_index, t_next, bad)
         return State(t=t_next, u=u_next, sigma_v=s_next)
@@ -247,13 +273,14 @@ _FIELD_NAMES = ("diffusion", "stress-diffusion", "forcing", "relaxation",
                 "stress-drive")
 
 
-def _nonfinite(names, arrays) -> Optional[str]:
-    """Name of the first array holding a NaN or inf, or None.
+def _nonfinite(names, arrays, total: float) -> Optional[str]:
+    """Name of the first of arrays holding a NaN or inf, or None.
 
-    A finite total proves every entry finite, so the arrays are tested
-    one by one only when it is not (a non-finite entry, or overflow).
+    ``total`` is a sum over all of them.  A finite total proves every
+    entry finite, so the arrays are tested one by one only when it is
+    not (a non-finite entry, or overflow).
     """
-    if math.isfinite(sum(a.sum() for a in arrays)):
+    if math.isfinite(total):
         return None
     for name, a in zip(names, arrays):
         if not np.all(np.isfinite(a)):
@@ -341,22 +368,23 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     if observer is not None:
         observer(state)
 
-    ml = ops.lumped
-    mlK_main = ops.unit_stiffness_main
-    mlK_off = ops.unit_stiffness_off
+    ml, n = ops.lumped, stepper.n
+    dt, eps = cfg.dt, cfg.epsilon
     reg_u = reg_s = 0.0
 
     for k in range(1, n_steps + 1):
         # k*dt, not a running sum, so step times do not drift from the grid
-        state = stepper.advance(state, k * cfg.dt, step_index=k)
+        state = stepper.advance(state, k * dt, step_index=k)
         records.append(record(state, mesh, gamma=gamma, prev=records[-1]))
 
-        if cfg.epsilon > 0:
-            wu = state.u + (tridiag_matvec(mlK_main, mlK_off, state.u) / ml)
-            ws = state.sigma_v + (
-                tridiag_matvec(mlK_main, mlK_off, state.sigma_v) / ml)
-            reg_u += cfg.epsilon * cfg.dt * float(np.sum(ml * wu * wu))
-            reg_s += cfg.epsilon * cfg.dt * float(np.sum(ml * ws * ws))
+        if eps > 0:
+            K_us = tridiag_matvec(ops.unit_stiffness_pair_main,
+                                  ops.unit_stiffness_pair_off,
+                                  pair(state.u, state.sigma_v))
+            wu = state.u + K_us[:n] / ml
+            ws = state.sigma_v + K_us[n + 1:-1] / ml
+            reg_u += eps * dt * float((ml * wu * wu).sum())
+            reg_s += eps * dt * float((ml * ws * ws).sum())
 
         if observer is not None:
             observer(state)

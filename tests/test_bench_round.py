@@ -1,8 +1,10 @@
-"""One benchmark round of the sorption workload passes its own checks.
+"""One benchmark round of each cheap workload passes its own checks.
 
 The round counts the rows of diagnostics.csv, follows the mass
 recursion and reads the last snapshot back bit for bit, so a broken
-file contract fails here and not only in a benchmark run.
+file contract fails here and not only in a benchmark run.  The final
+state's SHA-256 must keep its recorded prefix: a step kernel that is
+rewritten for speed must leave every bit of the state as it was.
 """
 
 import json
@@ -10,13 +12,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCENARIO = Path(__file__).resolve().parent.parent / "perfbench" / "scenario.py"
 
+# workload -> prefix of the SHA-256 of its final u and varsigma bytes
+FINAL_STATE_SHA256 = {
+    "sorption": "2077a017",
+    "eps-scan": "82316c82",
+    "homogenize": "6963ecc7",
+}
 
-def test_sorption_round_has_no_failures(tmp_path):
+
+@pytest.mark.parametrize("workload", sorted(FINAL_STATE_SHA256))
+def test_round_has_no_failures(workload, tmp_path):
     out = subprocess.run(
-        [sys.executable, str(SCENARIO), "sorption", str(tmp_path / "round")],
+        [sys.executable, str(SCENARIO), workload, str(tmp_path / "round")],
         capture_output=True, text=True, check=True)
     rec = json.loads(out.stdout)
     assert rec["failed"] == 0, rec
     assert rec["unexpected"] == [], rec
+    assert rec["sha256"].startswith(FINAL_STATE_SHA256[workload]), rec["sha256"]

@@ -323,6 +323,28 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("configuration error:") and key in err
 
+    def test_non_finite_nu0_integral_exit_two(self, tmp_path, capsys):
+        # int_0^10 nu0 overflows, so the transformed initial stress is -inf
+        p = tmp_path / "nu0.cfg"
+        p.write_text('preset = "sorption"\nmodel.nu0 = "polynomial"\n'
+                     "model.nu0.coeffs = [1e308, 1e308]\n"
+                     "initial.u0.value = 10.0\n")
+        with np.errstate(over="ignore"):
+            code = main(["run", str(p), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "not finite" in err
+
+    def test_large_nu0_integral_passes_round_trip(self, tmp_path):
+        # int_0^1 nu0 = 1e5 against sigma0 = 0.1: the round trip of the
+        # change of variables is off by round-off of 1e5, not of 0.1
+        p = tmp_path / "nu0.cfg"
+        p.write_text("model.nu0.value = 1e5\ninitial.u0.value = 1.0\n"
+                     'initial.sigma0 = "constant"\ninitial.sigma0.value = 0.1\n'
+                     "time.T_end = 0.01\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_OK
+
     @pytest.mark.parametrize("line", [
         "longtime.box.u = [1.0, 0.0]", "longtime.Gamma = -1.0",
         "longtime.gamma_grid = [-1.0, 2.0]", "longtime.gamma_grid = []",

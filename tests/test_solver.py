@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded, solveh_banded
 
 from viscodiff import config, discretization
+from viscodiff.diagnostics import DiagnosticsRecord
 
 from viscodiff.coefficients import (
     constant_model,
@@ -338,13 +339,16 @@ def _sparse_bilaplacian(mesh):
     return sp.dia_matrix((eye + Lh) @ (eye + Lh))
 
 
-def _sparse_reference_step(state, mesh, model, bd, cfg):
+def _sparse_reference_step(state, mesh, model, bd, cfg, t_next=None):
     """The step assembled with scipy.sparse and solved with scipy's banded
     solvers, for comparison with the solver's LAPACK kernel: (2, 2) band
-    storage for epsilon > 0, the tridiagonal SPD solve for epsilon = 0."""
+    storage for epsilon > 0, the tridiagonal SPD solve for epsilon = 0.
+    The step ends at t_next, state.t + dt by default."""
     ml = lumped_mass_diagonal(mesh)
     bilap = _sparse_bilaplacian(mesh)
     dt, eps = cfg.dt, cfg.epsilon
+    if t_next is None:
+        t_next = state.t + dt
     u, s = state.u, state.sigma_v
     D, E, f, b1, g = (
         np.broadcast_to(np.asarray(c(state.t, mesh.nodes, u, s), float), u.shape)
@@ -355,7 +359,7 @@ def _sparse_reference_step(state, mesh, model, bd, cfg):
     rhs = (tridiag_matvec(m_main, m_off, u)
            - dt * (tridiag_matvec(kE_main, kE_off, s)
                    + assemble_flux_vector(mesh, f))
-           + dt * boundary_functional(mesh, bd, state.t + dt))
+           + dt * boundary_functional(mesh, bd, t_next))
 
     def solve(A, b):
         dia = sp.dia_matrix(A)
@@ -375,7 +379,7 @@ def _sparse_reference_step(state, mesh, model, bd, cfg):
             s_next = s + dt * (b1 * s + g * u_next)
         else:
             s_next = (s + dt * g * u_next) / (1.0 - dt * b1)
-        return State(t=state.t + dt, u=u_next, sigma_v=s_next)
+        return State(t=t_next, u=u_next, sigma_v=s_next)
     A = A + (dt * eps) * sp.csr_matrix(sp.diags(ml) @ bilap)
     u_next = solve(A, rhs)
     if cfg.stress_scheme == "explicit":
@@ -384,7 +388,44 @@ def _sparse_reference_step(state, mesh, model, bd, cfg):
     else:
         B = sp.diags(1.0 - dt * b1) + (dt * eps) * sp.csr_matrix(bilap)
         s_next = solve(B, s + dt * g * u_next)
-    return State(t=state.t + dt, u=u_next, sigma_v=s_next)
+    return State(t=t_next, u=u_next, sigma_v=s_next)
+
+
+def _quadratic_reference(main, off, v):
+    return float(np.dot(v, tridiag_matvec(main, off, v)))
+
+
+def _reference_record(state, mesh, gamma=1.0, prev=None):
+    """One diagnostics record computed one product at a time with numpy's
+    wrappers, for comparison with the stacked products of ``record``."""
+    ops = mesh_operators(mesh)
+    u, s = state.u, state.sigma_v
+    Mu = tridiag_matvec(ops.mass_main, ops.mass_off, u)
+    l2u_sq = max(float(np.dot(u, Mu)), 0.0)
+    h1u_sq = max(_quadratic_reference(ops.unit_stiffness_main,
+                                      ops.unit_stiffness_off, u), 0.0)
+    l2s_sq = max(_quadratic_reference(ops.mass_main, ops.mass_off, s), 0.0)
+    h1s_sq = max(_quadratic_reference(ops.unit_stiffness_main,
+                                      ops.unit_stiffness_off, s), 0.0)
+    if prev is None:
+        cum_u = cum_s = 0.0
+    else:
+        dt = state.t - prev.t
+        cum_u = prev.cum_grad_u + 0.5 * dt * (prev.h1semi_u ** 2 + h1u_sq)
+        cum_s = prev.cum_grad_s + 0.5 * dt * (prev.h1semi_s ** 2 + h1s_sq)
+    return DiagnosticsRecord(
+        t=float(state.t),
+        mass=float(np.sum(Mu)),
+        l2_u=float(np.sqrt(l2u_sq)),
+        h1semi_u=float(np.sqrt(h1u_sq)),
+        l2_s=float(np.sqrt(l2s_sq)),
+        h1semi_s=float(np.sqrt(h1s_sq)),
+        lyapunov=0.5 * gamma * gamma * l2u_sq + 0.5 * h1s_sq,
+        cum_grad_u=cum_u,
+        cum_grad_s=cum_s,
+        u_min=float(np.min(u)),
+        u_max=float(np.max(u)),
+    )
 
 
 def _dense_bands(ab):
@@ -507,6 +548,60 @@ class TestRun:
                 load, solveh_banded(ab, load, lower=False)))
         assert len(states) == 51
         assert dual_obs.value == dual
+
+    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("preset", sorted(config.PRESETS))
+    def test_run_matches_reference_loop(self, preset, eps, scheme):
+        # run's states and records equal the reference step and record
+        # looped by hand, bit for bit, signed zeros included
+        cfg = preset_config(preset)
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        model = transform(phys)
+        bd = build_boundary(cfg)
+        init = build_initial(cfg, mesh, phys)
+        dt = cfg["time.dt"]
+        scfg = SolverConfig(dt=dt, T_end=12 * dt, epsilon=eps,
+                            stress_scheme=scheme)
+        res = run(init, mesh, model, bd, scfg, output_every=1, gamma=0.8)
+
+        state = init.initial_state()
+        states = [state]
+        records = [_reference_record(state, mesh, gamma=0.8)]
+        for k in range(1, scfg.n_steps + 1):
+            state = _sparse_reference_step(state, mesh, model, bd, scfg,
+                                           t_next=k * dt)
+            states.append(state)
+            records.append(_reference_record(state, mesh, gamma=0.8,
+                                             prev=records[-1]))
+        assert len(res.trajectory) == len(states) == 13
+        for got, want in zip(res.trajectory, states):
+            assert got.t == want.t
+            assert got.u.tobytes() == want.u.tobytes()
+            assert got.sigma_v.tobytes() == want.sigma_v.tobytes()
+        assert np.array(res.records).tobytes() == np.array(records).tobytes()
+
+    def test_observed_states_are_never_overwritten(self):
+        # the step workspace must not write into a state already handed out
+        for eps in (0.0, 1e-2):
+            cfg = preset_config("sorption")
+            mesh = build_mesh_from(cfg)
+            phys = build_physical(cfg)
+            seen = []
+
+            def keep(state):
+                seen.append((state, state.u, state.sigma_v,
+                             state.u.tobytes(), state.sigma_v.tobytes()))
+
+            run(build_initial(cfg, mesh, phys), mesh, transform(phys),
+                build_boundary(cfg),
+                SolverConfig(dt=cfg["time.dt"], T_end=20 * cfg["time.dt"],
+                             epsilon=eps), observer=keep)
+            assert len(seen) == 21
+            for state, u, s, u_bytes, s_bytes in seen:
+                assert state.u is u and state.sigma_v is s
+                assert u.tobytes() == u_bytes and s.tobytes() == s_bytes
 
     def test_T_end_zero_edge(self):
         mesh = build_mesh(1.0, 8)
