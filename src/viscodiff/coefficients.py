@@ -223,7 +223,10 @@ class PhysicalCoefficients:
     antiderivative of nu0 take the concentration only.  The optional
     derivative fields are used to attach analytic partials during the
     change of variables; supplying beta0_du asserts that beta0 depends
-    on u only, and nu0_const asserts nu0 is that constant.
+    on u only.  ``constants`` maps the name of each map that is a
+    constant law to its value: a constant nu0 also lets the change of
+    variables attach analytic partials, and enough constant laws let a
+    run keep its step-1 build (see ``_frozen``).
     """
 
     D0: Coefficient
@@ -235,7 +238,7 @@ class PhysicalCoefficients:
     nu0_antiderivative: Callable[[np.ndarray], np.ndarray]
     beta0_du: Optional[Callable[[np.ndarray], np.ndarray]] = None
     mu0_du: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    nu0_const: Optional[float] = None
+    constants: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -254,10 +257,19 @@ class TransformedModel:
     beta1: Coefficient
     gamma: Coefficient
     partials: Optional[Mapping[str, Coefficient]] = None
-    # set by transform: the five callables it built, and one function
-    # returning all five fields from a single evaluation of each map
+    # set by transform: the five callables it built, one function
+    # returning all five fields from a single evaluation of each map,
+    # and whether what a step builds from the fields is fixed
     _fused: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
+
+    def _own(self) -> Optional[tuple]:
+        """``_fused`` while the five callables are still transform's own."""
+        fused = self._fused
+        if fused is not None and fused[0] == (self.D, self.E, self.f,
+                                              self.beta1, self.gamma):
+            return fused
+        return None
 
     def fields(self, t, x, u, s):
         """The five fields (D, E, f, beta1, gamma) at (t, x, u, varsigma).
@@ -266,12 +278,19 @@ class TransformedModel:
         by ``transform`` evaluates each physical map once, as long as its
         five callables are still the ones ``transform`` built.
         """
-        fused = self._fused
-        if fused is not None and fused[0] == (self.D, self.E, self.f,
-                                              self.beta1, self.gamma):
+        fused = self._own()
+        if fused is not None:
             return fused[1](t, x, u, s)
         return tuple(np.asarray(c(t, x, u, s), dtype=float)
                      for c in (self.D, self.E, self.f, self.beta1, self.gamma))
+
+    @property
+    def frozen(self) -> bool:
+        """True when what a step builds from the fields is the same bits
+        at every (t, x, u, varsigma): set by ``transform`` from constant
+        laws (see ``_frozen``), while the five callables are its own."""
+        fused = self._own()
+        return fused is not None and fused[2]
 
 
 def constant_model(D=1.0, E=0.0, f=0.0, beta1=-1.0, gamma=0.0) -> TransformedModel:
@@ -301,6 +320,23 @@ def _stress_drive(u, mu0, beta0, nu0, A):
     small = np.abs(u) < U_LIMIT_THRESHOLD
     safe_u = np.where(small, 1.0, u)
     return mu0 - beta0 * np.where(small, nu0, A / safe_u)
+
+
+def _frozen(constants: Mapping[str, float]) -> bool:
+    """Whether constant laws fix the step's build bit for bit.
+
+    D0, E0, beta0 and mu0 must be constant, and M0 and nu0 constant +-0.
+    Then D = D0 + nu0*E0, E and beta1 are constants; f = -u*M0 is +-0 by
+    the sign of u, but its load telescopes to +0.0 whatever the signs;
+    and gamma = mu0 - beta0*(+-0) is exactly mu0 unless mu0 is -0.0.
+    A non-zero nu0 would leave gamma = mu0 - beta0*(nu0*u)/u, which is
+    not the same bits at every u.
+    """
+    if not {"D0", "E0", "M0", "beta0", "mu0", "nu0"} <= constants.keys():
+        return False
+    mu0 = constants["mu0"]
+    return (constants["M0"] == 0.0 and constants["nu0"] == 0.0
+            and not (mu0 == 0.0 and math.copysign(1.0, mu0) < 0.0))
 
 
 def transform(phys: PhysicalCoefficients) -> TransformedModel:
@@ -353,8 +389,8 @@ def transform(phys: PhysicalCoefficients) -> TransformedModel:
 
     partials = None
     if (phys.beta0_du is not None and phys.mu0_du is not None
-            and phys.nu0_const is not None):
-        c = float(phys.nu0_const)
+            and "nu0" in phys.constants):
+        c = phys.constants["nu0"]
         b0du, m0du = phys.beta0_du, phys.mu0_du
 
         def zero(t, x, u, s):
@@ -375,7 +411,7 @@ def transform(phys: PhysicalCoefficients) -> TransformedModel:
 
     model = TransformedModel(D=D, E=E, f=f, beta1=beta1, gamma=gamma,
                              partials=partials)
-    model._fused = ((D, E, f, beta1, gamma), fields)
+    model._fused = ((D, E, f, beta1, gamma), fields, _frozen(phys.constants))
     return model
 
 
@@ -397,11 +433,14 @@ def physical_from_models(D0: ScalarModel, E0: ScalarModel, M0: ScalarModel,
         # values have the shape of u; callers broadcast against t, x, s
         return lambda t, x, u, s: np.asarray(m.fn(u), float)
 
+    laws = {"D0": D0, "E0": E0, "M0": M0, "beta0": beta0, "mu0": mu0,
+            "nu0": nu0}
     return PhysicalCoefficients(
         D0=lift(D0), E0=lift(E0), M0=lift(M0), beta0=lift(beta0),
         mu0=mu0.fn, nu0=nu0.fn, nu0_antiderivative=nu0.antiderivative,
         beta0_du=beta0.dfn, mu0_du=mu0.dfn,
-        nu0_const=nu0.constant_value,
+        constants={name: m.constant_value for name, m in laws.items()
+                   if m.constant_value is not None},
     )
 
 

@@ -150,6 +150,10 @@ _HEAT_COSINE = {"initial.u0": "cosine", "model.D0": "constant",
                 "model.M0": "constant", "model.M0.value": 0.0,
                 "boundary.phi_left": "zero", "boundary.phi_right": "zero",
                 "epsilon": 0.0}
+# check.lyapunov = true checks decay of the closed system without
+# forcing, the case lyapunov_decay_check is for
+_LYAPUNOV = {"model.M0": "constant", "model.M0.value": 0.0,
+             "boundary.phi_left": "zero", "boundary.phi_right": "zero"}
 
 
 @dataclass(frozen=True)
@@ -367,13 +371,15 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
                               line=lines.get(off, lines.get(on)), key=off)
 
     cfg = ScenarioConfig(values=values)
-    misfit = [k for k, v in _HEAT_COSINE.items() if values.get(k) != v]
-    if "check.analytic" in values and misfit:
-        k = misfit[0]
-        raise ConfigError(f'check.analytic = "heat-cosine" needs {k} = '
-                          f"{_format_value(_HEAT_COSINE[k])}, got "
-                          f"{_format_value(values[k])}",
-                          line=lines.get("check.analytic"), key="check.analytic")
+    for check, needs in (("check.analytic", _HEAT_COSINE),
+                         ("check.lyapunov", _LYAPUNOV)):
+        misfit = [k for k, v in needs.items() if values.get(k) != v]
+        if values.get(check) and misfit:
+            k = misfit[0]
+            raise ConfigError(f"{check} = {_format_value(values[check])} "
+                              f"needs {k} = {_format_value(needs[k])}, got "
+                              f"{_format_value(values[k])}",
+                              line=lines.get(check), key=check)
     if values["check.lyapunov"] and not has_longtime(cfg):
         raise ConfigError("check.lyapunov = true needs a longtime section",
                           line=lines.get("check.lyapunov"), key="check.lyapunov")

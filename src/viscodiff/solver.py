@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dptsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dgbsv, dpttrf, dpttrs
 # not called here: the step kernel calls LAPACK directly.  They stay
 # module attributes because perfbench/tracing.py wraps them by name.
 from scipy.linalg import solve_banded, solveh_banded  # noqa: F401
@@ -162,20 +162,32 @@ def compute_flux(state: State, mesh: Mesh,
 class _Stepper:
     """Per-run workspace: pre-assembled operators and the step kernel.
 
-    Per step, the five lagged coefficient fields are copied into the
-    rows of one (5, n) buffer and tested for finiteness with one sum.
-    The first three rows (D, E, f) are averaged per element in one pass
-    over them as one chain of 3n nodes, and the stiffness bands of D and
-    E come from one scatter over their chain.  The buffer is scratch
-    space only: every step returns freshly allocated u and varsigma.
+    A step has two parts.  ``build`` is everything the lagged
+    coefficient fields determine: it copies the five fields into the
+    rows of one (5, n) buffer and tests them for finiteness with one
+    sum, averages the rows D, E and f per element in one pass over them
+    as one chain of 3n nodes, takes the stiffness bands of D and E from
+    one scatter over their chain and the flux load from the f means,
+    factors or assembles the concentration matrix M + dt*K(D), and
+    forms the stress update's 1 - dt*beta1.  ``advance`` then builds
+    the right-hand side, solves and updates varsigma.  The buffer is
+    scratch space only: every step returns freshly allocated u and
+    varsigma.
 
-    The epsilon = 0 concentration system is tridiagonal SPD and goes to
-    LAPACK dptsv.  With epsilon > 0 both step systems are pentadiagonal
-    and go to dgbsv in (2, 2) band storage, with the two rows of fill
-    space on top that dgbsv needs; the cached regularization bands are
-    scaled once to dt*eps*M_L(I+L_h)^2 (concentration) and
-    dt*eps*(I+L_h)^2 (stress), and each step adds its lagged
-    tridiagonal part to a copy of them.
+    Every step runs ``build``, except in a run whose model is frozen
+    (``TransformedModel.frozen``): its fields cannot change, so the
+    step-1 build is kept for every later step, and a non-finite field,
+    an indefinite system or an unstable stress update fails at step 1.
+
+    The epsilon = 0 concentration system is tridiagonal SPD: ``build``
+    factors it with LAPACK dpttrf and ``advance`` solves with dpttrs,
+    which is what dptsv does.  With epsilon > 0 both step systems are
+    pentadiagonal: ``build`` assembles them in (2, 2) band storage, with
+    the two rows of fill space on top that dgbsv needs, and ``advance``
+    solves them with dgbsv, on a copy when the build is kept.  The
+    cached regularization bands are scaled once to dt*eps*M_L(I+L_h)^2
+    (concentration) and dt*eps*(I+L_h)^2 (stress), and each build adds
+    its lagged tridiagonal part to a copy of them.
     """
 
     def __init__(self, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
@@ -187,12 +199,19 @@ class _Stepper:
         self.ops = mesh_operators(mesh)
         self.n = mesh.N + 1
         self.fields = np.empty((len(_FIELD_NAMES), self.n))
+        self.frozen = model.frozen
+        self.kept = None  # the step-1 build of a frozen run
         if cfg.epsilon > 0:
             w = cfg.dt * cfg.epsilon
             self.reg_u = w * self.ops.lumped_bilaplacian
             self.reg_s = w * self.ops.bilaplacian
 
-    def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
+    def build(self, state: State, step_index: int) -> tuple:
+        """The lagged part of the step from ``state``: the stiffness bands
+        of E, the flux load of f, the concentration system (dpttrf's
+        factors at epsilon = 0, else its bands), beta1, gamma, and the
+        stress update's divisor 1 - dt*beta1 (epsilon = 0), its bands
+        (epsilon > 0), or None (explicit scheme)."""
         mesh, cfg, ops = self.mesh, self.cfg, self.ops
         dt, eps = cfg.dt, cfg.epsilon
         n, fields = self.n, self.fields
@@ -214,53 +233,74 @@ class _Stepper:
         abar = means[:2 * n - 1] / mesh.h
         abar[n - 1] = 0.0
         k_main, k_off = stiffness_from_means(abar)
-        kD_main, kE_main = k_main[:n], k_main[n:]
-        kD_off, kE_off = k_off[:n - 1], k_off[n:]
-        psi = boundary_functional(mesh, self.bd, t_next)
-        rhs = (tridiag_matvec(ops.mass_main, ops.mass_off, state.u)
-               - dt * (tridiag_matvec(kE_main, kE_off, state.sigma_v)
-                       + load_from_means(means[2 * n:]))
-               + dt * psi)
 
-        a_main = ops.mass_main + dt * kD_main
-        a_off = ops.mass_off + dt * kD_off
+        a_main = ops.mass_main + dt * k_main[:n]
+        a_off = ops.mass_off + dt * k_off[:n - 1]
         if eps == 0.0:
-            _, _, u_next, info = dptsv(a_main, a_off, rhs, overwrite_d=1,
-                                       overwrite_e=1, overwrite_b=1)
+            d, e, info = dpttrf(a_main, a_off, overwrite_d=1, overwrite_e=1)
             if info > 0:
                 raise LinearSolveFailure(
                     f"concentration system not SPD at step {step_index} "
                     f"(discrete ellipticity violation): {info}th leading "
                     "minor not positive definite")
+            u_system = (d, e)
         else:
-            ab = self.reg_u.copy(order="F")
-            ab[3, 1:] += a_off
-            ab[4, :] += a_main
-            ab[5, :-1] += a_off
-            u_next = _solve_banded(ab, rhs, step_index, "concentration")
+            u_system = self.reg_u.copy(order="F")
+            u_system[3, 1:] += a_off
+            u_system[4, :] += a_main
+            u_system[5, :-1] += a_off
 
-        drive = state.sigma_v + dt * gn * u_next
         if cfg.stress_scheme == "explicit":
             rate = dt * float(np.abs(b1n).max())
             if rate >= 1.0:
                 raise LinearSolveFailure(
                     f"explicit stress update unstable at step {step_index}: "
                     f"dt * max|beta1| = {rate:.6g} >= 1")
-            s_next = state.sigma_v + dt * (b1n * state.sigma_v + gn * u_next)
-            if eps > 0:
-                s_next -= dt * eps * band_matvec(ops.bilaplacian, state.sigma_v)
+            s_system = None
         elif eps == 0.0:
-            denom = 1.0 - dt * b1n
+            s_system = 1.0 - dt * b1n
             # beta1 is finite here, so the minimum is never NaN
-            if denom.min() <= 0:
+            if s_system.min() <= 0:
                 raise LinearSolveFailure(
                     f"implicit stress decay singular at step {step_index}: "
                     "dt * beta1 >= 1 with positive beta1")
-            s_next = drive / denom
         else:
-            ab = self.reg_s.copy(order="F")
-            ab[4, :] += 1.0 - dt * b1n
-            s_next = _solve_banded(ab, drive, step_index, "stress")
+            s_system = self.reg_s.copy(order="F")
+            s_system[4, :] += 1.0 - dt * b1n
+        return (k_main[n:], k_off[n:], load_from_means(means[2 * n:]),
+                u_system, b1n, gn, s_system)
+
+    def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
+        built = self.kept
+        if built is None:
+            built = self.build(state, step_index)
+            if self.frozen:
+                self.kept = built
+        kE_main, kE_off, load, u_system, b1n, gn, s_system = built
+        ops, cfg = self.ops, self.cfg
+        dt, eps = cfg.dt, cfg.epsilon
+        psi = boundary_functional(self.mesh, self.bd, t_next)
+        rhs = (tridiag_matvec(ops.mass_main, ops.mass_off, state.u)
+               - dt * (tridiag_matvec(kE_main, kE_off, state.sigma_v) + load)
+               + dt * psi)
+        if eps == 0.0:
+            u_next, _ = dpttrs(*u_system, rhs, overwrite_b=1)
+        else:
+            # dgbsv factors the bands in place, unless they are kept
+            u_next = _solve_banded(u_system, rhs, step_index, "concentration",
+                                   not self.frozen)
+
+        if cfg.stress_scheme == "explicit":
+            s_next = state.sigma_v + dt * (b1n * state.sigma_v + gn * u_next)
+            if eps > 0:
+                s_next -= dt * eps * band_matvec(ops.bilaplacian, state.sigma_v)
+        else:
+            drive = state.sigma_v + dt * gn * u_next
+            if eps == 0.0:
+                s_next = drive / s_system
+            else:
+                s_next = _solve_banded(s_system, drive, step_index, "stress",
+                                       not self.frozen)
 
         bad = _nonfinite(("concentration", "stress"), (u_next, s_next),
                          u_next.sum() + s_next.sum())
@@ -289,9 +329,11 @@ def _nonfinite(names, arrays, total: float) -> Optional[str]:
 
 
 def _solve_banded(ab: np.ndarray, rhs: np.ndarray, step_index: int,
-                  what: str) -> np.ndarray:
-    """Solve the (2, 2) band system; ab and rhs are overwritten."""
-    _, _, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
+                  what: str, overwrite_ab: bool = True) -> np.ndarray:
+    """Solve the (2, 2) band system; rhs, and ab if overwrite_ab, are
+    overwritten."""
+    _, _, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=overwrite_ab,
+                          overwrite_b=1)
     if info > 0:
         raise LinearSolveFailure(
             f"{what} system singular at step {step_index}: singular matrix")

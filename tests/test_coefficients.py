@@ -206,7 +206,7 @@ class TestTransform:
 
     def test_no_partials_without_constant_nu0(self):
         phys = _tanh_physical()
-        phys.nu0_const = None
+        phys.constants = {}
         assert transform(phys).partials is None
 
 

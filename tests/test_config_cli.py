@@ -374,7 +374,13 @@ class TestCli:
           'check.analytic = "heat-cosine"'], "check.analytic"),
         # a pulse that ends before it starts would inject nothing
         (['preset = "sorption"', "boundary.phi_left.t_on = 2.0",
-          "boundary.phi_left.t_off = 1.0"], "boundary.phi_left.t_off")])
+          "boundary.phi_left.t_off = 1.0"], "boundary.phi_left.t_off"),
+        # the Lyapunov functional need not decay with forcing or influx
+        (['preset = "homogenize"', "model.M0.value = 3.0",
+          "check.lyapunov = true"], "check.lyapunov"),
+        (['preset = "homogenize"', 'boundary.phi_left = "constant"',
+          "boundary.phi_left.value = 0.5", "check.lyapunov = true"],
+         "check.lyapunov")])
     def test_bad_check_input_exit_two_before_any_step(
             self, tmp_path, capsys, monkeypatch, lines, key):
         def no_run(*args, **kwargs):

@@ -21,6 +21,7 @@ from viscodiff.config import (
     build_boundary,
     build_initial,
     build_mesh_from,
+    build_model,
     build_physical,
     build_solver_config,
     parse_config,
@@ -207,24 +208,7 @@ class TestStep:
                 SolverConfig(dt=0.1, T_end=0.2))
 
     def test_sorption_step_evaluates_each_law_once(self, monkeypatch):
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args):
-                calls.append(fn)
-                return fn(*args)
-            return wrapper
-
-        make = config.make_scalar_model
-
-        def make_counted(name, **params):
-            m = make(name, **params)
-            anti = m.antiderivative
-            return dataclasses.replace(
-                m, fn=counted(m.fn), dfn=counted(m.dfn),
-                antiderivative=None if anti is None else counted(anti))
-
-        monkeypatch.setattr(config, "make_scalar_model", make_counted)
+        calls = _count_law_calls(monkeypatch)
         cfg = preset_config("sorption")
         mesh = build_mesh_from(cfg)
         phys = build_physical(cfg)
@@ -307,6 +291,30 @@ class TestMassBalance:
         res = run(init, mesh, model, bd, SolverConfig(dt=1e-3, T_end=1.0))
         gain = res.records[-1].mass - res.records[0].mass
         assert abs(gain - 1.0) <= 1e-10
+
+
+def _count_law_calls(monkeypatch):
+    """The list that every scalar law of a config-built model appends to
+    when it is called."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+
+    make = config.make_scalar_model
+
+    def make_counted(name, **params):
+        m = make(name, **params)
+        anti = m.antiderivative
+        return dataclasses.replace(
+            m, fn=counted(m.fn), dfn=counted(m.dfn),
+            antiderivative=None if anti is None else counted(anti))
+
+    monkeypatch.setattr(config, "make_scalar_model", make_counted)
+    return calls
 
 
 def _tanh_mix():
@@ -426,6 +434,37 @@ def _reference_record(state, mesh, gamma=1.0, prev=None):
         u_min=float(np.min(u)),
         u_max=float(np.max(u)),
     )
+
+
+def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme):
+    """Require run's states and records over n_steps to equal, in bytes,
+    the reference step and record looped by hand; return the model."""
+    mesh = build_mesh_from(cfg)
+    phys = build_physical(cfg)
+    model = transform(phys)
+    bd = build_boundary(cfg)
+    init = build_initial(cfg, mesh, phys)
+    dt = cfg["time.dt"]
+    scfg = SolverConfig(dt=dt, T_end=n_steps * dt, epsilon=eps,
+                        stress_scheme=scheme)
+    res = run(init, mesh, model, bd, scfg, output_every=1, gamma=0.8)
+
+    state = init.initial_state()
+    states = [state]
+    records = [_reference_record(state, mesh, gamma=0.8)]
+    for k in range(1, n_steps + 1):
+        state = _sparse_reference_step(state, mesh, model, bd, scfg,
+                                       t_next=k * dt)
+        states.append(state)
+        records.append(_reference_record(state, mesh, gamma=0.8,
+                                         prev=records[-1]))
+    assert len(res.trajectory) == len(states) == n_steps + 1
+    for got, want in zip(res.trajectory, states):
+        assert got.t == want.t
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.sigma_v.tobytes() == want.sigma_v.tobytes()
+    assert np.array(res.records).tobytes() == np.array(records).tobytes()
+    return model
 
 
 def _dense_bands(ab):
@@ -555,32 +594,8 @@ class TestRun:
     def test_run_matches_reference_loop(self, preset, eps, scheme):
         # run's states and records equal the reference step and record
         # looped by hand, bit for bit, signed zeros included
-        cfg = preset_config(preset)
-        mesh = build_mesh_from(cfg)
-        phys = build_physical(cfg)
-        model = transform(phys)
-        bd = build_boundary(cfg)
-        init = build_initial(cfg, mesh, phys)
-        dt = cfg["time.dt"]
-        scfg = SolverConfig(dt=dt, T_end=12 * dt, epsilon=eps,
-                            stress_scheme=scheme)
-        res = run(init, mesh, model, bd, scfg, output_every=1, gamma=0.8)
-
-        state = init.initial_state()
-        states = [state]
-        records = [_reference_record(state, mesh, gamma=0.8)]
-        for k in range(1, scfg.n_steps + 1):
-            state = _sparse_reference_step(state, mesh, model, bd, scfg,
-                                           t_next=k * dt)
-            states.append(state)
-            records.append(_reference_record(state, mesh, gamma=0.8,
-                                             prev=records[-1]))
-        assert len(res.trajectory) == len(states) == 13
-        for got, want in zip(res.trajectory, states):
-            assert got.t == want.t
-            assert got.u.tobytes() == want.u.tobytes()
-            assert got.sigma_v.tobytes() == want.sigma_v.tobytes()
-        assert np.array(res.records).tobytes() == np.array(records).tobytes()
+        _assert_run_matches_reference_loop(preset_config(preset), 12, eps,
+                                           scheme)
 
     def test_observed_states_are_never_overwritten(self):
         # the step workspace must not write into a state already handed out
@@ -639,6 +654,133 @@ class TestRun:
         run(init, mesh, constant_model(), ZERO_INFLUX,
             SolverConfig(dt=0.1, T_end=0.5), observer=lambda s: seen.append(s.t))
         assert len(seen) == 6
+
+
+def _steps(n_steps, eps, scheme):
+    """n_steps, or 20 for the explicit update with eps > 0: that update
+    is unstable on homogenize's mesh, where varsigma overflows at step 95."""
+    return 20 if scheme == "explicit" and eps > 0 else n_steps
+
+
+def _constant_law_config(*lines):
+    """homogenize with its cosine centred on 0, so u takes both signs and
+    f = -u*M0 takes both zeros, plus the given lines."""
+    return parse_config("\n".join(('preset = "homogenize"',
+                                    "initial.u0.mean = 0.0") + lines) + "\n")
+
+
+class TestFrozen:
+    """Constant-law runs keep their step-1 build, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("preset", ["homogenize", "fickian"])
+    def test_frozen_preset_matches_reference_loop(self, preset, eps, scheme):
+        # fickian's u crosses zero, so its f holds both +0.0 and -0.0
+        model = _assert_run_matches_reference_loop(
+            preset_config(preset), _steps(500, eps, scheme), eps, scheme)
+        assert model.frozen
+
+    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("lines, frozen", [
+        (["model.M0.value = -0.0"], True), (["model.nu0.value = -0.0"], True),
+        (["model.mu0.value = -0.0"], False)])
+    def test_signed_zero_laws_match_reference_loop(self, lines, frozen, eps,
+                                                   scheme):
+        model = _assert_run_matches_reference_loop(
+            _constant_law_config(*lines), _steps(50, eps, scheme), eps, scheme)
+        assert model.frozen is frozen
+
+    @pytest.mark.parametrize("lines", [
+        [], ["model.M0.value = -0.0"], ["model.nu0.value = -0.0"],
+        ["model.E0.value = 0.0"]])
+    def test_frozen_fields_do_not_move(self, lines):
+        # what a step builds from the fields is the same bits at every
+        # state: D, E, beta1 and gamma, and the +0.0 load of f
+        model = build_model(_constant_law_config(*lines))
+        assert model.frozen
+        x = np.linspace(0.0, 1.0, 65)
+        rng = np.random.default_rng(7)
+        built = set()
+        for t in (0.0, 0.5, 7.0):
+            u, s = rng.normal(0.0, 1.0, (2, 65))
+            u[:3] = [0.0, -0.0, 1e-9]
+            D, E, f, b1, g = (np.broadcast_to(v, x.shape) for v in
+                              model.fields(t, x, u, s))
+            load = assemble_flux_vector(build_mesh(1.0, 64), f)
+            assert load.tobytes() == np.zeros(65).tobytes()
+            built.add(b"".join(v.tobytes() for v in (D, E, b1, g)))
+        assert len(built) == 1
+
+    def test_nonzero_nu0_moves_gamma(self):
+        # gamma = mu0 - beta0*(0.1*u)/u: the ratio is 0.1 only at some u
+        model = build_model(_constant_law_config("model.nu0.value = 0.1",
+                                                 "model.mu0.value = 0.0"))
+        assert not model.frozen
+        u = np.linspace(0.05, 0.95, 65)
+        gamma = model.fields(0.0, 0.0, u, np.zeros(65))[4]
+        assert len(set(gamma.tolist())) > 1
+
+    @pytest.mark.parametrize("lines, frozen", [
+        (['preset = "homogenize"'], True), (['preset = "fickian"'], True),
+        (['preset = "sorption"'], False),
+        (['preset = "homogenize"', "model.nu0.value = 0.1"], False),
+        (['preset = "homogenize"', "model.M0.value = 2.0",
+          "check.lyapunov = false"], False),
+        (['preset = "homogenize"', "model.mu0.value = -0.0"], False)])
+    def test_flag_follows_the_laws(self, lines, frozen):
+        model = build_model(parse_config("\n".join(lines) + "\n"))
+        assert model.frozen is frozen
+
+    def test_flag_off_for_hand_built_and_changed_models(self):
+        const = physical_from_models(
+            *(make_scalar_model("constant", value=v)
+              for v in (1.0, 0.1, 0.0, 1.0, 0.5, 0.0)))
+        assert transform(const).frozen
+        hand = dataclasses.replace(const, constants={})
+        assert not transform(hand).frozen
+        reassigned = transform(const)
+        reassigned.f = lambda t, x, u, s: np.zeros(np.shape(u))
+        assert not reassigned.frozen
+        replaced = dataclasses.replace(transform(const), D=reassigned.D)
+        assert not replaced.frozen
+        assert not constant_model().frozen
+
+    def test_frozen_run_evaluates_each_law_once(self, monkeypatch):
+        # sigma, nu0, D0, E0, M0, beta0, mu0: once per run when frozen,
+        # at most once per step otherwise
+        calls = _count_law_calls(monkeypatch)
+        counts = {}
+        for preset in ("homogenize", "sorption"):
+            cfg = preset_config(preset)
+            mesh = build_mesh_from(cfg)
+            phys = build_physical(cfg)
+            init = build_initial(cfg, mesh, phys)
+            dt = cfg["time.dt"]
+            calls.clear()
+            run(init, mesh, transform(phys), build_boundary(cfg),
+                SolverConfig(dt=dt, T_end=5 * dt))
+            counts[preset] = len(calls)
+        assert counts["homogenize"] == 7
+        assert counts["sorption"] <= 7 * 5
+
+    @pytest.mark.parametrize("lines, message", [
+        (["model.D0.value = -1.0"], "not SPD at step 1 "),
+        (["model.beta0.value = -2000.0"],
+         "implicit stress decay singular at step 1:"),
+        (['stress_scheme = "explicit"', "model.beta0.value = 2000.0"],
+         r"explicit stress update unstable at step 1: dt \* max\|beta1\| = 2 ")])
+    def test_failures_keep_their_step_index(self, lines, message):
+        cfg = parse_config("\n".join(['preset = "homogenize"',
+                                      "time.T_end = 0.01"] + lines) + "\n")
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        model = transform(phys)
+        assert model.frozen
+        with pytest.raises(LinearSolveFailure, match=message):
+            run(build_initial(cfg, mesh, phys), mesh, model,
+                build_boundary(cfg), build_solver_config(cfg))
 
 
 class TestFlux:
