@@ -26,9 +26,7 @@ from . import config as cfgmod
 from .coefficients import (
     EllipticityViolation,
     GammaSearchFailure,
-    LongTimeCondition,
     LongTimeConditionFailure,
-    N_SAMPLES,
     NonSmoothCoefficient,
     check_assumptions,
     check_longtime_condition,
@@ -155,20 +153,19 @@ def _longtime(cfg: ScenarioConfig, model):
     if "longtime.Gamma" in cfg.values:
         return check_longtime_condition(
             model, cfg["longtime.Gamma"], cfgmod.longtime_box(cfg),
-            cfg.get("longtime.n_samples", N_SAMPLES))
+            cfg["longtime.n_samples"])
     return _scan_gamma(cfg, model)
 
 
 def _scan_gamma(cfg: ScenarioConfig, model):
-    """The best decay-condition weight on the gamma grid (default 0.1..10)."""
+    """The best decay-condition weight on the gamma grid."""
     box = cfgmod.longtime_box(cfg)
     if box.volume == 0:
         raise ConfigError("a Gamma scan needs a longtime box with lo < hi "
                           "on every axis (time.T_end > 0 for the default t "
                           "range)", key="longtime.box")
-    grid = cfg.get("longtime.gamma_grid") or list(np.geomspace(0.1, 10.0, 25))
-    return find_gamma(model, box, grid,
-                      cfg.get("longtime.n_samples", N_SAMPLES))
+    return find_gamma(model, box, cfg["longtime.gamma_grid"],
+                      cfg["longtime.n_samples"])
 
 
 def _analytic_error(cfg: ScenarioConfig, mesh, final_state) -> float:
@@ -201,7 +198,7 @@ def _execute(cfg: ScenarioConfig):
     lt = _longtime(cfg, model)
     gamma = lt.Gamma if lt is not None else 1.0
 
-    front = (_FrontTracker(mesh, cfg.get("front.threshold", 0.5))
+    front = (_FrontTracker(mesh, cfg["front.threshold"])
              if cfg["signature"] == "front" else None)
 
     output_every = cfg["time.output_every"] or None
@@ -231,7 +228,7 @@ def _run_checks(cfg: ScenarioConfig, mesh, bd, lt, result) -> list[CheckReport]:
     if cfg["check.lyapunov"]:
         checks.append(lyapunov_decay_check(result.records, lt))
     if "check.analytic" in cfg.values:
-        tol = cfg.get("check.analytic_tol", 1e-2)
+        tol = cfg["check.analytic_tol"]
         err = _analytic_error(cfg, mesh, result.final_state)
         checks.append(CheckReport(
             ok=err <= tol, name="analytic",
@@ -305,7 +302,7 @@ def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
 
 def _cmd_check_assumptions(cfg: ScenarioConfig, quiet: bool) -> int:
     bounds = check_assumptions(cfgmod.build_model(cfg), cfgmod.longtime_box(cfg),
-                               cfg.get("longtime.n_samples", N_SAMPLES))
+                               cfg["longtime.n_samples"])
     if not quiet:
         print(f"ellipticity constant d = {bounds.d:.6g}")
         for name in ("K_D", "K_E", "K_beta", "K_mu", "K_f", "K_g"):
@@ -322,10 +319,11 @@ def _cmd_find_gamma(cfg: ScenarioConfig, quiet: bool) -> int:
 
 def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     all_eps = (0.0,) + EPS_SCAN_VALUES
+    # every member is validated and built before any of them runs
+    members = {eps: _build(cfgmod.validate({**cfg.values, "epsilon": eps}))
+               for eps in all_eps}
     results, duals = {}, {}
-    for eps in all_eps:
-        mesh, _phys, model, bd, init, scfg = _build(
-            cfgmod.validate({**cfg.values, "epsilon": eps}))
+    for eps, (mesh, _phys, model, bd, init, scfg) in members.items():
         duals[eps] = DualTimeDerivative(mesh, scfg.dt)
         results[eps] = run(init, mesh, model, bd, scfg, observer=duals[eps])
 

@@ -248,7 +248,8 @@ class TransformedModel:
     D, E, f, beta1, gamma take (t, x, u, varsigma).  ``partials`` holds
     analytic partial derivatives of beta1 and gamma (keys 'beta1_u',
     'beta1_s', 'beta1_x', 'gamma_u', 'gamma_s', 'gamma_x'); when absent,
-    central finite differences are used.
+    central finite differences are used.  Only ``transform`` (which
+    ``constant_model`` calls) fuses ``fields`` and can set ``frozen``.
     """
 
     D: Coefficient
@@ -291,20 +292,6 @@ class TransformedModel:
         laws (see ``_frozen``), while the five callables are its own."""
         fused = self._own()
         return fused is not None and fused[2]
-
-
-def constant_model(D=1.0, E=0.0, f=0.0, beta1=-1.0, gamma=0.0) -> TransformedModel:
-    """Transformed model with constant coefficients (mainly for tests and checks)."""
-    def const(v):
-        return lambda t, x, u, s: np.full(
-            np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(u), np.shape(s)),
-            v, dtype=float)
-    zero = const(0.0)
-    return TransformedModel(
-        D=const(D), E=const(E), f=const(f), beta1=const(beta1), gamma=const(gamma),
-        partials={k: zero for k in
-                  ("beta1_u", "beta1_s", "beta1_x", "gamma_u", "gamma_s", "gamma_x")},
-    )
 
 
 def _diffusion(D0, nu0, E0):
@@ -444,28 +431,31 @@ def physical_from_models(D0: ScalarModel, E0: ScalarModel, M0: ScalarModel,
     )
 
 
+def constant_model(D=1.0, E=0.0, beta1=-1.0, gamma=0.0) -> TransformedModel:
+    """``transform`` of the constant laws D0 = D, E0 = E, beta0 = -beta1,
+    mu0 = gamma, M0 = nu0 = 0; frozen unless gamma is -0.0 (for tests)."""
+    laws = (make_scalar_model("constant", value=v)
+            for v in (D, E, 0.0, -beta1, gamma, 0.0))
+    return transform(physical_from_models(*laws))
+
+
 # ---------------------------------------------------------------------------
 # gradient coefficients of the stress equation's right-hand side
 
 
-def _shifted_eval(fn, which, t, x, u, s, delta):
-    if which == "u":
-        return fn(t, x, u + delta, s)
-    if which == "s":
-        return fn(t, x, u, s + delta)
-    if which == "x":
-        return fn(t, x + delta, u, s)
-    raise ValueError(which)
-
-
 def _fd_partial(fn, which, t, x, u, s):
     """Second-order central difference with a stencil-consistency check."""
-    base = {"u": u, "s": s, "x": x}[which]
+    i = {"x": 1, "u": 2, "s": 3}[which]
+    args = [t, x, u, s]
+    base = args[i]
     h = FD_STEP * (1.0 + np.abs(np.asarray(base, dtype=float)))
-    d1 = (_shifted_eval(fn, which, t, x, u, s, h)
-          - _shifted_eval(fn, which, t, x, u, s, -h)) / (2.0 * h)
-    d2 = (_shifted_eval(fn, which, t, x, u, s, 0.5 * h)
-          - _shifted_eval(fn, which, t, x, u, s, -0.5 * h)) / h
+
+    def at(delta):
+        args[i] = base + delta
+        return fn(*args)
+
+    d1 = (at(h) - at(-h)) / (2.0 * h)
+    d2 = (at(0.5 * h) - at(-0.5 * h)) / h
     scale = 1.0 + np.maximum(np.abs(d1), np.abs(d2))
     if np.any(np.abs(d1 - d2) > FD_SMOOTHNESS_TOL * scale):
         raise NonSmoothCoefficient(
@@ -492,10 +482,14 @@ def gradient_coefficients(model: TransformedModel, t, x, u, s):
         mu   = beta1 + (d beta1/ds) s + (d gamma/ds) u
         g    = (d beta1/dx) s + (d gamma/dx) u
     """
+    return _coefficients(model, t, x, u, s)[5:]
+
+
+def _coefficients(model: TransformedModel, t, x, u, s) -> tuple:
+    """The five fields, from one ``fields`` call, and beta, mu and g."""
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
-    b1 = np.asarray(model.beta1(t, x, u, s), dtype=float)
-    gm = np.asarray(model.gamma(t, x, u, s), dtype=float)
+    D, E, f, b1, gm = model.fields(t, x, u, s)
     db1_du = _partial(model, "beta1", "u", t, x, u, s)
     db1_ds = _partial(model, "beta1", "s", t, x, u, s)
     db1_dx = _partial(model, "beta1", "x", t, x, u, s)
@@ -505,7 +499,7 @@ def gradient_coefficients(model: TransformedModel, t, x, u, s):
     beta = db1_du * s + gm + dgm_du * u
     mu = b1 + db1_ds * s + dgm_ds * u
     g = db1_dx * s + dgm_dx * u
-    return beta, mu, g
+    return D, E, f, b1, gm, beta, mu, g
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +568,14 @@ def _affine_growth_slope(radius: np.ndarray, values: np.ndarray) -> float:
     return max(float(np.polyfit(radius, values, 1)[0]), 0.0)
 
 
+def _sample(model: TransformedModel, box: Box, n_samples: int):
+    """The box grid (t, x, u, s) and ``_coefficients`` on it, each
+    broadcast to the grid."""
+    t, x, u, s = box.grid(n_samples)
+    return (t, x, u, s), [np.broadcast_to(v, u.shape)
+                          for v in _coefficients(model, t, x, u, s)]
+
+
 def check_assumptions(model: TransformedModel, box: Box,
                       n_samples: int = N_SAMPLES) -> AssumptionBounds:
     """Empirical coefficient bounds over a deterministic sample grid.
@@ -581,18 +583,8 @@ def check_assumptions(model: TransformedModel, box: Box,
     Raises EllipticityViolation when the sampled diffusion coefficient
     fails to stay positive.
     """
-    t, x, u, s = box.grid(n_samples)
-    shape = np.broadcast_shapes(t.shape, x.shape, u.shape, s.shape)
-
-    def full(vals):
-        return np.broadcast_to(np.asarray(vals, dtype=float), shape)
-
-    D = full(model.D(t, x, u, s))
-    E = full(model.E(t, x, u, s))
-    b1 = full(model.beta1(t, x, u, s))
-    gm = full(model.gamma(t, x, u, s))
-    beta, mu, g = (full(v) for v in gradient_coefficients(model, t, x, u, s))
-    fv = full(model.f(t, x, u, s))
+    (t, x, u, s), (D, E, fv, b1, gm, beta, mu, g) = _sample(model, box,
+                                                           n_samples)
 
     d = float(np.min(D))
     if d <= 0:
@@ -652,13 +644,13 @@ def check_longtime_condition(model: TransformedModel, Gamma: float, box: Box,
     """
     if Gamma <= 0:
         raise ValueError("Gamma must be positive")
-    t, x, u, s = box.grid(n_samples)
-    shape = np.broadcast_shapes(t.shape, x.shape, u.shape, s.shape)
-    D = np.broadcast_to(np.asarray(model.D(t, x, u, s), float), shape)
-    E = np.broadcast_to(np.asarray(model.E(t, x, u, s), float), shape)
-    beta, mu, _ = gradient_coefficients(model, t, x, u, s)
-    lam = quadratic_form_min_eig(D, E, np.broadcast_to(beta, shape),
-                                 np.broadcast_to(mu, shape), Gamma)
+    return _margin(_sample(model, box, n_samples), Gamma, box)
+
+
+def _margin(sample, Gamma: float, box: Box) -> LongTimeCondition:
+    """``check_longtime_condition`` on a ``_sample`` of the box."""
+    (t, x, u, s), (D, E, _, _, _, beta, mu, _) = sample
+    lam = quadratic_form_min_eig(D, E, beta, mu, Gamma)
     i = int(np.argmin(lam))
     g0 = float(lam[i])
     if g0 <= 0:
@@ -669,18 +661,19 @@ def check_longtime_condition(model: TransformedModel, Gamma: float, box: Box,
 def find_gamma(model: TransformedModel, box: Box,
                gamma_grid: Sequence[float],
                n_samples: int = N_SAMPLES) -> LongTimeCondition:
-    """Scan candidate Gamma values and keep the one with the largest margin."""
+    """Keep the candidate Gamma with the largest margin on one box sample."""
     if not gamma_grid:
         raise ValueError("gamma_grid must be non-empty")
     if any(g <= 0 for g in gamma_grid):
         raise ValueError("all Gamma candidates must be positive")
     if box.volume == 0:
         raise ValueError("evaluation box has zero volume")
+    sample = _sample(model, box, n_samples)
     best: Optional[LongTimeCondition] = None
     failures = []
     for g in gamma_grid:
         try:
-            cond = check_longtime_condition(model, float(g), box, n_samples)
+            cond = _margin(sample, float(g), box)
         except LongTimeConditionFailure as exc:
             failures.append((float(g), exc))
             continue

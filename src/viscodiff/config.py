@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import (
+    N_SAMPLES,
     Box,
     PhysicalCoefficients,
     ScalarModel,
@@ -127,6 +128,11 @@ _RULES: dict[str, tuple] = {
     "longtime.box.u": _RANGE,
     "longtime.box.s": _RANGE,
 }
+# read for an unset optional key, which stays out of values and config.txt
+_OPTIONAL_DEFAULTS = {
+    "check.analytic_tol": 1e-2, "front.threshold": 0.5,
+    "longtime.gamma_grid": tuple(np.geomspace(0.1, 10.0, 25)),
+    "longtime.n_samples": N_SAMPLES}
 
 _FIELD_KINDS = {
     "constant": {"value": None},
@@ -143,17 +149,23 @@ _SIGNAL_KINDS = {
 _GROUP_HEADS = tuple(f"model.{r}" for r in MODEL_ROLES) + (
     "initial.u0", "initial.sigma0", "boundary.phi_left", "boundary.phi_right")
 
-# check.analytic = "heat-cosine" needs u to obey the plain heat equation,
-# which the decaying cosine solves: no stress coupling, forcing or influx
-_HEAT_COSINE = {"initial.u0": "cosine", "model.D0": "constant",
-                "model.E0": "constant", "model.E0.value": 0.0,
-                "model.M0": "constant", "model.M0.value": 0.0,
-                "boundary.phi_left": "zero", "boundary.phi_right": "zero",
-                "epsilon": 0.0}
-# check.lyapunov = true checks decay of the closed system without
-# forcing, the case lyapunov_decay_check is for
-_LYAPUNOV = {"model.M0": "constant", "model.M0.value": 0.0,
-             "boundary.phi_left": "zero", "boundary.phi_right": "zero"}
+# key = value needs every key = value of its table:
+_NEEDS = (
+    # u must obey the plain heat equation, which the decaying cosine
+    # solves: no stress coupling, forcing or influx
+    ("check.analytic", "heat-cosine", {
+        "initial.u0": "cosine", "model.D0": "constant",
+        "model.E0": "constant", "model.E0.value": 0.0,
+        "model.M0": "constant", "model.M0.value": 0.0,
+        "boundary.phi_left": "zero", "boundary.phi_right": "zero",
+        "epsilon": 0.0}),
+    # decay of the closed system without forcing, the case
+    # lyapunov_decay_check is for
+    ("check.lyapunov", True, {
+        "model.M0": "constant", "model.M0.value": 0.0,
+        "boundary.phi_left": "zero", "boundary.phi_right": "zero"}),
+    # an explicit dt*epsilon*(I+L_h)^2 has eigenvalues ~ dt*epsilon*N^4
+    ("stress_scheme", "explicit", {"epsilon": 0.0}))
 
 
 @dataclass(frozen=True)
@@ -163,7 +175,10 @@ class ScenarioConfig:
     values: dict
 
     def __getitem__(self, key):
-        return self.values[key]
+        """The value of ``key``, or the default of an unset optional key."""
+        if key in self.values:
+            return self.values[key]
+        return _OPTIONAL_DEFAULTS[key]
 
     def get(self, key, default=None):
         return self.values.get(key, default)
@@ -371,15 +386,14 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
                               line=lines.get(off, lines.get(on)), key=off)
 
     cfg = ScenarioConfig(values=values)
-    for check, needs in (("check.analytic", _HEAT_COSINE),
-                         ("check.lyapunov", _LYAPUNOV)):
+    for key, value, needs in _NEEDS:
         misfit = [k for k, v in needs.items() if values.get(k) != v]
-        if values.get(check) and misfit:
+        if values.get(key) == value and misfit:
             k = misfit[0]
-            raise ConfigError(f"{check} = {_format_value(values[check])} "
-                              f"needs {k} = {_format_value(needs[k])}, got "
+            raise ConfigError(f"{key} = {_format_value(value)} needs "
+                              f"{k} = {_format_value(needs[k])}, got "
                               f"{_format_value(values[k])}",
-                              line=lines.get(check), key=check)
+                              line=lines.get(key), key=key)
     if values["check.lyapunov"] and not has_longtime(cfg):
         raise ConfigError("check.lyapunov = true needs a longtime section",
                           line=lines.get("check.lyapunov"), key="check.lyapunov")

@@ -113,7 +113,7 @@ def test_criterion_1_fickian_limit():
 def test_criterion_2_mass_balance():
     """Zero influx conserves mass over 1e5 steps; unit influx gains 1.0."""
     mesh = build_mesh(1.0, 32)
-    model = constant_model(D=1.0, E=0.1, f=0.0, beta1=-1.0, gamma=0.5)
+    model = constant_model(D=1.0, E=0.1, beta1=-1.0, gamma=0.5)
     u0 = 0.5 + 0.3 * np.cos(math.pi * mesh.nodes)
     init = InitialData(u0, np.zeros_like(u0), _fickian_phys())
     res = run(init, mesh, model, ZERO_INFLUX,

@@ -13,6 +13,9 @@ from viscodiff.coefficients import (
     GammaSearchFailure,
     LongTimeConditionFailure,
     PhysicalCoefficients,
+    TransformedModel,
+    _affine_growth_slope,
+    _partial,
     check_assumptions,
     check_longtime_condition,
     constant_model,
@@ -27,6 +30,8 @@ from viscodiff.config import (
     PRESET_NAMES,
     build_mesh_from,
     build_model,
+    longtime_box,
+    parse_config,
     preset_config,
 )
 
@@ -254,6 +259,10 @@ class TestFields:
         u, s = _nodal_points(9, seed=5)
         _assert_fields_match_callables(constant_model(D=2.0, gamma=0.3),
                                        0.0, x, u, s)
+        own = constant_model(D=2.0, gamma=0.3)
+        hand_built = TransformedModel(D=own.D, E=own.E, f=own.f,
+                                      beta1=own.beta1, gamma=own.gamma)
+        _assert_fields_match_callables(hand_built, 0.0, x, u, s)
         model = transform(_tanh_physical())
         model.gamma = lambda t, x, u, s: np.full(np.shape(u), 0.125)
         _assert_fields_match_callables(model, 0.0, x, u, s)
@@ -262,7 +271,7 @@ class TestFields:
 
 class TestGradientCoefficients:
     def test_constant_model_trivial(self):
-        model = constant_model(D=1.0, E=0.0, f=0.0, beta1=-2.0, gamma=0.7)
+        model = constant_model(D=1.0, E=0.0, beta1=-2.0, gamma=0.7)
         beta, mu, g = gradient_coefficients(model, 0.0, 0.0, 0.3, 0.4)
         assert float(beta) == pytest.approx(0.7)
         assert float(mu) == pytest.approx(-2.0)
@@ -405,3 +414,126 @@ class TestLongTimeCondition:
         box = Box(t=(0, 0), x=(0, 1), u=(0, 1), s=(0, 0))
         with pytest.raises(ValueError):
             find_gamma(model, box, [1.0])
+
+
+# every preset's box, plus eps-scan with a tanh nu0, whose gradient terms
+# take the finite-difference path, and sorption on a box reaching u < 0,
+# where D0 + nu0*E0 is negative
+BOX_SCENARIOS = [f'preset = "{name}"' for name in PRESET_NAMES] + [
+    'preset = "eps-scan"\nmodel.nu0 = "tanh"\nmodel.nu0.lo = 0.05\n'
+    'model.nu0.hi = 0.2\nmodel.nu0.delta = 0.1\nmodel.nu0.center = 0.5',
+    'preset = "sorption"\nlongtime.box.u = [-0.5, 1.2]']
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _reference_sample(model, box, n_samples):
+    """The box grid and D, E, f, beta1, gamma, beta, mu, g on it, each
+    field read from its own callable."""
+    t, x, u, s = box.grid(n_samples)
+
+    def full(v):
+        return np.broadcast_to(np.asarray(v, dtype=float), u.shape)
+
+    D, E, f, b1, gm = (full(c(t, x, u, s)) for c in
+                       (model.D, model.E, model.f, model.beta1, model.gamma))
+    d = {(name, which): full(_partial(model, name, which, t, x, u, s))
+         for name in ("beta1", "gamma") for which in "usx"}
+    beta = d["beta1", "u"] * s + gm + d["gamma", "u"] * u
+    mu = b1 + d["beta1", "s"] * s + d["gamma", "s"] * u
+    g = d["beta1", "x"] * s + d["gamma", "x"] * u
+    return (t, x, u, s), (D, E, f, b1, gm, beta, mu, g)
+
+
+def _reference_bounds(sample):
+    (t, x, u, s), (D, E, f, b1, gm, beta, mu, g) = sample
+    if np.min(D) <= 0:
+        bad = np.nonzero(D <= 0)[0]
+        bad = bad[np.argsort(D[bad])][:5]
+        return ("violation", [_hex((t[i], x[i], u[i], s[i])) for i in bad],
+                _hex(D[bad]))
+    radius = np.abs(u) + np.abs(s)
+    return _hex((np.max(np.abs(D)), np.max(np.abs(E)),
+                 max(np.max(np.abs(beta)), np.max(np.abs(gm))),
+                 max(np.max(np.abs(mu)), np.max(np.abs(b1))),
+                 _affine_growth_slope(radius, np.abs(f)),
+                 _affine_growth_slope(radius, np.abs(g)), np.min(D)))
+
+
+def _bounds(model, box):
+    try:
+        b = check_assumptions(model, box)
+    except EllipticityViolation as exc:
+        return ("violation", [_hex(p) for p in exc.points], _hex(exc.values))
+    return _hex((b.K_D, b.K_E, b.K_beta, b.K_mu, b.K_f, b.K_g, b.d))
+
+
+def _reference_margin(sample, Gamma):
+    (t, x, u, s), (D, E, _, _, _, beta, mu, _) = sample
+    lam = quadratic_form_min_eig(D, E, beta, mu, Gamma)
+    i = int(np.argmin(lam))
+    if lam[i] > 0:
+        return _hex((Gamma, lam[i]))
+    return _hex((Gamma, lam[i], t[i], x[i], u[i], s[i]))
+
+
+def _margin(check):
+    try:
+        lt = check()
+    except LongTimeConditionFailure as exc:
+        return _hex((exc.gamma, exc.eigenvalue, *exc.point))
+    return _hex((lt.Gamma, lt.Gamma_0))
+
+
+class TestSampledChecks:
+    """The set-up checks read each box once through ``fields``."""
+
+    @pytest.mark.parametrize("text", BOX_SCENARIOS)
+    def test_checks_equal_the_five_callables(self, text):
+        cfg = parse_config(text + "\n")
+        model, box = build_model(cfg), longtime_box(cfg)
+        ref = _reference_sample(model, box, 4096)
+        assert _bounds(model, box) == _reference_bounds(ref)
+        for Gamma in (0.3, 1.0, 2.0):
+            assert _margin(lambda: check_longtime_condition(
+                model, Gamma, box)) == _reference_margin(ref, Gamma)
+
+    @pytest.mark.parametrize("text", BOX_SCENARIOS)
+    def test_find_gamma_equals_looped_checks(self, text):
+        cfg = parse_config(text + "\n")
+        model, box = build_model(cfg), longtime_box(cfg)
+        grid = list(np.geomspace(0.1, 10.0, 25))
+        best, failures = None, []
+        for g in grid:
+            try:
+                lt = check_longtime_condition(model, float(g), box)
+            except LongTimeConditionFailure as exc:
+                failures.append(exc)
+                continue
+            if best is None or lt.Gamma_0 > best.Gamma_0:
+                best = lt
+        if best is None:
+            with pytest.raises(GammaSearchFailure) as exc:
+                find_gamma(model, box, grid)
+            assert [_hex((g, e.eigenvalue, *e.point))
+                    for g, e in exc.value.failures] == [
+                _hex((e.gamma, e.eigenvalue, *e.point)) for e in failures]
+        else:
+            lt = find_gamma(model, box, grid)
+            assert _hex((lt.Gamma, lt.Gamma_0)) == _hex((best.Gamma,
+                                                         best.Gamma_0))
+
+    def test_each_law_read_once_per_box(self, monkeypatch):
+        # one evaluation of the fields serves the bounds and all 25 Gamma
+        # candidates; the constant-nu0 partials read no field at all
+        model = build_model(preset_config("homogenize"))
+        box = longtime_box(preset_config("homogenize"))
+        calls = []
+        fields = model.fields
+        monkeypatch.setattr(model, "fields",
+                            lambda *a: calls.append(1) or fields(*a))
+        find_gamma(model, box, list(np.geomspace(0.1, 10.0, 25)))
+        check_assumptions(model, box)
+        assert len(calls) == 2

@@ -14,6 +14,7 @@ from viscodiff.cli import (
     EXIT_OK,
     main,
 )
+from viscodiff.coefficients import N_SAMPLES
 from viscodiff.config import (
     _GROUP_HEADS,
     _RULES,
@@ -24,6 +25,7 @@ from viscodiff.config import (
     build_mesh_from,
     build_physical,
     parse_config,
+    has_longtime,
     preset_config,
     serialize_config,
 )
@@ -38,6 +40,23 @@ class TestParsing:
         assert cfg["time.dt"] == 1e-3
         assert cfg["model.D0"] == "constant"
         assert cfg["boundary.phi_left"] == "zero"
+
+    def test_optional_defaults_are_read_not_stored(self):
+        # an unset optional key reads its default but stays out of values,
+        # so the serialized config and has_longtime do not see it
+        cfg = parse_config("mesh.N = 16\n")
+        assert cfg["longtime.n_samples"] == N_SAMPLES
+        assert cfg["front.threshold"] == 0.5
+        assert cfg["check.analytic_tol"] == 1e-2
+        assert list(cfg["longtime.gamma_grid"]) == list(
+            np.geomspace(0.1, 10.0, 25))
+        assert cfg.get("longtime.n_samples", 4096) == 4096
+        assert not has_longtime(cfg)
+        assert "longtime" not in serialize_config(cfg)
+        assert parse_config("longtime.n_samples = 9\n")[
+            "longtime.n_samples"] == 9
+        with pytest.raises(KeyError):
+            cfg["no.such.key"]
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nmesh.N = 8  # trailing\n")
@@ -380,7 +399,10 @@ class TestCli:
           "check.lyapunov = true"], "check.lyapunov"),
         (['preset = "homogenize"', 'boundary.phi_left = "constant"',
           "boundary.phi_left.value = 0.5", "check.lyapunov = true"],
-         "check.lyapunov")])
+         "check.lyapunov"),
+        # the explicit stress update is unstable with epsilon > 0
+        (['preset = "homogenize"', "epsilon = 1e-2",
+          'stress_scheme = "explicit"'], "stress_scheme")])
     def test_bad_check_input_exit_two_before_any_step(
             self, tmp_path, capsys, monkeypatch, lines, key):
         def no_run(*args, **kwargs):
@@ -394,6 +416,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert f"(line {len(lines)})" in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        (['preset = "fickian"'],
+         'check.analytic = "heat-cosine" needs epsilon = 0.0, got 0.01'),
+        (['preset = "eps-scan"', 'stress_scheme = "explicit"'],
+         'stress_scheme = "explicit" needs epsilon = 0.0, got 0.01')],
+        ids=["heat-cosine", "explicit"])
+    def test_eps_scan_checks_every_member_before_any_runs(
+            self, tmp_path, capsys, monkeypatch, lines, message):
+        # the epsilon = 0 member passes on its own; the first epsilon > 0
+        # member does not, and none of them may run before that is known
+        def no_run(*args, **kwargs):
+            raise AssertionError("a member ran")
+        monkeypatch.setattr("viscodiff.cli.run", no_run)
+        p = tmp_path / "scan.cfg"
+        p.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["eps-scan", str(p), "--out", str(out),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_volume_gamma_scan_exit_two(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from viscodiff import config, discretization
 from viscodiff.diagnostics import DiagnosticsRecord
 
 from viscodiff.coefficients import (
+    TransformedModel,
     constant_model,
     make_scalar_model,
     physical_from_models,
@@ -123,7 +124,7 @@ class TestStep:
     def test_implicit_decay_scalar_oracle(self):
         # beta1 = -1, gamma = 0, varsigma0 = 1, dt = 0.1 -> 1/1.1
         mesh = build_mesh(1.0, 4)
-        model = constant_model(D=1.0, E=0.0, f=0.0, beta1=-1.0, gamma=0.0)
+        model = constant_model(D=1.0, E=0.0, beta1=-1.0, gamma=0.0)
         cfg = SolverConfig(dt=0.1, T_end=0.1)
         state = State(t=0.0, u=np.zeros(5), sigma_v=np.ones(5))
         out = step(state, mesh, model, ZERO_INFLUX, cfg)
@@ -133,7 +134,7 @@ class TestStep:
     def test_homogeneous_state_invariant(self):
         # constant (u, varsigma) stays constant; stress follows the scalar ODE
         mesh = build_mesh(1.0, 8)
-        model = constant_model(D=1.0, E=0.3, f=0.0, beta1=-2.0, gamma=0.5)
+        model = constant_model(D=1.0, E=0.3, beta1=-2.0, gamma=0.5)
         cfg = SolverConfig(dt=0.05, T_end=0.05)
         c, s0 = 0.7, 0.2
         state = State(t=0.0, u=np.full(9, c), sigma_v=np.full(9, s0))
@@ -436,12 +437,14 @@ def _reference_record(state, mesh, gamma=1.0, prev=None):
     )
 
 
-def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme):
+def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme,
+                                       model=None):
     """Require run's states and records over n_steps to equal, in bytes,
-    the reference step and record looped by hand; return the model."""
+    the reference step and record looped by hand; return the model, by
+    default the transform of cfg's laws."""
     mesh = build_mesh_from(cfg)
     phys = build_physical(cfg)
-    model = transform(phys)
+    model = transform(phys) if model is None else model
     bd = build_boundary(cfg)
     init = build_initial(cfg, mesh, phys)
     dt = cfg["time.dt"]
@@ -683,6 +686,19 @@ class TestFrozen:
 
     @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("preset, laws", [
+        ("homogenize", dict(D=1.0, E=0.1, beta1=-1.0, gamma=0.5)),
+        ("fickian", {})])
+    def test_constant_model_runs_are_frozen(self, preset, laws, eps, scheme):
+        # constant_model() is fickian's laws; the other is homogenize's
+        model = constant_model(**laws)
+        assert model.frozen
+        _assert_run_matches_reference_loop(preset_config(preset),
+                                           _steps(200, eps, scheme), eps,
+                                           scheme, model=model)
+
+    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
     @pytest.mark.parametrize("lines, frozen", [
         (["model.M0.value = -0.0"], True), (["model.nu0.value = -0.0"], True),
         (["model.mu0.value = -0.0"], False)])
@@ -745,7 +761,10 @@ class TestFrozen:
         assert not reassigned.frozen
         replaced = dataclasses.replace(transform(const), D=reassigned.D)
         assert not replaced.frozen
-        assert not constant_model().frozen
+        own = transform(const)
+        hand_built = TransformedModel(D=own.D, E=own.E, f=own.f,
+                                      beta1=own.beta1, gamma=own.gamma)
+        assert not hand_built.frozen
 
     def test_frozen_run_evaluates_each_law_once(self, monkeypatch):
         # sigma, nu0, D0, E0, M0, beta0, mu0: once per run when frozen,
