@@ -31,6 +31,7 @@ from .coefficients import (
     check_assumptions,
     check_longtime_condition,
     find_gamma,
+    transform,
 )
 from .config import ConfigError, ScenarioConfig, parse_config, preset_config
 from .diagnostics import (
@@ -182,7 +183,7 @@ def _build(cfg: ScenarioConfig):
     """Everything ``run`` needs for one scenario; bad inputs are ConfigErrors."""
     mesh = cfgmod.build_mesh_from(cfg)
     phys = cfgmod.build_physical(cfg)
-    model = cfgmod.build_model(cfg)
+    model = transform(phys)
     bd = cfgmod.build_boundary(cfg)
     try:
         bd.validate(cfg["time.T_end"])

@@ -142,9 +142,13 @@ def make_scalar_model(name: str, **params) -> ScalarModel:
             "beta_G": "lo", "beta_R": "hi", "u_RG": "center",
             "D_G": "lo", "D_R": "hi",
         }
-        norm = {}
+        norm, given = {}, {}
         for key, val in params.items():
-            norm[aliases.get(key, key)] = float(val)
+            canon = aliases.get(key, key)
+            if canon in given:
+                raise ValueError(f"tanh parameters {given[canon]!r} and "
+                                 f"{key!r} both set {canon!r}")
+            norm[canon], given[canon] = float(val), key
         lo, hi = norm.pop("lo"), norm.pop("hi")
         delta, center = norm.pop("delta"), norm.pop("center")
         _reject_extras(name, norm)

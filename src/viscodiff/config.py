@@ -148,6 +148,8 @@ _SIGNAL_KINDS = {
 }
 _GROUP_HEADS = tuple(f"model.{r}" for r in MODEL_ROLES) + (
     "initial.u0", "initial.sigma0", "boundary.phi_left", "boundary.phi_right")
+# the type of a group parameter, by its name; any other is a float
+_PARAM_TYPES = {"path": str, "mode": int, "coeffs": list}
 
 # key = value needs every key = value of its table:
 _NEEDS = (
@@ -264,15 +266,16 @@ def _overlay(base: dict, pairs) -> dict:
     return out
 
 
-def _is_known_key(key: str) -> bool:
+def _rule(key: str) -> Optional[tuple]:
+    """(type, test, requirement) of a key, or None for an unknown key."""
     if key in _RULES:
-        return True
-    for head in _GROUP_HEADS:
-        if key == head:
-            return True
-        if key.startswith(head + ".") and "." not in key[len(head) + 1:]:
-            return True
-    return False
+        return _RULES[key]
+    if key in _GROUP_HEADS:
+        return (str, None, "")
+    head, _, pname = key.rpartition(".")
+    if head in _GROUP_HEADS:
+        return (_PARAM_TYPES.get(pname, float), None, "")
+    return None
 
 
 def _coerce(key: str, value, want: type, line: Optional[int]):
@@ -286,7 +289,7 @@ def _coerce(key: str, value, want: type, line: Optional[int]):
 
 def _validate_group(values: dict, head: str, kinds: dict, lines: dict):
     name = values.get(head)
-    if not isinstance(name, str) or name not in kinds:
+    if name not in kinds:
         raise ConfigError(
             f"unknown kind {name!r}; expected one of {sorted(kinds)}",
             line=lines.get(head), key=head)
@@ -303,12 +306,6 @@ def _validate_group(values: dict, head: str, kinds: dict, lines: dict):
                 raise ConfigError(f"kind {name!r} requires parameter {pname!r}",
                                   key=key)
             values[key] = default
-        elif pname == "path":
-            values[key] = _coerce(key, values[key], str, lines.get(key))
-        elif pname == "mode":
-            values[key] = _coerce(key, values[key], int, lines.get(key))
-        else:
-            values[key] = _coerce(key, values[key], float, lines.get(key))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -347,35 +344,23 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
     """
     values, lines = dict(values), lines or {}
     for key, value in values.items():
-        if not _is_known_key(key):
+        rule = _rule(key)
+        if rule is None:
             raise ConfigError(f"unknown configuration key {key!r}",
                               line=lines.get(key), key=key)
-        numbers = value if isinstance(value, list) else (value,)
-        if isinstance(value, (float, list)) and not all(map(math.isfinite,
-                                                            numbers)):
-            raise ConfigError(f"numbers must be finite, got {value!r}",
+        want, test, need = rule
+        v = values[key] = _coerce(key, value, want, lines.get(key))
+        numbers = v if isinstance(v, list) else (v,)
+        if isinstance(v, (float, list)) and not all(map(math.isfinite,
+                                                        numbers)):
+            raise ConfigError(f"numbers must be finite, got {v!r}",
+                              line=lines.get(key), key=key)
+        if test is not None and not test(v):
+            raise ConfigError(f"{key} {need}, got {v!r}",
                               line=lines.get(key), key=key)
 
-    for key, (want, test, need) in _RULES.items():
-        if key in values:
-            v = values[key] = _coerce(key, values[key], want, lines.get(key))
-            if test is not None and not test(v):
-                raise ConfigError(f"{key} {need}, got {v!r}",
-                                  line=lines.get(key), key=key)
-
-    # coefficient models must exist in the registry and accept their params
-    for role in MODEL_ROLES:
-        head = f"model.{role}"
-        name = values.get(head)
-        prefix = head + "."
-        params = {k[len(prefix):]: v for k, v in values.items()
-                  if k.startswith(prefix)}
-        try:
-            make_scalar_model(name, **params)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"invalid coefficient model for {role}: {exc}",
-                              key=head, line=lines.get(head)) from exc
-
+    cfg = ScenarioConfig(values=values)
+    _scalar_models(cfg, lines)
     _validate_group(values, "initial.u0", _FIELD_KINDS, lines)
     _validate_group(values, "initial.sigma0", _FIELD_KINDS, lines)
     for side in ("boundary.phi_left", "boundary.phi_right"):
@@ -385,7 +370,6 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
             raise ConfigError(f"{off} must be greater than {on}",
                               line=lines.get(off, lines.get(on)), key=off)
 
-    cfg = ScenarioConfig(values=values)
     for key, value, needs in _NEEDS:
         misfit = [k for k, v in needs.items() if values.get(k) != v]
         if values.get(key) == value and misfit:
@@ -426,11 +410,18 @@ def build_mesh_from(cfg: ScenarioConfig) -> Mesh:
     return build_mesh(cfg["mesh.L"], cfg["mesh.N"])
 
 
-def _scalar_models(cfg: ScenarioConfig) -> dict[str, ScalarModel]:
+def _scalar_models(cfg: ScenarioConfig,
+                   lines: Optional[dict] = None) -> dict[str, ScalarModel]:
+    """The six laws; one its group does not define is a ConfigError."""
     out = {}
     for role in MODEL_ROLES:
-        name, params = cfg.group(f"model.{role}")
-        out[role] = make_scalar_model(name, **params)
+        head = f"model.{role}"
+        try:
+            name, params = cfg.group(head)
+            out[role] = make_scalar_model(name, **params)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"invalid coefficient model for {role}: {exc}",
+                              key=head, line=(lines or {}).get(head)) from exc
     return out
 
 

@@ -130,6 +130,11 @@ class TestScalarModelRegistry:
         with pytest.raises(ValueError):
             make_scalar_model("exp")
 
+    def test_tanh_parameter_given_twice_rejected(self):
+        with pytest.raises(ValueError, match="'lo' and 'D_G' both set 'lo'"):
+            make_scalar_model("tanh", lo=0.1, D_G=0.5, hi=1.0, delta=0.1,
+                              center=0.4)
+
 
 def _tanh_physical(nu0_value=0.3):
     """tanh relaxation + Cohen stress-diffusion model with constant nu0."""

@@ -14,6 +14,7 @@ from viscodiff.cli import (
     EXIT_OK,
     main,
 )
+from viscodiff import config as cfgmod
 from viscodiff.coefficients import N_SAMPLES
 from viscodiff.config import (
     _GROUP_HEADS,
@@ -67,8 +68,12 @@ class TestParsing:
             'mesh.N = 32\nmesh.L = 2.5\ncheck.lyapunov = true\n'
             'model.beta0 = "tanh"\nmodel.beta0.beta_R = 2.0\n'
             'model.beta0.beta_G = 1.0\nmodel.beta0.delta = 0.05\n'
-            'model.beta0.u_RG = 0.5\nlongtime.gamma_grid = [0.5, 1.0, 2.0]\n')
+            'model.beta0.u_RG = 0.5\nlongtime.gamma_grid = [0.5, 1.0, 2.0]\n'
+            "model.D0.value = 2\n")
         assert cfg["check.lyapunov"] is True
+        # an integer law parameter is stored as a float, like a field's
+        assert type(cfg["model.D0.value"]) is float
+        assert cfg["model.D0.value"] == 2.0
         assert cfg["longtime.gamma_grid"] == [0.5, 1.0, 2.0]
         assert cfg["model.beta0"] == "tanh"
 
@@ -87,11 +92,33 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("time.dt = -0.1\n")
 
-    def test_type_mismatch(self):
-        with pytest.raises(ConfigError):
-            parse_config('mesh.N = "many"\n')
-        with pytest.raises(ConfigError):
-            parse_config("mesh.N = 2.5\n")
+    @pytest.mark.parametrize("lines, key", [
+        (['mesh.N = "many"'], "mesh.N"),
+        (["mesh.N = 2.5"], "mesh.N"),
+        (["model.D0.value = true"], "model.D0.value"),
+        (['model.D0.value = "2.5"'], "model.D0.value"),
+        (['model.D0.value = "nan"'], "model.D0.value"),
+        (['preset = "sorption"', 'model.beta0.delta = "inf"'],
+         "model.beta0.delta"),
+        (['model.nu0 = "tanh"', "model.nu0.lo = 0.0", "model.nu0.hi = 0.1",
+          "model.nu0.delta = 0.1", 'model.nu0.center = "0.4"'],
+         "model.nu0.center"),
+        (['model.nu0 = "polynomial"', "model.nu0.coeffs = 0.5"],
+         "model.nu0.coeffs"),
+        (['initial.u0 = "cosine"', "initial.u0.amplitude = 1.0",
+          "initial.u0.mode = 1.5"], "initial.u0.mode")],
+        ids=["N-str", "N-float", "law-bool", "law-str", "law-str-nan",
+             "law-str-inf", "tanh-str", "coeffs-float", "mode-float"])
+    def test_type_mismatch(self, tmp_path, capsys, lines, key):
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ConfigError, match="expected") as exc:
+            parse_config(text)
+        assert (exc.value.key, exc.value.line) == (key, len(lines))
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        assert repr(key) in capsys.readouterr().err
 
     def test_missing_required_model_param(self):
         with pytest.raises(ConfigError):
@@ -291,6 +318,31 @@ class TestCli:
         p.write_text('preset = "eps-scan"\nepsilon = 1e-2\n')
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert "check mass_balance: PASS" in capsys.readouterr().out
+
+    def test_tanh_parameter_given_twice_exit_two(self, tmp_path, capsys):
+        # lo and its alias D_G would leave config.txt naming a law other
+        # than the one that ran
+        p = tmp_path / "twice.cfg"
+        p.write_text('preset = "sorption"\nmodel.D0.D_G = 0.5\n')
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "'lo' and 'D_G'" in err and "'model.D0'" in err
+
+    @pytest.mark.parametrize("verb, calls", [("run", 1), ("eps-scan", 4)])
+    def test_each_scenario_builds_its_laws_once(
+            self, tmp_path, monkeypatch, verb, calls):
+        count = []
+        build = cfgmod.build_physical
+
+        def counted(cfg):
+            count.append(1)
+            return build(cfg)
+        monkeypatch.setattr(cfgmod, "build_physical", counted)
+        p = tmp_path / "short.cfg"
+        p.write_text('preset = "eps-scan"\ntime.T_end = 0.01\n')
+        main([verb, str(p), "--out", str(tmp_path / "o"), "--quiet"])
+        assert len(count) == calls
 
     def test_eps_scan_missing_initial_file_exit_two(self, tmp_path, capsys):
         p = tmp_path / "missing.cfg"

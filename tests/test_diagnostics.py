@@ -138,6 +138,19 @@ class TestLyapunovDecay:
         lt = LongTimeCondition(Gamma=1.0, Gamma_0=1.0, verified_box=BOX)
         assert lyapunov_decay_check(res.records, lt).ok
 
+    def test_dissipation_inequality_enforced(self):
+        # L stays 1, so it never increases, yet one unit step dissipates
+        # 0.6 + 0.6: L_1 + 1.2 > L_0 breaks the dissipation inequality
+        g = math.sqrt(0.6)
+        series = [DiagnosticsRecord(
+            t=t, mass=0.0, l2_u=0.0, h1semi_u=g, l2_s=0.0, h1semi_s=g,
+            lyapunov=1.0, cum_grad_u=c, cum_grad_s=c, u_min=0.0, u_max=0.0)
+            for t, c in ((0.0, 0.0), (1.0, 0.6))]
+        lt = LongTimeCondition(Gamma=1.0, Gamma_0=1.0, verified_box=BOX)
+        report = lyapunov_decay_check(series, lt)
+        assert not report.ok and report.first_violation == 1
+        assert "dissipation inequality fails at step 1 (t=1)" in report.message
+
     def test_unstable_stress_reported(self):
         # mu = beta1 = +1: the stress ODE grows, the functional increases
         model = constant_model(D=1.0, E=0.5, beta1=1.0, gamma=0.5)
