@@ -8,7 +8,8 @@ Verbs:
     eps-scan [CONFIG]     regularization-strength sweep with stability checks
 
 Exit codes: 0 success, 1 a check failed, 2 configuration error,
-3 numerical failure during time stepping.
+3 numerical failure during time stepping (``run`` and ``preset`` leave
+the diagnostics of the steps before it and a summary naming it).
 """
 
 from __future__ import annotations
@@ -242,19 +243,24 @@ def _check_line(c: CheckReport) -> str:
     return f"check {c.name}: {'PASS' if c.ok else 'FAIL'} - {c.message}"
 
 
-def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
-                   result, front, checks: list[CheckReport]) -> None:
+def _write_records(outdir: Path, cfg: ScenarioConfig, records) -> None:
+    """The output directory with ``diagnostics.csv`` and ``config.txt``."""
     outdir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    write_diagnostics(outdir / "diagnostics.csv", result.records,
+    write_diagnostics(outdir / "diagnostics.csv", records,
                       header_note=f"generated {stamp}")
+    (outdir / "config.txt").write_text(cfgmod.serialize_config(cfg))
+
+
+def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
+                   result, front, checks: list[CheckReport]) -> None:
+    _write_records(outdir, cfg, result.records)
     for k, state in enumerate(result.trajectory):
         sigma = reconstruct_sigma(state, phys)
         write_snapshot(outdir / f"snapshot_{k}.csv", mesh.nodes, state.u,
                        state.sigma_v, sigma)
         write_flux(outdir / f"flux_{k}.csv", mesh.midpoints,
                    compute_flux(state, mesh, phys))
-    (outdir / "config.txt").write_text(cfgmod.serialize_config(cfg))
 
     final = result.final_state
     rec = result.records[-1]
@@ -287,8 +293,22 @@ def homogenization_from_record(rec, L: float) -> float:
     return math.sqrt(max(rec.l2_u ** 2 - rec.mass ** 2 / L, 0.0))
 
 
+def _write_failure(outdir: Path, cfg: ScenarioConfig, exc) -> None:
+    """What a run that failed at step k leaves: the k records before the
+    failing step, the resolved config and a summary naming the step."""
+    _write_records(outdir, cfg, exc.records)
+    k = len(exc.records)
+    (outdir / "summary.txt").write_text(
+        f"failed at step {k}, t={k * cfg['time.dt']:.6g}\n"
+        f"numerical failure: {exc}\n")
+
+
 def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
-    mesh, phys, bd, lt, result, front = _execute(cfg)
+    try:
+        mesh, phys, bd, lt, result, front = _execute(cfg)
+    except (NumericalFailure, LinearSolveFailure) as exc:
+        _write_failure(outdir, cfg, exc)
+        raise
     checks = _run_checks(cfg, mesh, bd, lt, result)
     _write_outputs(outdir, cfg, mesh, phys, lt, result, front, checks)
     if not quiet:

@@ -412,7 +412,13 @@ def build_mesh_from(cfg: ScenarioConfig) -> Mesh:
 
 def _scalar_models(cfg: ScenarioConfig,
                    lines: Optional[dict] = None) -> dict[str, ScalarModel]:
-    """The six laws; one its group does not define is a ConfigError."""
+    """The six laws; one its group does not define is a ConfigError.
+
+    The error names the line of the group head or, when the head came
+    from a preset, the first line at which the file set a parameter of
+    the group.
+    """
+    lines = lines or {}
     out = {}
     for role in MODEL_ROLES:
         head = f"model.{role}"
@@ -420,8 +426,11 @@ def _scalar_models(cfg: ScenarioConfig,
             name, params = cfg.group(head)
             out[role] = make_scalar_model(name, **params)
         except (ValueError, KeyError, TypeError) as exc:
+            line = lines.get(head, min(
+                (ln for k, ln in lines.items() if k.startswith(head + ".")),
+                default=None))
             raise ConfigError(f"invalid coefficient model for {role}: {exc}",
-                              key=head, line=(lines or {}).get(head)) from exc
+                              key=head, line=line) from exc
     return out
 
 

@@ -9,8 +9,9 @@ the trapezoid rule at the recording cadence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +21,10 @@ from .discretization import (BoundaryData, Mesh, mesh_operators, pair,
 
 __all__ = [
     "DiagnosticsRecord",
+    "RecordTable",
     "CheckReport",
     "CSV_COLUMNS",
+    "BLOCK_ROWS",
     "record",
     "l2_norm",
     "homogenization_metric",
@@ -55,6 +58,52 @@ class DiagnosticsRecord(NamedTuple):
 
 
 CSV_COLUMNS = DiagnosticsRecord._fields
+
+# rows per block when a record table is iterated or written out
+BLOCK_ROWS = 1024
+
+
+def _rows(series, names: Sequence[str] = CSV_COLUMNS) -> Iterator[tuple]:
+    """The named columns of a record table or a list of records, row by
+    row as tuples of Python floats, converted BLOCK_ROWS rows at a time."""
+    table = np.asarray(series, dtype=float)
+    cols = [CSV_COLUMNS.index(name) for name in names]
+    for start in range(0, len(table), BLOCK_ROWS):
+        yield from zip(*table[start:start + BLOCK_ROWS, cols].T.tolist())
+
+
+class RecordTable(Sequence[DiagnosticsRecord]):
+    """Read-only sequence of records over one (n, 11) float64 table.
+
+    Row k holds record k, its columns in ``CSV_COLUMNS`` order, so a
+    record costs 88 bytes.  Indexing an int gives a ``DiagnosticsRecord``
+    of Python floats, a slice gives a view, ``np.asarray`` gives the
+    table itself, and iteration converts BLOCK_ROWS rows at a time.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: np.ndarray):
+        table = table.view()
+        table.flags.writeable = False
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordTable(self._table[index])
+        return DiagnosticsRecord._make(
+            self._table[operator.index(index)].tolist())
+
+    def __iter__(self) -> Iterator[DiagnosticsRecord]:
+        return map(DiagnosticsRecord._make, _rows(self._table))
+
+    def __array__(self, dtype=None, copy=None):
+        if copy:
+            return np.array(self._table, dtype=dtype)
+        return np.asarray(self._table, dtype=dtype)
 
 
 @dataclass
@@ -144,34 +193,37 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
     """
     G, G0 = lt.Gamma, lt.Gamma_0
     tol = DECAY_STEP_SLACK
-    lyap0 = series[0].lyapunov
+    rows = _rows(series, ("t", "h1semi_u", "h1semi_s", "lyapunov",
+                          "cum_grad_u", "cum_grad_s"))
+    t_prev, _, _, lyap0, _, _ = next(rows)
+    lyap_prev = lyap0
     bound = lyap0 / min(G0 * G * G, G0) + tol
     # the implicit scheme controls the right-endpoint quadrature of the
     # gradient integrals, so the inequality sums it here rather than
     # using the trapezoid running totals
     cum_right = 0.0
     w = G0 * min(G * G, 1.0)
-    for k in range(1, len(series)):
-        prev, rec = series[k - 1], series[k]
-        cum_right += (rec.t - prev.t) * (rec.h1semi_u ** 2 + rec.h1semi_s ** 2)
-        if rec.lyapunov > prev.lyapunov + tol:
-            message = (f"Lyapunov increase at step {k} (t={rec.t:.6g}): "
-                       f"{prev.lyapunov:.12g} -> {rec.lyapunov:.12g}")
-        elif rec.cum_grad_u > bound or rec.cum_grad_s > bound:
+    for k, (t, h1u, h1s, lyap, cum_u, cum_s) in enumerate(rows, start=1):
+        cum_right += (t - t_prev) * (h1u ** 2 + h1s ** 2)
+        if lyap > lyap_prev + tol:
+            message = (f"Lyapunov increase at step {k} (t={t:.6g}): "
+                       f"{lyap_prev:.12g} -> {lyap:.12g}")
+        elif cum_u > bound or cum_s > bound:
             message = (f"cumulative gradient integral exceeds the decay bound "
                        f"{bound:.6g} at step {k}")
-        elif rec.lyapunov + w * cum_right > lyap0 + tol * (k + 1):
+        elif lyap + w * cum_right > lyap0 + tol * (k + 1):
             message = (f"dissipation inequality fails at step {k} "
-                       f"(t={rec.t:.6g}): {rec.lyapunov:.12g} + "
+                       f"(t={t:.6g}): {lyap:.12g} + "
                        f"{w * cum_right:.12g} > {lyap0:.12g}")
         else:
+            t_prev, lyap_prev = t, lyap
             continue
         return CheckReport(ok=False, name="lyapunov_decay",
                            first_violation=k, message=message)
     return CheckReport(
         ok=True, name="lyapunov_decay",
         message=f"non-increasing over {len(series)} records "
-                f"(initial {lyap0:.6g}, final {series[-1].lyapunov:.6g})",
+                f"(initial {lyap0:.6g}, final {lyap_prev:.6g})",
         details={"gradient_bound": bound, "combined_estimate_ok": True})
 
 
@@ -184,24 +236,27 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
     m_k = (m_{k-1} + dt*(phi_left + phi_right)(t_k)) / (1 + dt*epsilon),
     the regularization removing dt*epsilon*m_k per step.
     """
-    expected = series[0].mass
+    rows = _rows(series, ("t", "mass"))
+    t_prev, mass0 = next(rows)
+    expected = mass = mass0
     scale = 1.0 + abs(expected)
-    for k in range(1, len(series)):
-        dt = series[k].t - series[k - 1].t
-        expected = (expected + dt * (float(bd.phi_left(series[k].t))
-                                     + float(bd.phi_right(series[k].t)))
+    for k, (t, mass) in enumerate(rows, start=1):
+        dt = t - t_prev
+        expected = (expected + dt * (float(bd.phi_left(t))
+                                     + float(bd.phi_right(t)))
                     ) / (1.0 + dt * epsilon)
-        drift = series[k].mass - expected
+        drift = mass - expected
         if abs(drift) > MASS_BALANCE_TOL * scale:
             return CheckReport(
                 ok=False, name="mass_balance", first_violation=k,
                 message=(f"mass drift {drift:.3e} at step {k} "
-                         f"(t={series[k].t:.6g}) exceeds "
+                         f"(t={t:.6g}) exceeds "
                          f"{MASS_BALANCE_TOL:g} relative"))
+        t_prev = t
     return CheckReport(
         ok=True, name="mass_balance",
         message=(f"mass tracks influx over {len(series) - 1} steps "
-                 f"(net gain {series[-1].mass - series[0].mass:.12g})"))
+                 f"(net gain {mass - mass0:.12g})"))
 
 
 def apriori_scaling_check(runs: Mapping[float, "RunResult"]) -> CheckReport:

@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dgbsv, dpttrf, dpttrs
 from scipy.linalg import solve_banded, solveh_banded  # noqa: F401
 
 from .coefficients import PhysicalCoefficients, TransformedModel
-from .diagnostics import DiagnosticsRecord, record
+from .diagnostics import CSV_COLUMNS, RecordTable, record
 from .discretization import (
     BoundaryData,
     Mesh,
@@ -353,7 +353,7 @@ class RunResult:
     """Trajectory snapshots plus per-step diagnostics and estimate quantities."""
 
     trajectory: List[State]
-    records: List[DiagnosticsRecord]
+    records: RecordTable
     epsilon: float
     # epsilon-weighted cumulative squared H2-type norms (regularization energies)
     reg_energy_u: float
@@ -396,8 +396,10 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     """Advance from t=0 to T_end, recording diagnostics every step.
 
     Snapshots are kept every ``output_every`` steps (always including
-    the initial and final states).  The run is deterministic for fixed
-    inputs; step failures propagate with their step index and time.
+    the initial and final states).  The records are the rows of one
+    preallocated table.  The run is deterministic for fixed inputs;
+    step failures propagate with their step index and time, and carry
+    the records of the steps before them as ``records``.
     """
     state = init.initial_state()
     state.check(mesh)
@@ -405,7 +407,11 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     ops = stepper.ops
 
     n_steps = cfg.n_steps
-    records = [record(state, mesh, gamma=gamma)]
+    table = np.empty((n_steps + 1, len(CSV_COLUMNS)))
+    # the previous record stays a DiagnosticsRecord for the running
+    # integrals; each record is stored as its row
+    prev = record(state, mesh, gamma=gamma)
+    table[0] = prev
     trajectory = [state.copy()]
     if observer is not None:
         observer(state)
@@ -416,8 +422,13 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
 
     for k in range(1, n_steps + 1):
         # k*dt, not a running sum, so step times do not drift from the grid
-        state = stepper.advance(state, k * dt, step_index=k)
-        records.append(record(state, mesh, gamma=gamma, prev=records[-1]))
+        try:
+            state = stepper.advance(state, k * dt, step_index=k)
+        except (NumericalFailure, LinearSolveFailure) as exc:
+            exc.records = RecordTable(table[:k])
+            raise
+        prev = record(state, mesh, gamma=gamma, prev=prev)
+        table[k] = prev
 
         if eps > 0:
             K_us = tridiag_matvec(ops.unit_stiffness_pair_main,
@@ -435,7 +446,9 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
 
     if n_steps > 0:
         trajectory.append(state.copy())
-    sup_h1_s = float(np.max(np.hypot([r.l2_s for r in records],
-                                     [r.h1semi_s for r in records])))
-    return RunResult(trajectory=trajectory, records=records, epsilon=cfg.epsilon,
-                     reg_energy_u=reg_u, reg_energy_s=reg_s, sup_h1_s=sup_h1_s)
+    l2_s, h1semi_s = (table[:, CSV_COLUMNS.index(c)]
+                      for c in ("l2_s", "h1semi_s"))
+    sup_h1_s = float(np.max(np.hypot(l2_s, h1semi_s)))
+    return RunResult(trajectory=trajectory, records=RecordTable(table),
+                     epsilon=cfg.epsilon, reg_energy_u=reg_u,
+                     reg_energy_s=reg_s, sup_h1_s=sup_h1_s)

@@ -30,6 +30,7 @@ from viscodiff.config import (
     preset_config,
     serialize_config,
 )
+from viscodiff.diagnostics import CSV_COLUMNS
 from viscodiff.output import read_snapshot, write_snapshot
 
 
@@ -119,6 +120,15 @@ class TestParsing:
         assert main(["run", str(p), "--out", str(tmp_path / "o"),
                      "--quiet"]) == EXIT_CONFIG_ERROR
         assert repr(key) in capsys.readouterr().err
+
+    def test_law_error_under_a_preset_names_the_file_line(self):
+        # the group head comes from the preset, so the first line the
+        # file set in the group is reported
+        text = 'preset = "sorption"\nmodel.D0.delta = -1.0\n'
+        with pytest.raises(ConfigError, match="delta > 0") as exc:
+            parse_config(text)
+        assert (exc.value.key, exc.value.line) == ("model.D0", 2)
+        assert "(line 2)" in str(exc.value)
 
     def test_missing_required_model_param(self):
         with pytest.raises(ConfigError):
@@ -260,6 +270,27 @@ class TestCli:
                      "time.T_end = 1.0\n")
         assert main(["run", str(p), "--out", str(tmp_path / "o"),
                      "--quiet"]) == EXIT_NUMERICAL_FAILURE
+
+    def test_numerical_failure_leaves_diagnostics_and_summary(
+            self, tmp_path, capsys):
+        p = tmp_path / "singular.cfg"
+        p.write_text('preset = "sorption"\nmodel.beta0 = "constant"\n'
+                     "model.beta0.value = -2000.0\n")
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out),
+                     "--quiet"]) == EXIT_NUMERICAL_FAILURE
+        message = ("implicit stress decay singular at step 1: dt * beta1 >= 1 "
+                   "with positive beta1")
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated ")
+        assert lines[1] == ",".join(CSV_COLUMNS)
+        assert len(lines) == 3 and lines[2].startswith("0,")
+        summary = (out / "summary.txt").read_text()
+        assert "failed at step 1, t=0.0005" in summary
+        assert message in summary
+        assert parse_config((out / "config.txt").read_text())[
+            "model.beta0.value"] == -2000.0
 
     def test_explicit_scheme_guard_exit_three(self, tmp_path, capsys):
         p = tmp_path / "explicit.cfg"

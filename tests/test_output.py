@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from viscodiff.diagnostics import CSV_COLUMNS, DiagnosticsRecord
+from viscodiff.diagnostics import (BLOCK_ROWS, CSV_COLUMNS, DiagnosticsRecord,
+                                   RecordTable)
 from viscodiff.output import (
     SNAPSHOT_COLUMNS,
     read_snapshot,
@@ -54,6 +55,49 @@ def test_diagnostics_bytes(tmp_path):
     write_diagnostics(path, records, header_note="generated sometime")
     assert path.read_text() == _reference(CSV_COLUMNS, cols,
                                           note="generated sometime")
+
+
+def _long_columns(n, rows):
+    """n columns of ``rows`` values, each cycling through VALUES in a
+    shifted order; 5 does not divide BLOCK_ROWS, so a block written out
+    of place changes the bytes."""
+    return [np.resize(col, rows) for col in _columns(n)]
+
+
+def _assert_text(path, want):
+    """The file holds exactly ``want``; a failure names the first line
+    that differs instead of diffing thousands of lines."""
+    if path.read_text() != want:
+        pairs = enumerate(zip(path.read_text().splitlines(),
+                              want.splitlines()), start=1)
+        first = next((i for i, (a, b) in pairs if a != b), None)
+        where = "in length" if first is None else f"at line {first}"
+        pytest.fail(f"{path.name} differs from the reference {where}")
+
+
+# one row, one block short of full, full, one over, two and a half blocks
+ROW_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+              5 * BLOCK_ROWS // 2]
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_bytes_across_block_boundaries(tmp_path, rows):
+    snap = _long_columns(4, rows)
+    write_snapshot(tmp_path / "snapshot.csv", *snap)
+    _assert_text(tmp_path / "snapshot.csv", _reference(SNAPSHOT_COLUMNS, snap))
+
+    flux = _long_columns(2, rows)
+    write_flux(tmp_path / "flux.csv", *flux)
+    _assert_text(tmp_path / "flux.csv", _reference(("x_mid", "flux"), flux))
+
+    diag = _long_columns(len(CSV_COLUMNS), rows)
+    want = _reference(CSV_COLUMNS, diag, note="generated sometime")
+    records = [DiagnosticsRecord(*row) for row in zip(*diag)]
+    table = RecordTable(np.column_stack(diag))
+    for series in (records, table):
+        write_diagnostics(tmp_path / "diagnostics.csv", series,
+                          header_note="generated sometime")
+        _assert_text(tmp_path / "diagnostics.csv", want)
 
 
 def test_unequal_columns_rejected(tmp_path):
