@@ -9,7 +9,9 @@ Verbs:
 
 Exit codes: 0 success, 1 a check failed, 2 configuration error,
 3 numerical failure during time stepping (``run`` and ``preset`` leave
-the diagnostics of the steps before it and a summary naming it).
+the diagnostics of the steps before it and a summary naming it;
+``eps-scan`` leaves those of the failing member, those of the members
+that finished, and a summary naming the failing member's epsilon).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .coefficients import (
 )
 from .config import ConfigError, ScenarioConfig, parse_config, preset_config
 from .diagnostics import (
+    CSV_COLUMNS,
     CheckReport,
     apriori_scaling_check,
     homogenization_metric,
@@ -65,23 +68,30 @@ EPS_SCAN_VALUES = (1e-2, 1e-3, 1e-4)
 # signature trackers (phenomenology scans; never gate the exit code)
 
 
+def _columns(records, *names: str) -> list[np.ndarray]:
+    """The named columns of a record table, without a copy."""
+    table = np.asarray(records)
+    return [table[:, CSV_COLUMNS.index(name)] for name in names]
+
+
 def _extremum_signature(records, kind: str) -> tuple[bool, str]:
     """Overshoot: the peak of u over the run stands above its terminal
     maximum.  Undershoot: the trough stands below its terminal minimum.
     Either counts when it exceeds 1% of the largest spread of u."""
-    scale = max(max(r.u_max - r.u_min for r in records), 1e-12)
-    last = records[-1]
+    u_min, u_max = _columns(records, "u_min", "u_max")
+    scale = max(float(np.max(u_max - u_min)), 1e-12)
+    # Python's max and min, which keep the first of a -0.0/0.0 tie
     if kind == "overshoot":
-        peak = max(r.u_max for r in records)
-        excess = peak - last.u_max
+        peak, last = max(u_max.tolist()), float(u_max[-1])
+        excess = peak - last
         return excess > 0.01 * scale, (
             f"peak u {peak:.6g} vs terminal max "
-            f"{last.u_max:.6g} (excess {excess:.3g})")
-    trough = min(r.u_min for r in records)
-    deficit = last.u_min - trough
+            f"{last:.6g} (excess {excess:.3g})")
+    trough, last = min(u_min.tolist()), float(u_min[-1])
+    deficit = last - trough
     return deficit > 0.01 * scale, (
         f"trough u {trough:.6g} vs terminal min "
-        f"{last.u_min:.6g} (deficit {deficit:.3g})")
+        f"{last:.6g} (deficit {deficit:.3g})")
 
 
 class _FrontTracker:
@@ -274,8 +284,11 @@ def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
     if lt is not None:
         lines.append(f"longtime condition: Gamma={lt.Gamma:.17g} "
                      f"Gamma_0={lt.Gamma_0:.17g}")
-        below = next((r.t for r in result.records
-                      if homogenization_from_record(r, mesh.L) < 1e-4), None)
+        t, l2_u, mass = (c.tolist() for c in _columns(result.records, "t",
+                                                       "l2_u", "mass"))
+        below = next((t_k for t_k, l2, m in zip(t, l2_u, mass)
+                      if homogenization_from_record(l2, m, mesh.L) < 1e-4),
+                     None)
         if below is not None:
             lines.append(f"homogenization metric first below 1e-4 at "
                          f"t={below:.6g}")
@@ -284,23 +297,28 @@ def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
-def homogenization_from_record(rec, L: float) -> float:
-    """Deviation-from-mean norm recovered from a diagnostics record.
+def homogenization_from_record(l2_u: float, mass: float, L: float) -> float:
+    """Deviation-from-mean norm recovered from a record's l2_u and mass.
 
     With ubar = mass/L the orthogonal split gives
     |u - ubar|^2 = |u|^2 - mass^2 / L exactly.
     """
-    return math.sqrt(max(rec.l2_u ** 2 - rec.mass ** 2 / L, 0.0))
+    return math.sqrt(max(l2_u ** 2 - mass ** 2 / L, 0.0))
+
+
+def _failure_lines(exc, dt: float) -> list[str]:
+    """The summary of a run that failed at step k, k being the number of
+    records it left."""
+    k = len(exc.records)
+    return [f"failed at step {k}, t={k * dt:.6g}", f"numerical failure: {exc}"]
 
 
 def _write_failure(outdir: Path, cfg: ScenarioConfig, exc) -> None:
     """What a run that failed at step k leaves: the k records before the
     failing step, the resolved config and a summary naming the step."""
     _write_records(outdir, cfg, exc.records)
-    k = len(exc.records)
     (outdir / "summary.txt").write_text(
-        f"failed at step {k}, t={k * cfg['time.dt']:.6g}\n"
-        f"numerical failure: {exc}\n")
+        "\n".join(_failure_lines(exc, cfg["time.dt"])) + "\n")
 
 
 def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
@@ -338,6 +356,22 @@ def _cmd_find_gamma(cfg: ScenarioConfig, quiet: bool) -> int:
     return EXIT_OK
 
 
+def _write_scan_diagnostics(outdir: Path, records: dict) -> None:
+    """One diagnostics_eps_<eps>.csv per member, from {eps: records}."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    stamp = datetime.datetime.now().isoformat(timespec="seconds")
+    for e, series in records.items():
+        tag = f"{e:g}".replace(".", "p").replace("-", "m")
+        write_diagnostics(outdir / f"diagnostics_eps_{tag}.csv", series,
+                          header_note=f"generated {stamp} (eps={e:g})")
+
+
+def _member_line(e: float, r, dual: DualTimeDerivative) -> str:
+    return (f"eps={e:g}: sup H1(s)={r.sup_h1_s:.8g} "
+            f"regE_u={r.reg_energy_u:.8g} regE_s={r.reg_energy_s:.8g} "
+            f"dual={dual.value:.8g}")
+
+
 def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     all_eps = (0.0,) + EPS_SCAN_VALUES
     # every member is validated and built before any of them runs
@@ -346,7 +380,24 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     results, duals = {}, {}
     for eps, (mesh, _phys, model, bd, init, scfg) in members.items():
         duals[eps] = DualTimeDerivative(mesh, scfg.dt)
-        results[eps] = run(init, mesh, model, bd, scfg, observer=duals[eps])
+        try:
+            results[eps] = run(init, mesh, model, bd, scfg,
+                               observer=duals[eps])
+        except (NumericalFailure, LinearSolveFailure) as exc:
+            # the finished members, the failing one's records before its
+            # failing step, and a summary naming that member
+            _write_scan_diagnostics(outdir, {
+                **{e: r.records for e, r in results.items()},
+                eps: exc.records})
+            lines = ([f"epsilon scan over {list(all_eps)}"]
+                     + [_member_line(e, r, duals[e])
+                        for e, r in results.items()]
+                     + [f"eps={eps:g}: " + line
+                        for line in _failure_lines(exc, scfg.dt)])
+            (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+            print(f"numerical failure in the eps={eps:g} member: {exc}",
+                  file=sys.stderr)
+            return EXIT_NUMERICAL_FAILURE
 
     u_ref = results[0.0].final_state.u
     scaling = apriori_scaling_check({e: results[e] for e in EPS_SCAN_VALUES})
@@ -362,23 +413,13 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
                 + " with epsilon: "
                 + ", ".join(f"{e:g}: {distances[e]:.6g}" for e in ordered))]
 
-    outdir.mkdir(parents=True, exist_ok=True)
-    stamp = datetime.datetime.now().isoformat(timespec="seconds")
     lines = [f"epsilon scan over {list(all_eps)}"]
     for e in all_eps:
-        r = results[e]
-        lines.append(f"eps={e:g}: sup H1(s)={r.sup_h1_s:.8g} "
-                     f"regE_u={r.reg_energy_u:.8g} "
-                     f"regE_s={r.reg_energy_s:.8g} "
-                     f"dual={duals[e].value:.8g}"
+        lines.append(_member_line(e, results[e], duals[e])
                      + (f" dist_to_eps0={distances[e]:.8g}" if e else ""))
     lines.extend(map(_check_line, checks))
+    _write_scan_diagnostics(outdir, {e: results[e].records for e in all_eps})
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
-    for e in all_eps:
-        tag = f"{e:g}".replace(".", "p").replace("-", "m")
-        write_diagnostics(outdir / f"diagnostics_eps_{tag}.csv",
-                          results[e].records,
-                          header_note=f"generated {stamp} (eps={e:g})")
     if not quiet:
         for line in lines:
             print(line)

@@ -8,7 +8,6 @@ the trapezoid rule at the recording cadence.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -16,7 +15,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .coefficients import LongTimeCondition
-from .discretization import (BoundaryData, Mesh, mesh_operators, pair,
+from .discretization import (BoundaryData, Mesh, mesh_operators,
                              tridiag_matvec)
 
 __all__ = [
@@ -25,6 +24,8 @@ __all__ = [
     "CheckReport",
     "CSV_COLUMNS",
     "BLOCK_ROWS",
+    "RECORD_BLOCK_BYTES",
+    "Recorder",
     "record",
     "l2_norm",
     "homogenization_metric",
@@ -61,6 +62,11 @@ CSV_COLUMNS = DiagnosticsRecord._fields
 
 # rows per block when a record table is iterated or written out
 BLOCK_ROWS = 1024
+# bytes of state chains per block of records computed together: 63
+# states at N = 64, 31 at N = 128, one from N = 2047 up.  A block's
+# products are no larger, so they stay below glibc's 128 KiB mmap
+# threshold and reuse heap memory, as the step's own temporaries do.
+RECORD_BLOCK_BYTES = 2 ** 16
 
 
 def _rows(series, names: Sequence[str] = CSV_COLUMNS) -> Iterator[tuple]:
@@ -128,43 +134,115 @@ def record(state, mesh: Mesh, gamma: float = 1.0,
 
     ``gamma`` (the decay-condition weight Gamma) weights the
     concentration term in the Lyapunov functional; ``prev`` continues
-    the running time integrals of the squared gradients.  The mass and
-    the unit stiffness each act on (u, varsigma) in one product.
+    the running time integrals of the squared gradients.  This is the
+    one-row case of ``Recorder``, which ``solver.run`` uses to compute
+    the records of a block of states at a time; both give the same bits.
     """
-    if gamma <= 0:
-        raise ValueError("Gamma must be positive")
-    ops = mesh_operators(mesh)
-    u, s = state.u, state.sigma_v
-    n = u.size
-    us = pair(u, s)
-    M_us = tridiag_matvec(ops.mass_pair_main, ops.mass_pair_off, us)
-    K_us = tridiag_matvec(ops.unit_stiffness_pair_main,
-                          ops.unit_stiffness_pair_off, us)
-    Mu, Ms = M_us[:n], M_us[n + 1:-1]
-    Ku, Ks = K_us[:n], K_us[n + 1:-1]
-    l2u_sq = max(float(np.dot(u, Mu)), 0.0)
-    h1u_sq = max(float(np.dot(u, Ku)), 0.0)
-    l2s_sq = max(float(np.dot(s, Ms)), 0.0)
-    h1s_sq = max(float(np.dot(s, Ks)), 0.0)
-    if prev is None:
-        cum_u = cum_s = 0.0
-    else:
-        dt = state.t - prev.t
-        cum_u = prev.cum_grad_u + 0.5 * dt * (prev.h1semi_u ** 2 + h1u_sq)
-        cum_s = prev.cum_grad_s + 0.5 * dt * (prev.h1semi_s ** 2 + h1s_sq)
-    return DiagnosticsRecord(
-        t=float(state.t),
-        mass=float(Mu.sum()),
-        l2_u=math.sqrt(l2u_sq),
-        h1semi_u=math.sqrt(h1u_sq),
-        l2_s=math.sqrt(l2s_sq),
-        h1semi_s=math.sqrt(h1s_sq),
-        lyapunov=0.5 * gamma * gamma * l2u_sq + 0.5 * h1s_sq,
-        cum_grad_u=cum_u,
-        cum_grad_s=cum_s,
-        u_min=float(u.min()),
-        u_max=float(u.max()),
-    )
+    table = np.empty((1, len(CSV_COLUMNS)))
+    Recorder(mesh, gamma, table, prev).add(state)
+    return DiagnosticsRecord._make(table[0].tolist())
+
+
+class Recorder:
+    """Fills a record table a block of states at a time.
+
+    ``add`` writes a state's time into its row of the table and copies
+    its fields into the next row of a block of ``pair`` chains (u, a
+    zero pad, varsigma, a zero pad), allocated once; when the block is
+    full, and on ``flush``, the records of the states in it are
+    computed together into their rows.  A block holds
+    RECORD_BLOCK_BYTES of chains, and at least one state.  ``prev`` is
+    the record before the table's row 0, if any; ``gamma`` is the
+    Lyapunov weight, as for ``record``.
+    """
+
+    def __init__(self, mesh: Mesh, gamma: float, table: np.ndarray,
+                 prev: Optional[DiagnosticsRecord] = None):
+        if gamma <= 0:
+            raise ValueError("Gamma must be positive")
+        ops = mesh_operators(mesh)
+        self.gamma = gamma
+        self.table = table
+        # (t, h1semi_u, h1semi_s, cum_grad_u, cum_grad_s) of the record
+        # before the block, which the running integrals continue
+        self.carry = None if prev is None else (
+            prev.t, prev.h1semi_u, prev.h1semi_s, prev.cum_grad_u,
+            prev.cum_grad_s)
+        self.n = n = mesh.N + 1
+        width = 2 * n + 2
+        self.rows = rows = max(1, min(len(table),
+                                      RECORD_BLOCK_BYTES // (8 * width)))
+        self.chains = np.zeros((rows, width))  # the pads stay 0.0
+        # the mass and unit-stiffness pair bands as one-row stacks, so
+        # that a one-state block is multiplied without broadcasting
+        self.bands = [(main[None], off[None]) for main, off in (
+            (ops.mass_pair_main, ops.mass_pair_off),
+            (ops.unit_stiffness_pair_main, ops.unit_stiffness_pair_off))]
+        # [row, u or varsigma, mass or stiffness] quadratic forms
+        self.sq = np.empty((rows, 2, 2))
+        self.count = 0  # states in the block
+        self.filled = 0  # rows of the table written
+
+    def add(self, state) -> None:
+        j, n = self.count, self.n
+        chain = self.chains[j]
+        chain[:n] = state.u
+        chain[n + 1:-1] = state.sigma_v
+        self.table[self.filled + j, 0] = state.t
+        self.count = j + 1
+        if self.count == self.rows:
+            self.flush()
+
+    def flush(self) -> None:
+        """Compute the records of the states in the block and empty it.
+
+        The mass and the unit stiffness each act on the block's chains
+        in one product, the quadratic forms of each operator come from
+        one ``vecdot`` (which sums as ``np.dot`` does, bit for bit), and
+        the mass and the range of u are reductions along each row, so
+        every row equals the one a one-state block gives.  The Lyapunov
+        functional and the trapezoid sums are taken row by row in Python
+        floats: Python's ``x ** 2`` (libm ``pow``) and numpy's square
+        differ in the last bit on some values.
+        """
+        m, n = self.count, self.n
+        if m == 0:
+            return
+        chains, sq = self.chains[:m], self.sq[:m]
+        rec = self.table[self.filled:self.filled + m]
+        # [row, u or varsigma, node]
+        fields = chains.reshape(m, 2, n + 1)[..., :n]
+        u = fields[:, 0]
+        for k, (main, off) in enumerate(self.bands):
+            prod = tridiag_matvec(main, off, chains)
+            np.vecdot(fields, prod.reshape(m, 2, n + 1)[..., :n],
+                      out=sq[..., k])
+            if k == 0:
+                prod[:, :n].sum(axis=1, out=rec[:, 1])
+            del prod  # one product at a time
+        sq = sq.reshape(m, 4)  # l2_u, h1semi_u, l2_s, h1semi_s squared
+        sq[sq < 0.0] = 0.0  # max(sq, 0.0), which keeps a -0.0
+        np.sqrt(sq, out=rec[:, 2:6])
+        u.min(axis=1, out=rec[:, 9])
+        u.max(axis=1, out=rec[:, 10])
+
+        w = 0.5 * self.gamma * self.gamma
+        t_p, hu_p, hs_p, cu, cs = self.carry or (None,) * 5
+        rest = []  # lyapunov, cum_grad_u, cum_grad_s of each row
+        for t, hu, hs, (l2u_sq, hu_sq, _, hs_sq) in zip(
+                rec[:, 0].tolist(), rec[:, 3].tolist(), rec[:, 5].tolist(),
+                sq.tolist()):
+            if t_p is None:
+                cu = cs = 0.0
+            else:
+                dt = t - t_p
+                cu = cu + 0.5 * dt * (hu_p ** 2 + hu_sq)
+                cs = cs + 0.5 * dt * (hs_p ** 2 + hs_sq)
+            rest.append((w * l2u_sq + 0.5 * hs_sq, cu, cs))
+            t_p, hu_p, hs_p = t, hu, hs
+        rec[:, 6:9] = rest
+        self.carry = t_p, hu_p, hs_p, cu, cs
+        self.count, self.filled = 0, self.filled + m
 
 
 def l2_norm(mesh: Mesh, v: np.ndarray) -> float:

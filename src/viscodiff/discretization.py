@@ -256,10 +256,14 @@ def mesh_operators(mesh: Mesh) -> DiscreteOperators:
 
 
 def tridiag_matvec(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal matrix-vector product from diagonal storage."""
+    """Symmetric tridiagonal matrix-vector product from diagonal storage.
+
+    The product acts along the last axis, so a 2-D v is a stack of
+    vectors, each multiplied as a one-vector call would multiply it.
+    """
     out = main * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
+    out[..., :-1] += off * v[..., 1:]
+    out[..., 1:] += off * v[..., :-1]
     return out
 
 

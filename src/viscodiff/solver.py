@@ -21,7 +21,10 @@ from scipy.linalg.lapack import dgbsv, dpttrf, dpttrs
 from scipy.linalg import solve_banded, solveh_banded  # noqa: F401
 
 from .coefficients import PhysicalCoefficients, TransformedModel
-from .diagnostics import CSV_COLUMNS, RecordTable, record
+from .diagnostics import CSV_COLUMNS, Recorder, RecordTable
+# not called here: run records a block of states at a time.  It stays a
+# module attribute because perfbench/tracing.py wraps it by name.
+from .diagnostics import record  # noqa: F401
 from .discretization import (
     BoundaryData,
     Mesh,
@@ -397,9 +400,14 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
 
     Snapshots are kept every ``output_every`` steps (always including
     the initial and final states).  The records are the rows of one
-    preallocated table.  The run is deterministic for fixed inputs;
-    step failures propagate with their step index and time, and carry
-    the records of the steps before them as ``records``.
+    preallocated table, computed a block of states at a time: each
+    state is copied into the block of a ``diagnostics.Recorder``
+    (RECORD_BLOCK_BYTES of states), whose records are computed together
+    when it is full and at the end.  The observer and the trajectory
+    still see each state as it is produced.  The run is deterministic
+    for fixed inputs; step failures propagate with their step index and
+    time, and carry as ``records`` the k records of the states before
+    the failing step k, their block computed first.
     """
     state = init.initial_state()
     state.check(mesh)
@@ -408,10 +416,8 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
 
     n_steps = cfg.n_steps
     table = np.empty((n_steps + 1, len(CSV_COLUMNS)))
-    # the previous record stays a DiagnosticsRecord for the running
-    # integrals; each record is stored as its row
-    prev = record(state, mesh, gamma=gamma)
-    table[0] = prev
+    recorder = Recorder(mesh, gamma, table)
+    recorder.add(state)
     trajectory = [state.copy()]
     if observer is not None:
         observer(state)
@@ -425,10 +431,10 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
         try:
             state = stepper.advance(state, k * dt, step_index=k)
         except (NumericalFailure, LinearSolveFailure) as exc:
+            recorder.flush()
             exc.records = RecordTable(table[:k])
             raise
-        prev = record(state, mesh, gamma=gamma, prev=prev)
-        table[k] = prev
+        recorder.add(state)
 
         if eps > 0:
             K_us = tridiag_matvec(ops.unit_stiffness_pair_main,
@@ -444,6 +450,7 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
         if output_every and (k % output_every == 0) and k != n_steps:
             trajectory.append(state.copy())
 
+    recorder.flush()
     if n_steps > 0:
         trajectory.append(state.copy())
     l2_s, h1semi_s = (table[:, CSV_COLUMNS.index(c)]

@@ -1,5 +1,6 @@
 """Scenario parsing, presets, output formats, and the command-line driver."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from viscodiff import cli
 from viscodiff.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -32,6 +34,7 @@ from viscodiff.config import (
 )
 from viscodiff.diagnostics import CSV_COLUMNS
 from viscodiff.output import read_snapshot, write_snapshot
+from viscodiff.solver import NumericalFailure
 
 
 class TestParsing:
@@ -291,6 +294,62 @@ class TestCli:
         assert message in summary
         assert parse_config((out / "config.txt").read_text())[
             "model.beta0.value"] == -2000.0
+
+    def test_eps_scan_failure_leaves_diagnostics_and_summary(
+            self, tmp_path, capsys):
+        # every member fails at step 1; the eps=0 member runs first
+        p = tmp_path / "singular.cfg"
+        p.write_text('preset = "sorption"\nmodel.beta0 = "constant"\n'
+                     "model.beta0.value = -2000.0\n")
+        out = tmp_path / "o"
+        assert main(["eps-scan", str(p), "--out", str(out),
+                     "--quiet"]) == EXIT_NUMERICAL_FAILURE
+        message = ("implicit stress decay singular at step 1: dt * beta1 >= 1 "
+                   "with positive beta1")
+        assert (f"numerical failure in the eps=0 member: {message}"
+                in capsys.readouterr().err)
+        assert sorted(f.name for f in out.iterdir()) == [
+            "diagnostics_eps_0.csv", "summary.txt"]
+        lines = (out / "diagnostics_eps_0.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated ") and "(eps=0)" in lines[0]
+        assert lines[1] == ",".join(CSV_COLUMNS)
+        assert len(lines) == 3 and lines[2].startswith("0,")
+        assert (out / "summary.txt").read_text().splitlines()[1:] == [
+            "eps=0: failed at step 1, t=0.0005",
+            f"eps=0: numerical failure: {message}"]
+
+    def test_eps_scan_failure_keeps_the_finished_members(
+            self, tmp_path, capsys, monkeypatch):
+        # no scenario fails at eps=1e-3 alone, so that member's run is
+        # made to fail after 7 of its steps
+        real_run = cli.run
+
+        def run(init, mesh, model, bd, scfg, **kwargs):
+            if scfg.epsilon != 1e-3:
+                return real_run(init, mesh, model, bd, scfg, **kwargs)
+            short = dataclasses.replace(scfg, T_end=6 * scfg.dt)
+            exc = NumericalFailure(7, 7 * scfg.dt, "stress")
+            exc.records = real_run(init, mesh, model, bd, short,
+                                   **kwargs).records
+            raise exc
+        monkeypatch.setattr(cli, "run", run)
+        p = tmp_path / "short.cfg"
+        p.write_text('preset = "eps-scan"\ntime.T_end = 0.02\n')
+        out = tmp_path / "o"
+        assert main(["eps-scan", str(p), "--out", str(out),
+                     "--quiet"]) == EXIT_NUMERICAL_FAILURE
+        assert ("numerical failure in the eps=0.001 member: non-finite "
+                "stress at step 7" in capsys.readouterr().err)
+        rows = {f.name: len(f.read_text().splitlines()) - 2
+                for f in out.glob("diagnostics_eps_*.csv")}
+        assert rows == {"diagnostics_eps_0.csv": 21,
+                        "diagnostics_eps_0p01.csv": 21,
+                        "diagnostics_eps_0p001.csv": 7}
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in summary[1:]] == [
+            "eps=0", "eps=0.01", "eps=0.001", "eps=0.001"]
+        assert "sup H1(s)=" in summary[2]
+        assert summary[3] == "eps=0.001: failed at step 7, t=0.007"
 
     def test_explicit_scheme_guard_exit_three(self, tmp_path, capsys):
         p = tmp_path / "explicit.cfg"

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded, solveh_banded
 
 from viscodiff import config, discretization
-from viscodiff.diagnostics import DiagnosticsRecord
+from viscodiff.diagnostics import (RECORD_BLOCK_BYTES, DiagnosticsRecord,
+                                   Recorder, record)
 
 from viscodiff.coefficients import (
     TransformedModel,
@@ -437,6 +438,28 @@ def _reference_record(state, mesh, gamma=1.0, prev=None):
     )
 
 
+def _reference_loop(init, mesh, model, bd, scfg, n_steps):
+    """The states and records (gamma = 0.8) of the reference step and
+    record looped by hand over n_steps."""
+    state = init.initial_state()
+    states = [state]
+    records = [_reference_record(state, mesh, gamma=0.8)]
+    for k in range(1, n_steps + 1):
+        state = _sparse_reference_step(state, mesh, model, bd, scfg,
+                                       t_next=k * scfg.dt)
+        states.append(state)
+        records.append(_reference_record(state, mesh, gamma=0.8,
+                                         prev=records[-1]))
+    return states, records
+
+
+def _block_rows(mesh):
+    """The number of states the diagnostics of a run compute together."""
+    # a block holds RECORD_BLOCK_BYTES of states, so never this many
+    longer = np.empty((RECORD_BLOCK_BYTES, 11))
+    return len(Recorder(mesh, 1.0, longer).chains)
+
+
 def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme,
                                        model=None):
     """Require run's states and records over n_steps to equal, in bytes,
@@ -452,15 +475,7 @@ def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme,
                         stress_scheme=scheme)
     res = run(init, mesh, model, bd, scfg, output_every=1, gamma=0.8)
 
-    state = init.initial_state()
-    states = [state]
-    records = [_reference_record(state, mesh, gamma=0.8)]
-    for k in range(1, n_steps + 1):
-        state = _sparse_reference_step(state, mesh, model, bd, scfg,
-                                       t_next=k * dt)
-        states.append(state)
-        records.append(_reference_record(state, mesh, gamma=0.8,
-                                         prev=records[-1]))
+    states, records = _reference_loop(init, mesh, model, bd, scfg, n_steps)
     assert len(res.trajectory) == len(states) == n_steps + 1
     for got, want in zip(res.trajectory, states):
         assert got.t == want.t
@@ -657,6 +672,84 @@ class TestRun:
         run(init, mesh, constant_model(), ZERO_INFLUX,
             SolverConfig(dt=0.1, T_end=0.5), observer=lambda s: seen.append(s.t))
         assert len(seen) == 6
+
+
+class TestRecordBlocks:
+    """run computes its records a block of states at a time; every row
+    equals the reference record, whatever block it falls in."""
+
+    def test_full_blocks_and_a_partial_last_block(self):
+        cfg = preset_config("homogenize")
+        rows = _block_rows(build_mesh_from(cfg))
+        assert rows > 1
+        # the initial state and 3*rows + rows//2 steps: three full blocks
+        # and one part-filled
+        _assert_run_matches_reference_loop(cfg, 3 * rows + rows // 2, 0.0,
+                                           "implicit-decay")
+
+    def test_one_state_per_block(self):
+        cfg = parse_config('preset = "sorption"\nmesh.N = 2048\n')
+        assert _block_rows(build_mesh_from(cfg)) == 1
+        _assert_run_matches_reference_loop(cfg, 4, 0.0, "implicit-decay")
+
+    @pytest.mark.parametrize("case", ["nan-diffusion", "explicit-overflow"])
+    def test_failure_inside_a_block_keeps_the_rows_before_it(self, case):
+        cfg = preset_config("homogenize")
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        dt = cfg["time.dt"]
+        if case == "nan-diffusion":
+            # D0 turns NaN from t = 99*dt, so the build of step 100 fails
+            base = phys.D0
+            phys = dataclasses.replace(
+                phys, constants={},
+                D0=lambda t, x, u, s: (np.full(np.shape(u), np.nan)
+                                       if t >= 99 * dt else base(t, x, u, s)))
+            k, eps, scheme, what = 100, 0.0, "implicit-decay", "diffusion"
+        else:
+            # the explicit update is unstable there, see _steps
+            k, eps, scheme, what = 95, 1e-2, "explicit", "stress"
+        rows = _block_rows(mesh)
+        assert k % rows not in (0, 1) and k > rows
+        model = transform(phys)
+        init, bd = build_initial(cfg, mesh, phys), build_boundary(cfg)
+        scfg = SolverConfig(dt=dt, T_end=200 * dt, epsilon=eps,
+                            stress_scheme=scheme)
+        # the explicit case overflows on its way to the failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match=f"non-finite {what}"
+                               f".* at step {k},") as info:
+                run(init, mesh, model, bd, scfg, gamma=0.8)
+            _, want = _reference_loop(init, mesh, model, bd, scfg, k - 1)
+        got = info.value.records
+        assert len(got) == k
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("N", [2, 64])
+    def test_record_is_a_row_of_a_block(self, N):
+        # record(state, prev) equals the row a block gives the state,
+        # signed zeros, a constant u and a zero varsigma included
+        mesh = build_mesh(0.7, N)
+        n = N + 1
+        rng = np.random.default_rng(N)
+        states = [State(0.1 * j, *rng.normal(0.0, 10.0 ** (j % 5 - 2), (2, n)))
+                  for j in range(9)]
+        states[3].u[:] = 0.25
+        states[4].u[:2], states[4].sigma_v[:] = (0.0, -0.0), 0.0
+        states[5].u[:] = -0.0
+        table = np.empty((len(states), 11))
+        recorder = Recorder(mesh, 0.8, table)
+        assert len(recorder.chains) == len(states)
+        for state in states:
+            recorder.add(state)
+        want = [record(states[0], mesh, 0.8)]
+        for state in states[1:]:
+            want.append(record(state, mesh, 0.8, prev=want[-1]))
+        assert table.tobytes() == np.array(want).tobytes()
+        assert np.array(want).tobytes() == np.array(
+            [_reference_record(states[0], mesh, 0.8)] + [
+                _reference_record(s, mesh, 0.8, prev=p)
+                for s, p in zip(states[1:], want)]).tobytes()
 
 
 def _steps(n_steps, eps, scheme):
