@@ -42,6 +42,7 @@ from .diagnostics import (
     CheckReport,
     apriori_scaling_check,
     homogenization_metric,
+    homogenized_since,
     l2_norm,
     lyapunov_decay_check,
     mass_balance_check,
@@ -284,26 +285,13 @@ def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
     if lt is not None:
         lines.append(f"longtime condition: Gamma={lt.Gamma:.17g} "
                      f"Gamma_0={lt.Gamma_0:.17g}")
-        t, l2_u, mass = (c.tolist() for c in _columns(result.records, "t",
-                                                       "l2_u", "mass"))
-        below = next((t_k for t_k, l2, m in zip(t, l2_u, mass)
-                      if homogenization_from_record(l2, m, mesh.L) < 1e-4),
-                     None)
-        if below is not None:
-            lines.append(f"homogenization metric first below 1e-4 at "
-                         f"t={below:.6g}")
+        since = homogenized_since(result.records, mesh.L, 1e-4)
+        if since is not None:
+            lines.append(f"homogenization metric stays below 1e-4 from "
+                         f"t={since:.6g}")
     lines.extend(map(_check_line, checks))
     lines.extend(_signature_lines(cfg, result.records, front))
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
-
-
-def homogenization_from_record(l2_u: float, mass: float, L: float) -> float:
-    """Deviation-from-mean norm recovered from a record's l2_u and mass.
-
-    With ubar = mass/L the orthogonal split gives
-    |u - ubar|^2 = |u|^2 - mass^2 / L exactly.
-    """
-    return math.sqrt(max(l2_u ** 2 - mass ** 2 / L, 0.0))
 
 
 def _failure_lines(exc, dt: float) -> list[str]:

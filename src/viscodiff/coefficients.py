@@ -16,6 +16,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .discretization import scalar
+
 __all__ = [
     "PhysicalCoefficients",
     "TransformedModel",
@@ -100,13 +102,26 @@ def _logcosh(z):
     return z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)
 
 
+def _out(out, *operands):
+    """out, or a new array of the operands' broadcast shape if it is None."""
+    if out is None:
+        out = np.empty(np.shape(operands[0]) if len(operands) == 1
+                       else np.broadcast(*operands).shape)
+    return out
+
+
 @dataclass(frozen=True)
 class ScalarModel:
-    """A named single-variable coefficient law with derivative and antiderivative."""
+    """A named single-variable coefficient law with derivative and
+    antiderivative.
+
+    ``fn(u, out=None)`` writes the law's values into ``out``, or into a
+    new array of u's shape when out is None, and returns it.
+    """
 
     name: str
     params: Mapping[str, object]
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[..., np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray]
     antiderivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -130,12 +145,19 @@ def make_scalar_model(name: str, **params) -> ScalarModel:
     if name == "constant":
         value = float(params.pop("value"))
         _reject_extras(name, params)
+        value_ = scalar(value)
+
+        def fn(u, out=None):
+            out = _out(out, u)
+            out.fill(value)
+            return out
+
         return ScalarModel(
             name="constant",
             params={"value": value},
-            fn=lambda u: np.full(np.shape(u), value, dtype=float),
+            fn=fn,
             dfn=lambda u: np.zeros(np.shape(u), dtype=float),
-            antiderivative=lambda u: value * np.asarray(u, dtype=float),
+            antiderivative=lambda u: np.multiply(value_, u, dtype=float),
         )
     if name == "tanh":
         aliases = {
@@ -155,9 +177,15 @@ def make_scalar_model(name: str, **params) -> ScalarModel:
         if delta <= 0:
             raise ValueError("tanh model requires delta > 0")
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        mid_, half_, center_, delta_ = map(scalar, (mid, half, center, delta))
 
-        def fn(u):
-            return mid + half * np.tanh((np.asarray(u, float) - center) / delta)
+        def fn(u, out=None):
+            # mid + half * tanh((u - center) / delta)
+            out = np.subtract(u, center_, out=_out(out, u))
+            np.divide(out, delta_, out=out)
+            np.tanh(out, out=out)
+            np.multiply(half_, out, out=out)
+            return np.add(mid_, out, out=out)
 
         def dfn(u):
             return half / delta / np.cosh((np.asarray(u, float) - center) / delta) ** 2
@@ -175,12 +203,18 @@ def make_scalar_model(name: str, **params) -> ScalarModel:
         _reject_extras(name, params)
         if a1 <= 0 or a2 <= 0:
             raise ValueError("require alpha_1 > 0 and alpha_2 > 0")
+        one_, a1_, a2_ = map(scalar, (1.0, a1, a2))
 
-        def fn(u):
-            # alpha_1 u (u-1)^2 / (alpha_2 + (u-1)^2): zero at u = 0 and u = 1
-            u = np.asarray(u, dtype=float)
-            w = (u - 1.0) ** 2
-            return a1 * u * w / (a2 + w)
+        def fn(u, out=None):
+            # ((alpha_1 u) w) / (alpha_2 + w) with w = (u-1)^2: zero at
+            # u = 0 and u = 1
+            out = _out(out, u)
+            w = np.subtract(u, one_, out=np.empty_like(out))
+            np.square(w, out=w)
+            np.multiply(a1_, u, out=out)
+            np.multiply(out, w, out=out)
+            np.add(a2_, w, out=w)
+            return np.divide(out, w, out=out)
 
         def dfn(u):
             u = np.asarray(u, dtype=float)
@@ -199,7 +233,9 @@ def make_scalar_model(name: str, **params) -> ScalarModel:
         return ScalarModel(
             "polynomial",
             {"coeffs": tuple(coeffs)},
-            fn=lambda u: poly(np.asarray(u, float)),
+            # numpy's own evaluation, copied into out (positive keeps -0.0)
+            fn=lambda u, out=None: np.positive(poly(np.asarray(u, float)),
+                                               out=out),
             dfn=lambda u: dpoly(np.asarray(u, float)),
             antiderivative=lambda u: ipoly(np.asarray(u, float)),
         )
@@ -228,9 +264,10 @@ class PhysicalCoefficients:
     derivative fields are used to attach analytic partials during the
     change of variables; supplying beta0_du asserts that beta0 depends
     on u only.  ``constants`` maps the name of each map that is a
-    constant law to its value: a constant nu0 also lets the change of
-    variables attach analytic partials, and enough constant laws let a
-    run keep its step-1 build (see ``_frozen``).
+    constant law to its value: the fused ``fields`` of the change of
+    variables use that value in place of calling the map, a constant
+    nu0 also lets it attach analytic partials, and enough constant laws
+    let a run keep its step-1 build (see ``_frozen``).
     """
 
     D0: Coefficient
@@ -243,6 +280,27 @@ class PhysicalCoefficients:
     beta0_du: Optional[Callable[[np.ndarray], np.ndarray]] = None
     mu0_du: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constants: Mapping[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Lifted:
+    """A scalar law as a map of (t, x, u, sigma): its values have the
+    shape of u, and it writes them into ``out`` when given one."""
+
+    law: ScalarModel
+
+    def __call__(self, t, x, u, s, out=None):
+        return self.law.fn(u, out)
+
+
+def _field_rows(t, x, u, s) -> np.ndarray:
+    """A new (5, ...) array for the five fields at (t, x, u, varsigma)."""
+    return np.empty((5,) + np.broadcast(t, x, u, s).shape)
+
+
+def _rows(out: np.ndarray) -> list:
+    """The rows of a (5, ...) array as arrays, 0-d ones included."""
+    return [out[i, ...] for i in range(len(out))]
 
 
 @dataclass
@@ -276,18 +334,25 @@ class TransformedModel:
             return fused
         return None
 
-    def fields(self, t, x, u, s):
-        """The five fields (D, E, f, beta1, gamma) at (t, x, u, varsigma).
+    def fields(self, t, x, u, s, out=None) -> np.ndarray:
+        """The five fields (D, E, f, beta1, gamma) at (t, x, u, varsigma),
+        as the rows of ``out``, or of a new (5, ...) array of the inputs'
+        broadcast shape when out is None.
 
         Equal, bit for bit, to calling the five callables.  A model built
         by ``transform`` evaluates each physical map once, as long as its
-        five callables are still the ones ``transform`` built.
+        five callables are still the ones ``transform`` built; otherwise
+        each callable's values are copied into its row.
         """
         fused = self._own()
         if fused is not None:
-            return fused[1](t, x, u, s)
-        return tuple(np.asarray(c(t, x, u, s), dtype=float)
-                     for c in (self.D, self.E, self.f, self.beta1, self.gamma))
+            return fused[1](t, x, u, s, out)
+        if out is None:
+            out = _field_rows(t, x, u, s)
+        for row, c in zip(_rows(out), (self.D, self.E, self.f, self.beta1,
+                                       self.gamma)):
+            row[...] = c(t, x, u, s)
+        return out
 
     @property
     def frozen(self) -> bool:
@@ -298,19 +363,35 @@ class TransformedModel:
         return fused is not None and fused[2]
 
 
-def _diffusion(D0, nu0, E0):
-    return D0 + nu0 * E0
+# The three formulas of the change of variables.  Each writes into out
+# (a new array when None), and the operands may be arrays or floats.
+
+def _diffusion(D0, nu0, E0, out=None, scratch=None):
+    """D = D0 + nu0*E0; scratch, when given, holds nu0*E0."""
+    return np.add(D0, np.multiply(nu0, E0, out=scratch), out=out)
 
 
-def _forcing(u, M0):
-    return -u * M0
+def _forcing(u, M0, out=None):
+    """f = (-u)*M0."""
+    out = np.negative(u, out=_out(out, u, M0))
+    return np.multiply(out, M0, out=out)
 
 
-def _stress_drive(u, mu0, beta0, nu0, A):
-    """gamma = mu0 - beta0 * A/u, with the ratio's limit nu0 near u = 0."""
-    small = np.abs(u) < U_LIMIT_THRESHOLD
-    safe_u = np.where(small, 1.0, u)
-    return mu0 - beta0 * np.where(small, nu0, A / safe_u)
+def _stress_drive(u, mu0, beta0, nu0, A, out=None):
+    """gamma = mu0 - beta0 * A/u, with the ratio's limit nu0 near u = 0.
+
+    The ratio is where(|u| < U_LIMIT_THRESHOLD, nu0, A/u); when every
+    |u| is at least the threshold (none is small or NaN) it is A/u.
+    """
+    out = _out(out, u, mu0, beta0, nu0, A)
+    if not np.abs(u, out=out).min() >= U_LIMIT_THRESHOLD:
+        small = out < U_LIMIT_THRESHOLD
+        np.divide(A, np.where(small, 1.0, u), out=out)
+        np.copyto(out, nu0, where=small)
+    else:
+        np.divide(A, u, out=out)
+    np.multiply(beta0, out, out=out)
+    return np.subtract(mu0, out, out=out)
 
 
 def _frozen(constants: Mapping[str, float]) -> bool:
@@ -330,13 +411,34 @@ def _frozen(constants: Mapping[str, float]) -> bool:
             and not (mu0 == 0.0 and math.copysign(1.0, mu0) < 0.0))
 
 
+def _operand(phys: PhysicalCoefficients, name: str):
+    """The map ``name`` of phys as g(t, x, u, sigma, out) for the fused
+    fields: a constant law gives its value as a 0-d array (see
+    ``scalar``), a lifted scalar law writes its values into out, and any
+    other map returns its own values."""
+    if name in phys.constants:
+        value = scalar(phys.constants[name])
+        return lambda t, x, u, sig, out: value
+    fn = getattr(phys, name)
+    if isinstance(fn, _Lifted):
+        law = fn.law.fn
+        return lambda t, x, u, sig, out: law(u, out)
+    if name in ("mu0", "nu0"):
+        return lambda t, x, u, sig, out: fn(u)
+    return lambda t, x, u, sig, out: fn(t, x, u, sig)
+
+
 def transform(phys: PhysicalCoefficients) -> TransformedModel:
     """Change of variables varsigma = sigma - int_0^u nu0.
 
     Returns closures for D = D0 + nu0*E0, E = E0, f = -u*M0,
     beta1 = -beta0 and gamma = mu0 - beta0 * (int_0^u nu0)/u, each
     evaluated at sigma = varsigma + int_0^u nu0.  Near u = 0 the gamma
-    ratio is replaced by its continuity limit nu0(u).
+    ratio is replaced by its continuity limit nu0(u).  The fused
+    ``fields`` evaluates each map once and forms the five fields in
+    their rows of ``out`` with the same operations, so its values are
+    the closures' bit for bit; sigma is formed only when a map other
+    than a scalar law reads it.
     """
     A = phys.nu0_antiderivative
 
@@ -367,16 +469,31 @@ def transform(phys: PhysicalCoefficients) -> TransformedModel:
                              arr(phys.beta0(t, x, u, arr(s) + a)),
                              arr(phys.nu0(u)), a)
 
-    def fields(t, x, u, s):
+    maps = ("D0", "E0", "M0", "beta0")
+    d0, e0, m0, b0, mu0_of, nu0_of = (_operand(phys, name)
+                                      for name in maps + ("mu0", "nu0"))
+    reads_sigma = not all(name in phys.constants
+                          or isinstance(getattr(phys, name), _Lifted)
+                          for name in maps)
+
+    def fields(t, x, u, s, out=None):
         u = arr(u)
+        if out is None:
+            out = _field_rows(t, x, u, s)
+        Dr, Er, fr, b1r, gr = out if out.ndim > 1 else _rows(out)
         a = arr(A(u))
-        sig = arr(s) + a
-        nu0 = arr(phys.nu0(u))
-        E0 = arr(phys.E0(t, x, u, sig))
-        beta0 = arr(phys.beta0(t, x, u, sig))
-        return (_diffusion(arr(phys.D0(t, x, u, sig)), nu0, E0), E0,
-                _forcing(u, arr(phys.M0(t, x, u, sig))), -beta0,
-                _stress_drive(u, arr(phys.mu0(u)), beta0, nu0, a))
+        sig = arr(s) + a if reads_sigma else None
+        nu0 = nu0_of(t, x, u, sig, None)
+        E0 = e0(t, x, u, sig, Er)
+        beta0 = b0(t, x, u, sig, b1r)
+        # f's row holds nu0*E0 until the forcing is formed
+        _diffusion(d0(t, x, u, sig, Dr), nu0, E0, out=Dr, scratch=fr)
+        _forcing(u, m0(t, x, u, sig, None), out=fr)
+        _stress_drive(u, mu0_of(t, x, u, sig, None), beta0, nu0, a, out=gr)
+        if E0 is not Er:
+            Er[...] = E0
+        np.negative(beta0, out=b1r)
+        return out
 
     partials = None
     if (phys.beta0_du is not None and phys.mu0_du is not None
@@ -419,15 +536,10 @@ def physical_from_models(D0: ScalarModel, E0: ScalarModel, M0: ScalarModel,
         raise ValueError(
             f"model {nu0.name!r} has no closed-form antiderivative; "
             "it cannot be used for nu0")
-
-    def lift(m: ScalarModel) -> Coefficient:
-        # values have the shape of u; callers broadcast against t, x, s
-        return lambda t, x, u, s: np.asarray(m.fn(u), float)
-
     laws = {"D0": D0, "E0": E0, "M0": M0, "beta0": beta0, "mu0": mu0,
             "nu0": nu0}
     return PhysicalCoefficients(
-        D0=lift(D0), E0=lift(E0), M0=lift(M0), beta0=lift(beta0),
+        D0=_Lifted(D0), E0=_Lifted(E0), M0=_Lifted(M0), beta0=_Lifted(beta0),
         mu0=mu0.fn, nu0=nu0.fn, nu0_antiderivative=nu0.antiderivative,
         beta0_du=beta0.dfn, mu0_du=mu0.dfn,
         constants={name: m.constant_value for name, m in laws.items()

@@ -8,6 +8,7 @@ the trapezoid rule at the recording cadence.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -29,6 +30,8 @@ __all__ = [
     "record",
     "l2_norm",
     "homogenization_metric",
+    "homogenization_from_record",
+    "homogenized_since",
     "lyapunov_decay_check",
     "apriori_scaling_check",
     "mass_balance_check",
@@ -154,15 +157,25 @@ class Recorder:
     RECORD_BLOCK_BYTES of chains, and at least one state.  ``prev`` is
     the record before the table's row 0, if any; ``gamma`` is the
     Lyapunov weight, as for ``record``.
+
+    With ``reg_weight`` = epsilon*dt > 0, the recorder also sums the
+    regularization energies ``reg_u`` and ``reg_s`` over the states
+    after the table's row 0 (the states a run's steps produce): each
+    state adds reg_weight * sum(M_L w*w), with w = v + M_L^-1 K(1) v for
+    v = u and v = varsigma, in the order the states were added.
     """
 
     def __init__(self, mesh: Mesh, gamma: float, table: np.ndarray,
-                 prev: Optional[DiagnosticsRecord] = None):
+                 prev: Optional[DiagnosticsRecord] = None,
+                 reg_weight: float = 0.0):
         if gamma <= 0:
             raise ValueError("Gamma must be positive")
         ops = mesh_operators(mesh)
         self.gamma = gamma
         self.table = table
+        self.lumped = ops.lumped
+        self.reg_weight = reg_weight
+        self.reg_u = self.reg_s = 0.0
         # (t, h1semi_u, h1semi_s, cum_grad_u, cum_grad_s) of the record
         # before the block, which the running integrals continue
         self.carry = None if prev is None else (
@@ -203,7 +216,9 @@ class Recorder:
         every row equals the one a one-state block gives.  The Lyapunov
         functional and the trapezoid sums are taken row by row in Python
         floats: Python's ``x ** 2`` (libm ``pow``) and numpy's square
-        differ in the last bit on some values.
+        differ in the last bit on some values.  The regularization
+        energies come from the same unit-stiffness product, each row's
+        sums (equal to a one-state ``.sum()``) added in row order.
         """
         m, n = self.count, self.n
         if m == 0:
@@ -219,6 +234,8 @@ class Recorder:
                       out=sq[..., k])
             if k == 0:
                 prod[:, :n].sum(axis=1, out=rec[:, 1])
+            elif self.reg_weight > 0:
+                self._add_reg_energies(fields, prod.reshape(m, 2, n + 1))
             del prod  # one product at a time
         sq = sq.reshape(m, 4)  # l2_u, h1semi_u, l2_s, h1semi_s squared
         sq[sq < 0.0] = 0.0  # max(sq, 0.0), which keeps a -0.0
@@ -244,6 +261,19 @@ class Recorder:
         self.carry = t_p, hu_p, hs_p, cu, cs
         self.count, self.filled = 0, self.filled + m
 
+    def _add_reg_energies(self, fields: np.ndarray, stiff: np.ndarray) -> None:
+        """Add the block's states to ``reg_u`` and ``reg_s``; fields and
+        stiff are [row, u or varsigma, node], the states and K(1) of
+        them (with the pads)."""
+        first = 1 if self.filled == 0 else 0  # the table's row 0 adds none
+        ml = self.lumped
+        w = fields[first:] + stiff[first:, :, :self.n] / ml
+        sums = (ml * w * w).sum(axis=-1)
+        c = self.reg_weight
+        for su, ss in sums.tolist():
+            self.reg_u += c * su
+            self.reg_s += c * ss
+
 
 def l2_norm(mesh: Mesh, v: np.ndarray) -> float:
     """Mass-weighted L2 norm sqrt(v . M v)."""
@@ -257,6 +287,33 @@ def homogenization_metric(state, mesh: Mesh) -> float:
     ubar = float(np.sum(tridiag_matvec(ops.mass_main, ops.mass_off,
                                        state.u))) / mesh.L
     return l2_norm(mesh, state.u - ubar)
+
+
+def homogenization_from_record(l2_u: float, mass: float, L: float) -> float:
+    """``homogenization_metric`` recovered from a record's l2_u and mass.
+
+    With ubar = mass/L the orthogonal split gives
+    |u - ubar|^2 = |u|^2 - mass^2 / L exactly.
+    """
+    return math.sqrt(max(l2_u ** 2 - mass ** 2 / L, 0.0))
+
+
+def homogenized_since(series: Sequence[DiagnosticsRecord], L: float,
+                      tol: float) -> Optional[float]:
+    """The earliest record time from which the homogenization metric
+    stays below tol up to the last record, or None if the last record's
+    is not below tol.  Read backwards from the last record, so a metric
+    that dips below tol and rises again before it decays for good counts
+    from its last entry below tol."""
+    table = np.asarray(series, dtype=float)
+    t, l2_u, mass = (table[:, CSV_COLUMNS.index(c)].tolist()
+                     for c in ("t", "l2_u", "mass"))
+    since = None
+    for k in reversed(range(len(t))):
+        if not homogenization_from_record(l2_u[k], mass[k], L) < tol:
+            break
+        since = t[k]
+    return since
 
 
 def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],

@@ -28,18 +28,18 @@ from .diagnostics import record  # noqa: F401
 from .discretization import (
     BoundaryData,
     Mesh,
-    band_matvec,
-    boundary_functional,
     element_means,
     load_from_means,
     mesh_operators,
-    pair,
+    scalar,
     stiffness_from_means,
     tridiag_matvec,
 )
-# not called here: the step kernel assembles from element means.  It
-# stays a module attribute because perfbench/tracing.py wraps it by name.
-from .discretization import stiffness_diagonals  # noqa: F401
+# not called here: the step kernel assembles from element means and
+# writes the boundary load's two entries itself.  They stay module
+# attributes because perfbench/tracing.py wraps them by name.
+from .discretization import (  # noqa: F401
+    boundary_functional, stiffness_diagonals)
 
 __all__ = [
     "State",
@@ -105,6 +105,10 @@ class SolverConfig:
             raise ValueError("epsilon must be non-negative")
         if self.stress_scheme not in ("implicit-decay", "explicit"):
             raise ValueError(f"unknown stress scheme {self.stress_scheme!r}")
+        if self.stress_scheme == "explicit" and self.epsilon > 0:
+            # an explicit dt*epsilon*(I+L_h)^2 has eigenvalues ~ dt*eps*N^4
+            raise ValueError(f'stress_scheme = "explicit" needs epsilon = '
+                             f"0.0, got {self.epsilon!r}")
         steps = self.T_end / self.dt  # a whole number, up to round-off
         if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ValueError(f"T_end={self.T_end:g} is not a multiple of "
@@ -166,16 +170,23 @@ class _Stepper:
     """Per-run workspace: pre-assembled operators and the step kernel.
 
     A step has two parts.  ``build`` is everything the lagged
-    coefficient fields determine: it copies the five fields into the
-    rows of one (5, n) buffer and tests them for finiteness with one
-    sum, averages the rows D, E and f per element in one pass over them
-    as one chain of 3n nodes, takes the stiffness bands of D and E from
-    one scatter over their chain and the flux load from the f means,
-    factors or assembles the concentration matrix M + dt*K(D), and
-    forms the stress update's 1 - dt*beta1.  ``advance`` then builds
-    the right-hand side, solves and updates varsigma.  The buffer is
-    scratch space only: every step returns freshly allocated u and
-    varsigma.
+    coefficient fields determine: it has the model write the five
+    fields into the rows of one (5, n) buffer and tests them for
+    finiteness with one dot product, averages the rows D, E and f per
+    element in one pass over them as one chain of 3n nodes, takes the
+    stiffness bands of D and E from one scatter over their chain and
+    the flux load from the f means, factors or assembles the
+    concentration matrix M + dt*K(D), and forms the stress update's
+    1 - dt*beta1 and dt*gamma.  ``advance`` then builds the right-hand
+    side, solves and updates varsigma.
+
+    Every array a build or an advance writes, apart from the state it
+    returns, is allocated once per run here and rewritten in place by
+    ufuncs.  A step allocates only its new u and varsigma, and the
+    temporaries of laws that need one (cohen-e0's (u-1)^2, nu0's
+    antiderivative), so every state it returns is fresh and is never
+    written again.  A build writes only its own arrays and an advance
+    only its scratch, so a build that is kept is never overwritten.
 
     Every step runs ``build``, except in a run whose model is frozen
     (``TransformedModel.frozen``): its fields cannot change, so the
@@ -187,10 +198,10 @@ class _Stepper:
     which is what dptsv does.  With epsilon > 0 both step systems are
     pentadiagonal: ``build`` assembles them in (2, 2) band storage, with
     the two rows of fill space on top that dgbsv needs, and ``advance``
-    solves them with dgbsv, on a copy when the build is kept.  The
-    cached regularization bands are scaled once to dt*eps*M_L(I+L_h)^2
-    (concentration) and dt*eps*(I+L_h)^2 (stress), and each build adds
-    its lagged tridiagonal part to a copy of them.
+    solves them with dgbsv, which factors them in place unless the build
+    is kept.  The cached regularization bands are scaled once to
+    dt*eps*M_L(I+L_h)^2 (concentration) and dt*eps*(I+L_h)^2 (stress),
+    and each build adds its lagged tridiagonal part to a copy of them.
     """
 
     def __init__(self, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
@@ -200,45 +211,68 @@ class _Stepper:
         self.bd = bd
         self.cfg = cfg
         self.ops = mesh_operators(mesh)
-        self.n = mesh.N + 1
-        self.fields = np.empty((len(_FIELD_NAMES), self.n))
+        self.n = n = mesh.N + 1
         self.frozen = model.frozen
         self.kept = None  # the step-1 build of a frozen run
+        # the scalars the ufuncs take, as 0-d arrays (see ``scalar``)
+        self.dt_, self.h_, self.one_ = map(scalar, (cfg.dt, mesh.h, 1.0))
+        # written by build: the fields, the element means of D, E and f,
+        # the bands of D and E, M + dt*K(D), the flux load, 1 - dt*beta1
+        # and dt*gamma
+        self.fields = np.empty((len(_FIELD_NAMES), n))
+        self.means = np.empty(3 * n - 1)
+        self.k_main, self.k_off = np.empty(2 * n), np.empty(2 * n - 1)
+        self.a_main, self.a_off = np.empty(n), np.empty(n - 1)
+        self.load = np.empty(n)
+        self.divisor = np.empty(n)
+        self.dt_gamma = np.empty(n)
+        # written by advance: M u and then the rhs without the influx,
+        # K(E) varsigma and then the stress update's scratch, the
+        # off-diagonal terms of a product, and dt times the boundary
+        # load, whose interior entries stay 0.0
+        self.mass_u, self.stress = np.empty(n), np.empty(n)
+        self.work = np.empty(n - 1)
+        self.influx = np.zeros(n)
         if cfg.epsilon > 0:
             w = cfg.dt * cfg.epsilon
             self.reg_u = w * self.ops.lumped_bilaplacian
             self.reg_s = w * self.ops.bilaplacian
+            self.u_bands = np.empty_like(self.reg_u, order="F")
+            self.s_bands = np.empty_like(self.reg_s, order="F")
 
     def build(self, state: State, step_index: int) -> tuple:
         """The lagged part of the step from ``state``: the stiffness bands
         of E, the flux load of f, the concentration system (dpttrf's
-        factors at epsilon = 0, else its bands), beta1, gamma, and the
-        stress update's divisor 1 - dt*beta1 (epsilon = 0), its bands
-        (epsilon > 0), or None (explicit scheme)."""
-        mesh, cfg, ops = self.mesh, self.cfg, self.ops
-        dt, eps = cfg.dt, cfg.epsilon
-        n, fields = self.n, self.fields
-        # a field returned as a scalar fills its row by broadcasting
-        for i, v in enumerate(self.model.fields(state.t, mesh.nodes, state.u,
-                                                state.sigma_v)):
-            fields[i] = v
-        bad = _nonfinite(_FIELD_NAMES, fields, fields.sum())
+        factors at epsilon = 0, else its bands), beta1, gamma, dt*gamma,
+        and the stress update's divisor 1 - dt*beta1 (epsilon = 0), its
+        bands (epsilon > 0), or None (explicit scheme)."""
+        mesh, cfg = self.mesh, self.cfg
+        dt, dt_, eps = cfg.dt, self.dt_, cfg.epsilon
+        n = self.n
+        fields = self.model.fields(state.t, mesh.nodes, state.u,
+                                   state.sigma_v, out=self.fields)
+        bad = _nonfinite(_FIELD_NAMES, fields, np.vdot(fields, fields))
         if bad is not None:
             raise NumericalFailure(step_index, state.t, f"{bad} coefficient field")
         b1n, gn = fields[3], fields[4]
 
         # element means of the rows D, E, f read as one chain of 3n
         # nodes; the two means that straddle a row joint are not used
-        means = element_means(fields[:3].reshape(-1))
+        means = element_means(fields[:3].reshape(-1), out=self.means)
         # the bands of D and E from their chain, with zero weight on the
         # joint element: 0.0 + 0.0 and (0.0 + x) + 0.0 are exact, so each
         # row's bands equal stiffness_diagonals of that row, bit for bit
-        abar = means[:2 * n - 1] / mesh.h
+        abar = np.divide(means[:2 * n - 1], self.h_, out=means[:2 * n - 1])
         abar[n - 1] = 0.0
-        k_main, k_off = stiffness_from_means(abar)
+        k_main, k_off = stiffness_from_means(abar, self.k_main, self.k_off)
 
-        a_main = ops.mass_main + dt * k_main[:n]
-        a_off = ops.mass_off + dt * k_off[:n - 1]
+        ops = self.ops
+        a_main = np.add(ops.mass_main, np.multiply(dt_, k_main[:n],
+                                                   out=self.a_main),
+                        out=self.a_main)
+        a_off = np.add(ops.mass_off, np.multiply(dt_, k_off[:n - 1],
+                                                 out=self.a_off),
+                       out=self.a_off)
         if eps == 0.0:
             d, e, info = dpttrf(a_main, a_off, overwrite_d=1, overwrite_e=1)
             if info > 0:
@@ -248,7 +282,8 @@ class _Stepper:
                     "minor not positive definite")
             u_system = (d, e)
         else:
-            u_system = self.reg_u.copy(order="F")
+            u_system = self.u_bands
+            np.copyto(u_system, self.reg_u)
             u_system[3, 1:] += a_off
             u_system[4, :] += a_main
             u_system[5, :-1] += a_off
@@ -260,18 +295,23 @@ class _Stepper:
                     f"explicit stress update unstable at step {step_index}: "
                     f"dt * max|beta1| = {rate:.6g} >= 1")
             s_system = None
-        elif eps == 0.0:
-            s_system = 1.0 - dt * b1n
-            # beta1 is finite here, so the minimum is never NaN
-            if s_system.min() <= 0:
-                raise LinearSolveFailure(
-                    f"implicit stress decay singular at step {step_index}: "
-                    "dt * beta1 >= 1 with positive beta1")
         else:
-            s_system = self.reg_s.copy(order="F")
-            s_system[4, :] += 1.0 - dt * b1n
-        return (k_main[n:], k_off[n:], load_from_means(means[2 * n:]),
-                u_system, b1n, gn, s_system)
+            s_system = np.subtract(self.one_,
+                                   np.multiply(dt_, b1n, out=self.divisor),
+                                   out=self.divisor)
+            if eps == 0.0:
+                # beta1 is finite here, so the minimum is never NaN
+                if s_system.min() <= 0:
+                    raise LinearSolveFailure(
+                        "implicit stress decay singular at step "
+                        f"{step_index}: dt * beta1 >= 1 with positive beta1")
+            else:
+                np.copyto(self.s_bands, self.reg_s)
+                self.s_bands[4, :] += s_system
+                s_system = self.s_bands
+        return (k_main[n:], k_off[n:],
+                load_from_means(means[2 * n:], out=self.load), u_system,
+                b1n, gn, np.multiply(dt_, gn, out=self.dt_gamma), s_system)
 
     def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
         built = self.kept
@@ -279,13 +319,22 @@ class _Stepper:
             built = self.build(state, step_index)
             if self.frozen:
                 self.kept = built
-        kE_main, kE_off, load, u_system, b1n, gn, s_system = built
-        ops, cfg = self.ops, self.cfg
+        kE_main, kE_off, load, u_system, b1n, gn, dt_gn, s_system = built
+        ops, cfg, bd = self.ops, self.cfg, self.bd
         dt, eps = cfg.dt, cfg.epsilon
-        psi = boundary_functional(self.mesh, self.bd, t_next)
-        rhs = (tridiag_matvec(ops.mass_main, ops.mass_off, state.u)
-               - dt * (tridiag_matvec(kE_main, kE_off, state.sigma_v) + load)
-               + dt * psi)
+        u, s = state.u, state.sigma_v
+        # M u - dt*(K(E) varsigma + load) + dt*psi, with psi the influx
+        # functional: its interior entries add 0.0, as a full psi does
+        rest = tridiag_matvec(ops.mass_main, ops.mass_off, u,
+                              out=self.mass_u, work=self.work)
+        stress = tridiag_matvec(kE_main, kE_off, s, out=self.stress,
+                                work=self.work)
+        np.add(stress, load, out=stress)
+        np.subtract(rest, np.multiply(self.dt_, stress, out=stress), out=rest)
+        influx = self.influx
+        influx[0] = dt * float(bd.phi_left(t_next))
+        influx[-1] = dt * float(bd.phi_right(t_next))
+        rhs = rest + influx  # fresh: the solve writes u_next into it
         if eps == 0.0:
             u_next, _ = dpttrs(*u_system, rhs, overwrite_b=1)
         else:
@@ -294,19 +343,22 @@ class _Stepper:
                                    not self.frozen)
 
         if cfg.stress_scheme == "explicit":
-            s_next = state.sigma_v + dt * (b1n * state.sigma_v + gn * u_next)
-            if eps > 0:
-                s_next -= dt * eps * band_matvec(ops.bilaplacian, state.sigma_v)
+            # varsigma + dt*(beta1*varsigma + gamma*u_next), epsilon = 0
+            change = np.multiply(b1n, s, out=self.stress)
+            change += np.multiply(gn, u_next, out=self.mass_u)
+            s_next = s + np.multiply(self.dt_, change, out=change)
         else:
-            drive = state.sigma_v + dt * gn * u_next
+            # varsigma + (dt*gamma)*u_next, fresh: the update divides or
+            # solves in place
+            s_next = s + np.multiply(dt_gn, u_next, out=self.stress)
             if eps == 0.0:
-                s_next = drive / s_system
+                np.divide(s_next, s_system, out=s_next)
             else:
-                s_next = _solve_banded(s_system, drive, step_index, "stress",
+                s_next = _solve_banded(s_system, s_next, step_index, "stress",
                                        not self.frozen)
 
         bad = _nonfinite(("concentration", "stress"), (u_next, s_next),
-                         u_next.sum() + s_next.sum())
+                         np.dot(u_next, s_next))
         if bad is not None:
             raise NumericalFailure(step_index, t_next, bad)
         return State(t=t_next, u=u_next, sigma_v=s_next)
@@ -319,9 +371,12 @@ _FIELD_NAMES = ("diffusion", "stress-diffusion", "forcing", "relaxation",
 def _nonfinite(names, arrays, total: float) -> Optional[str]:
     """Name of the first of arrays holding a NaN or inf, or None.
 
-    ``total`` is a sum over all of them.  A finite total proves every
-    entry finite, so the arrays are tested one by one only when it is
-    not (a non-finite entry, or overflow).
+    ``total`` is a sum of terms in which every entry of the arrays
+    appears, as in a dot product of two of them, or of one with itself
+    (one call, and cheaper than a ``sum`` per array).  A NaN or an inf
+    makes its term, and so the total, NaN or infinite (inf * 0 is NaN):
+    a finite total proves every entry finite, so the arrays are tested
+    one by one only when it is not (a non-finite entry, or overflow).
     """
     if math.isfinite(total):
         return None
@@ -412,20 +467,17 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     state = init.initial_state()
     state.check(mesh)
     stepper = _Stepper(mesh, model, bd, cfg)
-    ops = stepper.ops
 
     n_steps = cfg.n_steps
     table = np.empty((n_steps + 1, len(CSV_COLUMNS)))
-    recorder = Recorder(mesh, gamma, table)
+    recorder = Recorder(mesh, gamma, table,
+                        reg_weight=cfg.epsilon * cfg.dt)
     recorder.add(state)
     trajectory = [state.copy()]
     if observer is not None:
         observer(state)
 
-    ml, n = ops.lumped, stepper.n
-    dt, eps = cfg.dt, cfg.epsilon
-    reg_u = reg_s = 0.0
-
+    dt = cfg.dt
     for k in range(1, n_steps + 1):
         # k*dt, not a running sum, so step times do not drift from the grid
         try:
@@ -435,16 +487,6 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
             exc.records = RecordTable(table[:k])
             raise
         recorder.add(state)
-
-        if eps > 0:
-            K_us = tridiag_matvec(ops.unit_stiffness_pair_main,
-                                  ops.unit_stiffness_pair_off,
-                                  pair(state.u, state.sigma_v))
-            wu = state.u + K_us[:n] / ml
-            ws = state.sigma_v + K_us[n + 1:-1] / ml
-            reg_u += eps * dt * float((ml * wu * wu).sum())
-            reg_s += eps * dt * float((ml * ws * ws).sum())
-
         if observer is not None:
             observer(state)
         if output_every and (k % output_every == 0) and k != n_steps:
@@ -457,5 +499,5 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
                       for c in ("l2_s", "h1semi_s"))
     sup_h1_s = float(np.max(np.hypot(l2_s, h1semi_s)))
     return RunResult(trajectory=trajectory, records=RecordTable(table),
-                     epsilon=cfg.epsilon, reg_energy_u=reg_u,
-                     reg_energy_s=reg_s, sup_h1_s=sup_h1_s)
+                     epsilon=cfg.epsilon, reg_energy_u=recorder.reg_u,
+                     reg_energy_s=recorder.reg_s, sup_h1_s=sup_h1_s)

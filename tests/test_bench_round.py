@@ -26,6 +26,11 @@ FINAL_STATE_SHA256 = {
     "homogenize": "6963ecc7",
 }
 
+# case2-front at mesh.N = 4096 (the front-large-n workload) over its
+# first 100 steps -> prefix of the SHA-256 of its final u and varsigma
+# bytes, from solver.run in this process
+LARGE_N_FINAL_STATE_SHA256 = {100: "741308b6"}
+
 # workload -> prefix of the SHA-256 of its diagnostics CSVs, in name
 # order, each without its first line (the "# generated <time>" note)
 DIAGNOSTICS_SHA256 = {
@@ -50,3 +55,20 @@ def test_round_has_no_failures(workload, tmp_path):
         assert note.startswith(b"# generated ")
         digest.update(body)
     assert digest.hexdigest().startswith(DIAGNOSTICS_SHA256[workload])
+
+
+@pytest.mark.parametrize("steps", sorted(LARGE_N_FINAL_STATE_SHA256))
+def test_large_n_front_keeps_its_final_state(steps):
+    from viscodiff import config, solver
+
+    cfg = config.parse_config('preset = "case2-front"\nmesh.N = 4096\n'
+                              f"time.T_end = {steps * 2e-4!r}\n")
+    mesh = config.build_mesh_from(cfg)
+    phys = config.build_physical(cfg)
+    scfg = config.build_solver_config(cfg)
+    assert scfg.n_steps == steps
+    final = solver.run(config.build_initial(cfg, mesh, phys), mesh,
+                       config.build_model(cfg), config.build_boundary(cfg),
+                       scfg).final_state
+    digest = hashlib.sha256(final.u.tobytes() + final.sigma_v.tobytes())
+    assert digest.hexdigest().startswith(LARGE_N_FINAL_STATE_SHA256[steps])

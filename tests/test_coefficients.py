@@ -237,6 +237,41 @@ def _nodal_points(n, seed):
     return u, rng.normal(0.0, 0.5, n)
 
 
+def _kernel_points():
+    """u with signed zeros, negative values, |u| below U_LIMIT_THRESHOLD
+    on both sides of zero, u = 1 and a spread of values."""
+    return np.concatenate((
+        [0.0, -0.0, -0.5, -1e-9, 1e-9, 5e-9, 1.0, 1.0 + 1e-12, 2.0],
+        np.linspace(-0.3, 1.3, 40)))
+
+
+# each law kind, and its values written as the unfused expression
+LAW_KINDS = {
+    "constant": (dict(value=-0.0),
+                 lambda u: np.full(np.shape(u), -0.0)),
+    "tanh": (dict(lo=0.1, hi=1.0, delta=0.1, center=0.4),
+             lambda u: 0.55 + 0.45 * np.tanh((u - 0.4) / 0.1)),
+    "cohen-e0": (dict(alpha_1=1.0, alpha_2=0.05),
+                 lambda u: 1.0 * u * (u - 1.0) ** 2 / (0.05 + (u - 1.0) ** 2)),
+    "polynomial": (dict(coeffs=[0.0, -1.0, 0.5]),
+                   lambda u: np.polynomial.Polynomial([0.0, -1.0, 0.5])(u)),
+}
+
+
+class TestLawKernels:
+    @pytest.mark.parametrize("kind", sorted(LAW_KINDS))
+    def test_out_equals_a_new_array_byte_for_byte(self, kind):
+        params, unfused = LAW_KINDS[kind]
+        law = make_scalar_model(kind, **params)
+        u = _kernel_points()
+        buf = np.full(u.shape, np.nan)
+        got = law.fn(u, out=buf)
+        assert got is buf
+        assert buf.tobytes() == law.fn(u).tobytes() == unfused(u).tobytes()
+        assert law.fn(0.25).shape == ()
+        assert float(law.fn(0.25)) == float(unfused(np.float64(0.25)))
+
+
 class TestFields:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_fields_equal_the_five_callables(self, name):
@@ -258,6 +293,38 @@ class TestFields:
         x = np.linspace(0.0, 2.0, 41)
         u, s = _nodal_points(41, seed=4)
         _assert_fields_match_callables(transform(phys), 0.7, x, u, s)
+
+    @pytest.mark.parametrize("lines", [
+        ['preset = "sorption"'],
+        ['preset = "homogenize"', "initial.u0.mean = 0.0"],
+        ['preset = "homogenize"', "model.nu0.value = 0.1",
+         "model.M0.value = -0.0", "check.lyapunov = false"]])
+    def test_out_rows_are_the_five_callables_in_bytes(self, lines):
+        # M0 is +-0 in all three, so f = (-u)*M0 is a zero whose sign
+        # follows u's, and u takes both signs
+        model = build_model(parse_config("\n".join(lines) + "\n"))
+        x = np.linspace(0.0, 1.0, _kernel_points().size)
+        u = _kernel_points()
+        s = np.linspace(-1.0, 1.0, u.size)
+        buf = np.full((5, u.size), np.nan)
+        assert model.fields(0.5, x, u, s, out=buf) is buf
+        five = [np.broadcast_to(c(0.5, x, u, s), u.shape)
+                for c in (model.D, model.E, model.f, model.beta1,
+                          model.gamma)]
+        assert buf.tobytes() == np.array(five).tobytes()
+        assert model.fields(0.5, x, u, s).tobytes() == buf.tobytes()
+        assert not buf[2].any()
+        assert {math.copysign(1.0, v) for v in buf[2]} == {1.0, -1.0}
+
+    def test_fallback_fills_out(self):
+        model = transform(_tanh_physical())
+        model.gamma = lambda t, x, u, s: np.full(np.shape(u), 0.125)
+        x = np.linspace(0.0, 1.0, 9)
+        u, s = _nodal_points(9, seed=6)
+        buf = np.full((5, 9), np.nan)
+        assert model.fields(0.0, x, u, s, out=buf) is buf
+        _assert_fields_match_callables(model, 0.0, x, u, s)
+        assert buf.tobytes() == model.fields(0.0, x, u, s).tobytes()
 
     def test_fallback_for_hand_built_and_replaced_models(self):
         x = np.linspace(0.0, 1.0, 9)

@@ -256,6 +256,17 @@ class TestCli:
         assert (out / "snapshot_0.csv").exists()
         assert any(out.glob("flux_*.csv"))
 
+    def test_homogenization_line_counts_from_the_final_decay(self, tmp_path):
+        # homogenize's metric first dips below 1e-4 at t=0.567, a zero
+        # crossing of the u mode; it stays below only from t=2.471
+        p = tmp_path / "h.cfg"
+        p.write_text('preset = "homogenize"\ntime.T_end = 3.0\n')
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_OK
+        lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        assert "homogenization metric stays below 1e-4 from t=2.471" in lines
+        assert not any("first below" in line for line in lines)
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err

@@ -12,7 +12,10 @@ from viscodiff.coefficients import Box, LongTimeCondition, constant_model
 from viscodiff.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
+    Recorder,
+    homogenization_from_record,
     homogenization_metric,
+    homogenized_since,
     lyapunov_decay_check,
     mass_balance_check,
     record,
@@ -111,6 +114,72 @@ class TestHomogenizationMetric:
                   SolverConfig(dt=1e-3, T_end=0.2), output_every=50)
         vals = [homogenization_metric(s, mesh) for s in res.trajectory]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def _metric_series(times, metrics, L=1.0):
+    """Records whose l2_u and mass give the homogenization metrics: mass
+    L*ubar, l2_u^2 = metric^2 + mass^2/L."""
+    ubar = 0.5
+    return [DiagnosticsRecord(t, L * ubar, math.sqrt(m * m + L * ubar * ubar),
+                              *[0.0] * 8) for t, m in zip(times, metrics)]
+
+
+class TestHomogenizedSince:
+    def test_dip_rise_decay_counts_from_the_last_entry_below(self):
+        # the metric dips below 1e-4 at t=0.2 (a zero crossing of the
+        # mode), rises above it, and only from t=0.7 on decays for good
+        times = [0.1 * k for k in range(11)]
+        metrics = [1e-2, 1e-3, 5e-6, 2e-4, 5e-4, 3e-4, 1.5e-4, 9e-5, 5e-5,
+                   1e-5, 1e-6]
+        series = _metric_series(times, metrics)
+        assert [homogenization_from_record(r.l2_u, r.mass, 1.0) < 1e-4
+                for r in series] == [m < 1e-4 for m in metrics]
+        assert homogenized_since(series, 1.0, 1e-4) == times[7]
+
+    def test_never_or_always_below(self):
+        times = [0.0, 0.5, 1.0]
+        assert homogenized_since(_metric_series(times, [1e-2, 1e-5, 2e-4]),
+                                 1.0, 1e-4) is None
+        assert homogenized_since(_metric_series(times, [1e-6, 1e-7, 0.0]),
+                                 1.0, 1e-4) == 0.0
+        assert homogenized_since(_metric_series(times, [1e-2, 1e-5, math.nan]),
+                                 1.0, 1e-4) is None
+
+    def test_record_formula_matches_the_state_metric(self):
+        mesh = build_mesh(1.0, 64)
+        state = State(0.0, 0.5 + 0.3 * np.cos(math.pi * mesh.nodes),
+                      np.zeros(65))
+        rec = record(state, mesh)
+        assert homogenization_from_record(rec.l2_u, rec.mass, mesh.L) == \
+            pytest.approx(homogenization_metric(state, mesh), rel=1e-9)
+
+
+class TestRegularizationEnergies:
+    @pytest.mark.parametrize("n", [3, 65, 129, 257, 4097])
+    def test_row_sums_equal_one_state_sums(self, n):
+        # the recorder sums the energies of a block along its last axis;
+        # each row must equal the 1-D .sum() of that state, bit for bit
+        rng = np.random.default_rng(n)
+        block = rng.normal(0.0, 1.0, (7, 2, n)) * 10.0 ** rng.integers(
+            -8, 8, (7, 2, 1))
+        rows = block.sum(axis=-1)
+        assert rows.tobytes() == np.array(
+            [[v.sum() for v in pair] for pair in block]).tobytes()
+
+    def test_initial_row_adds_no_energy(self):
+        mesh = build_mesh(1.0, 8)
+        rng = np.random.default_rng(3)
+        states = [State(0.1 * k, *rng.normal(0.0, 1.0, (2, 9)))
+                  for k in range(3)]
+        table = np.empty((3, len(CSV_COLUMNS)))
+        recorder = Recorder(mesh, 1.0, table, reg_weight=0.5)
+        recorder.add(states[0])
+        recorder.flush()
+        assert (recorder.reg_u, recorder.reg_s) == (0.0, 0.0)
+        for state in states[1:]:
+            recorder.add(state)
+        recorder.flush()
+        assert recorder.reg_u > 0.0 and recorder.reg_s > 0.0
 
 
 def _series_from_run(model, T=1.0, dt=1e-3, N=32, gamma=1.0, u_amp=0.3):

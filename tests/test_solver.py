@@ -84,6 +84,9 @@ class TestSolverConfig:
             SolverConfig(dt=0.1, T_end=1.0, stress_scheme="midpoint")
         with pytest.raises(ValueError, match="multiple"):
             SolverConfig(dt=0.1, T_end=0.15)
+        with pytest.raises(ValueError, match='"explicit" needs epsilon'):
+            SolverConfig(dt=0.1, T_end=1.0, epsilon=1e-2,
+                         stress_scheme="explicit")
 
     def test_n_steps_rounding(self):
         assert SolverConfig(dt=1e-3, T_end=1.0).n_steps == 1000
@@ -218,8 +221,9 @@ class TestStep:
         model = transform(phys)
         calls.clear()
         step(state, mesh, model, build_boundary(cfg), build_solver_config(cfg))
-        # sigma, nu0, D0, E0, M0, beta0, mu0
-        assert len(calls) <= 7
+        # nu0's antiderivative, D0, E0 and beta0; the constant laws nu0,
+        # M0 and mu0 enter as their values
+        assert len(calls) == 4
 
     def test_reassigned_field_is_used(self):
         mesh = build_mesh(1.0, 16)
@@ -470,9 +474,9 @@ def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme,
     model = transform(phys) if model is None else model
     bd = build_boundary(cfg)
     init = build_initial(cfg, mesh, phys)
-    dt = cfg["time.dt"]
-    scfg = SolverConfig(dt=dt, T_end=n_steps * dt, epsilon=eps,
-                        stress_scheme=scheme)
+    scfg = _solver_config(cfg["time.dt"], n_steps, eps, scheme)
+    if scfg is None:
+        return model
     res = run(init, mesh, model, bd, scfg, output_every=1, gamma=0.8)
 
     states, records = _reference_loop(init, mesh, model, bd, scfg, n_steps)
@@ -482,7 +486,40 @@ def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme,
         assert got.u.tobytes() == want.u.tobytes()
         assert got.sigma_v.tobytes() == want.sigma_v.tobytes()
     assert np.array(res.records).tobytes() == np.array(records).tobytes()
+    assert (res.reg_energy_u, res.reg_energy_s) == _reference_energies(
+        mesh, states, scfg)
     return model
+
+
+def _solver_config(dt, n_steps, eps, scheme):
+    """The SolverConfig of an (eps, scheme) cell of a test grid.  The
+    explicit scheme with eps > 0 is rejected up front: for that cell,
+    check the rejection and return None."""
+    if scheme == "explicit" and eps > 0:
+        with pytest.raises(ValueError,
+                           match='"explicit" needs epsilon = 0.0, got 0.0'):
+            SolverConfig(dt=dt, T_end=n_steps * dt, epsilon=eps,
+                         stress_scheme=scheme)
+        return None
+    return SolverConfig(dt=dt, T_end=n_steps * dt, epsilon=eps,
+                        stress_scheme=scheme)
+
+
+def _reference_energies(mesh, states, scfg):
+    """The regularization energies of a run's states, taken one state at
+    a time: the sum over the states after the first of
+    eps*dt * sum(M_L w*w), w = v + M_L^-1 K(1) v, for v = u and varsigma."""
+    ops = mesh_operators(mesh)
+    ml = ops.lumped
+    energies = [0.0, 0.0]
+    if scfg.epsilon > 0:
+        for state in states[1:]:
+            for i, v in enumerate((state.u, state.sigma_v)):
+                w = v + tridiag_matvec(ops.unit_stiffness_main,
+                                       ops.unit_stiffness_off, v) / ml
+                energies[i] += (scfg.epsilon * scfg.dt
+                                * float((ml * w * w).sum()))
+    return tuple(energies)
 
 
 def _dense_bands(ab):
@@ -526,8 +563,9 @@ class TestRegularized:
         # shows only at a length like 0.7
         model = transform(_tanh_mix())
         bd = BoundaryData(phi_left=lambda t: 0.3, phi_right=lambda t: -0.1)
-        cfg = SolverConfig(dt=1e-3, T_end=1e-3, epsilon=eps,
-                           stress_scheme=scheme)
+        cfg = _solver_config(1e-3, 1, eps, scheme)
+        if cfg is None:
+            return
         for L in (1.0, 0.7):
             mesh = build_mesh(L, 16)
             x = mesh.nodes / L
@@ -692,38 +730,52 @@ class TestRecordBlocks:
         assert _block_rows(build_mesh_from(cfg)) == 1
         _assert_run_matches_reference_loop(cfg, 4, 0.0, "implicit-decay")
 
-    @pytest.mark.parametrize("case", ["nan-diffusion", "explicit-overflow"])
+    @pytest.mark.parametrize("case", ["nan-diffusion",
+                                      "indefinite-diffusion"])
     def test_failure_inside_a_block_keeps_the_rows_before_it(self, case):
         cfg = preset_config("homogenize")
         mesh = build_mesh_from(cfg)
         phys = build_physical(cfg)
         dt = cfg["time.dt"]
-        if case == "nan-diffusion":
-            # D0 turns NaN from t = 99*dt, so the build of step 100 fails
-            base = phys.D0
-            phys = dataclasses.replace(
-                phys, constants={},
-                D0=lambda t, x, u, s: (np.full(np.shape(u), np.nan)
-                                       if t >= 99 * dt else base(t, x, u, s)))
-            k, eps, scheme, what = 100, 0.0, "implicit-decay", "diffusion"
-        else:
-            # the explicit update is unstable there, see _steps
-            k, eps, scheme, what = 95, 1e-2, "explicit", "stress"
+        # D0 turns NaN, or -5, from t = (k-1)*dt, so the build of step k
+        # finds a non-finite field, or an indefinite M + dt*K(D)
+        k, bad, error, message = {
+            "nan-diffusion": (100, np.nan, NumericalFailure,
+                              "non-finite diffusion .* at step 100,"),
+            "indefinite-diffusion": (95, -5.0, LinearSolveFailure,
+                                     "not SPD at step 95 ")}[case]
+        base = phys.D0
+        phys = dataclasses.replace(
+            phys, constants={},
+            D0=lambda t, x, u, s: (np.full(np.shape(u), bad)
+                                   if t >= (k - 1) * dt else base(t, x, u, s)))
         rows = _block_rows(mesh)
         assert k % rows not in (0, 1) and k > rows
         model = transform(phys)
         init, bd = build_initial(cfg, mesh, phys), build_boundary(cfg)
-        scfg = SolverConfig(dt=dt, T_end=200 * dt, epsilon=eps,
-                            stress_scheme=scheme)
-        # the explicit case overflows on its way to the failure
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailure, match=f"non-finite {what}"
-                               f".* at step {k},") as info:
-                run(init, mesh, model, bd, scfg, gamma=0.8)
-            _, want = _reference_loop(init, mesh, model, bd, scfg, k - 1)
+        scfg = SolverConfig(dt=dt, T_end=200 * dt)
+        with pytest.raises(error, match=message) as info:
+            run(init, mesh, model, bd, scfg, gamma=0.8)
+        _, want = _reference_loop(init, mesh, model, bd, scfg, k - 1)
         got = info.value.records
         assert len(got) == k
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_regularization_energies_across_blocks(self):
+        # the energies are taken a block at a time, in step order: three
+        # full blocks and a part-filled one equal the per-state sums
+        cfg = parse_config('preset = "eps-scan"\nepsilon = 1e-3\n')
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        rows = _block_rows(mesh)
+        scfg = SolverConfig(dt=cfg["time.dt"],
+                            T_end=(3 * rows + rows // 2) * cfg["time.dt"],
+                            epsilon=1e-3)
+        res = run(build_initial(cfg, mesh, phys), mesh, transform(phys),
+                  build_boundary(cfg), scfg, output_every=1)
+        assert res.reg_energy_u > 0.0 and res.reg_energy_s > 0.0
+        assert (res.reg_energy_u, res.reg_energy_s) == _reference_energies(
+            mesh, res.trajectory, scfg)
 
     @pytest.mark.parametrize("N", [2, 64])
     def test_record_is_a_row_of_a_block(self, N):
@@ -752,12 +804,6 @@ class TestRecordBlocks:
                 for s, p in zip(states[1:], want)]).tobytes()
 
 
-def _steps(n_steps, eps, scheme):
-    """n_steps, or 20 for the explicit update with eps > 0: that update
-    is unstable on homogenize's mesh, where varsigma overflows at step 95."""
-    return 20 if scheme == "explicit" and eps > 0 else n_steps
-
-
 def _constant_law_config(*lines):
     """homogenize with its cosine centred on 0, so u takes both signs and
     f = -u*M0 takes both zeros, plus the given lines."""
@@ -774,7 +820,7 @@ class TestFrozen:
     def test_frozen_preset_matches_reference_loop(self, preset, eps, scheme):
         # fickian's u crosses zero, so its f holds both +0.0 and -0.0
         model = _assert_run_matches_reference_loop(
-            preset_config(preset), _steps(500, eps, scheme), eps, scheme)
+            preset_config(preset), 500, eps, scheme)
         assert model.frozen
 
     @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
@@ -787,8 +833,7 @@ class TestFrozen:
         model = constant_model(**laws)
         assert model.frozen
         _assert_run_matches_reference_loop(preset_config(preset),
-                                           _steps(200, eps, scheme), eps,
-                                           scheme, model=model)
+                                           200, eps, scheme, model=model)
 
     @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
@@ -798,7 +843,7 @@ class TestFrozen:
     def test_signed_zero_laws_match_reference_loop(self, lines, frozen, eps,
                                                    scheme):
         model = _assert_run_matches_reference_loop(
-            _constant_law_config(*lines), _steps(50, eps, scheme), eps, scheme)
+            _constant_law_config(*lines), 50, eps, scheme)
         assert model.frozen is frozen
 
     @pytest.mark.parametrize("lines", [
@@ -860,8 +905,9 @@ class TestFrozen:
         assert not hand_built.frozen
 
     def test_frozen_run_evaluates_each_law_once(self, monkeypatch):
-        # sigma, nu0, D0, E0, M0, beta0, mu0: once per run when frozen,
-        # at most once per step otherwise
+        # a constant law enters the fields as its value, so homogenize
+        # calls only nu0's antiderivative, once per run as it is frozen;
+        # sorption calls it, D0, E0 and beta0 once per step
         calls = _count_law_calls(monkeypatch)
         counts = {}
         for preset in ("homogenize", "sorption"):
@@ -874,8 +920,8 @@ class TestFrozen:
             run(init, mesh, transform(phys), build_boundary(cfg),
                 SolverConfig(dt=dt, T_end=5 * dt))
             counts[preset] = len(calls)
-        assert counts["homogenize"] == 7
-        assert counts["sorption"] <= 7 * 5
+        assert counts["homogenize"] == 1
+        assert counts["sorption"] == 4 * 5
 
     @pytest.mark.parametrize("lines, message", [
         (["model.D0.value = -1.0"], "not SPD at step 1 "),
