@@ -151,6 +151,8 @@ class _FrontTracker:
 def _override(cfg: ScenarioConfig, dt: Optional[float],
               n_cells: Optional[int]) -> ScenarioConfig:
     """The scenario with --dt/--n-cells applied, under the file's rules."""
+    if dt is None and n_cells is None:
+        return cfg
     values = dict(cfg.values)
     if dt is not None:
         values["time.dt"] = dt

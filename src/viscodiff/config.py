@@ -18,7 +18,7 @@ serialize/parse round-trips are semantically exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -79,7 +79,6 @@ DEFAULTS: dict[str, object] = {
     "time.T_end": 1.0,
     "time.output_every": 0,          # 0: snapshot only first and last state
     "epsilon": 0.0,
-    "stress_scheme": "implicit-decay",
     "model.D0": "constant", "model.D0.value": 1.0,
     "model.E0": "constant", "model.E0.value": 0.0,
     "model.M0": "constant", "model.M0.value": 0.0,
@@ -95,7 +94,6 @@ DEFAULTS: dict[str, object] = {
     "signature": "none",
 }
 
-_SCHEMES = ("implicit-decay", "explicit")
 _SIGNATURES = ("none", "overshoot", "undershoot", "front")
 _RANGE = (list, lambda v: len(v) == 2 and v[0] <= v[1],
           "must be a range [lo, hi] with lo <= hi")
@@ -109,8 +107,6 @@ _RULES: dict[str, tuple] = {
     "time.T_end": (float, lambda v: v >= 0, "must be non-negative"),
     "time.output_every": (int, lambda v: v >= 0, "must be non-negative"),
     "epsilon": (float, lambda v: v >= 0, "must be non-negative"),
-    "stress_scheme": (str, lambda v: v in _SCHEMES,
-                      f"must be one of {list(_SCHEMES)}"),
     "check.mass_balance": (bool, None, ""),
     "check.lyapunov": (bool, None, ""),
     "check.analytic": (str, lambda v: v == "heat-cosine",
@@ -165,16 +161,19 @@ _NEEDS = (
     # lyapunov_decay_check is for
     ("check.lyapunov", True, {
         "model.M0": "constant", "model.M0.value": 0.0,
-        "boundary.phi_left": "zero", "boundary.phi_right": "zero"}),
-    # an explicit dt*epsilon*(I+L_h)^2 has eigenvalues ~ dt*epsilon*N^4
-    ("stress_scheme", "explicit", {"epsilon": 0.0}))
+        "boundary.phi_left": "zero", "boundary.phi_right": "zero"}))
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario with defaults applied; semantics live in ``values``."""
+    """Validated scenario with defaults applied; semantics live in ``values``.
+
+    ``laws`` holds the six coefficient laws, by role, that ``validate``
+    built from ``values``; ``build_physical`` reads them.
+    """
 
     values: dict
+    laws: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, key):
         """The value of ``key``, or the default of an unset optional key."""
@@ -360,7 +359,7 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
                               line=lines.get(key), key=key)
 
     cfg = ScenarioConfig(values=values)
-    _scalar_models(cfg, lines)
+    cfg.laws.update(_scalar_models(cfg, lines))
     _validate_group(values, "initial.u0", _FIELD_KINDS, lines)
     _validate_group(values, "initial.sigma0", _FIELD_KINDS, lines)
     for side in ("boundary.phi_left", "boundary.phi_right"):
@@ -378,6 +377,12 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
                               f"{k} = {_format_value(needs[k])}, got "
                               f"{_format_value(values[k])}",
                               line=lines.get(key), key=key)
+    box_x, L = values.get("longtime.box.x"), values["mesh.L"]
+    if box_x is not None and not (box_x[0] <= 0.0 and box_x[1] >= L):
+        raise ConfigError(f"longtime.box.x must cover [0, mesh.L] = "
+                          f"[0.0, {L!r}], got {_format_value(box_x)}",
+                          line=lines.get("longtime.box.x"),
+                          key="longtime.box.x")
     if values["check.lyapunov"] and not has_longtime(cfg):
         raise ConfigError("check.lyapunov = true needs a longtime section",
                           line=lines.get("check.lyapunov"), key="check.lyapunov")
@@ -411,14 +416,13 @@ def build_mesh_from(cfg: ScenarioConfig) -> Mesh:
 
 
 def _scalar_models(cfg: ScenarioConfig,
-                   lines: Optional[dict] = None) -> dict[str, ScalarModel]:
+                   lines: dict) -> dict[str, ScalarModel]:
     """The six laws; one its group does not define is a ConfigError.
 
     The error names the line of the group head or, when the head came
     from a preset, the first line at which the file set a parameter of
     the group.
     """
-    lines = lines or {}
     out = {}
     for role in MODEL_ROLES:
         head = f"model.{role}"
@@ -435,7 +439,7 @@ def _scalar_models(cfg: ScenarioConfig,
 
 
 def build_physical(cfg: ScenarioConfig) -> PhysicalCoefficients:
-    m = _scalar_models(cfg)
+    m = cfg.laws
     try:
         return physical_from_models(m["D0"], m["E0"], m["M0"],
                                     m["beta0"], m["mu0"], m["nu0"])
@@ -502,8 +506,7 @@ def build_solver_config(cfg: ScenarioConfig) -> SolverConfig:
     # of steps, which SolverConfig checks here
     try:
         return SolverConfig(dt=cfg["time.dt"], T_end=cfg["time.T_end"],
-                            epsilon=cfg["epsilon"],
-                            stress_scheme=cfg["stress_scheme"])
+                            epsilon=cfg["epsilon"])
     except ValueError as exc:
         raise ConfigError(str(exc), key="time.T_end") from exc
 

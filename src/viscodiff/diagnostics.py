@@ -150,8 +150,8 @@ class Recorder:
     """Fills a record table a block of states at a time.
 
     ``add`` writes a state's time into its row of the table and copies
-    its fields into the next row of a block of ``pair`` chains (u, a
-    zero pad, varsigma, a zero pad), allocated once; when the block is
+    its fields into the next row of a block of ``pair_bands`` chains (u,
+    a zero pad, varsigma, a zero pad), allocated once; when the block is
     full, and on ``flush``, the records of the states in it are
     computed together into their rows.  A block holds
     RECORD_BLOCK_BYTES of chains, and at least one state.  ``prev`` is

@@ -203,18 +203,16 @@ def _bilaplacian_bands(lumped: np.ndarray, k_main: np.ndarray,
     return bilap, lumped_bilap
 
 
-# the pad node that closes each row of a pair chain (see pair_bands)
-_PAD = np.zeros(1)
-
-
 def pair_bands(main: np.ndarray, off: np.ndarray):
     """(main, off) diagonals of two copies of a tridiagonal operator on a
     chain of two rows, each of n nodes followed by one pad node.
 
-    Every coupling to a pad is -0.0 and every pad holds 0.0 (see
-    ``pair``), so a coupling adds -0.0 * 0.0 = -0.0 to a product entry,
-    which leaves the entry unchanged bit for bit: one ``tridiag_matvec``
-    on the chain equals one call on each row.
+    Two nodal vectors a and b make the chain a, 0.0, b, 0.0.  Every
+    coupling to a pad is -0.0 and every pad holds 0.0, so a coupling
+    adds -0.0 * 0.0 = -0.0 to a product entry, which leaves the entry
+    unchanged bit for bit: one ``tridiag_matvec`` on the chain equals one
+    call on each row, and the rows of a product p on the chain are p[:n]
+    and p[n + 1:-1].
     """
     n = main.size
     chain_main = np.zeros((2, n + 1))
@@ -222,12 +220,6 @@ def pair_bands(main: np.ndarray, off: np.ndarray):
     chain_off = np.full((2, n + 1), -0.0)
     chain_off[:, :n - 1] = off
     return chain_main.reshape(-1), chain_off.reshape(-1)[:-1]
-
-
-def pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two nodal vectors as one chain for ``pair_bands``: a, pad, b, pad.
-    The rows of a product p on the chain are p[:n] and p[n + 1:-1]."""
-    return np.concatenate((a, _PAD, b, _PAD))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class NumericalFailure(Exception):
 
 class LinearSolveFailure(Exception):
     """A step the scheme cannot take: a singular or indefinite step system
-    (discrete ellipticity violation) or an unstable explicit stress update."""
+    (discrete ellipticity violation or dt * beta1 >= 1)."""
 
 
 @dataclass
@@ -94,7 +94,6 @@ class SolverConfig:
     dt: float
     T_end: float
     epsilon: float = 0.0
-    stress_scheme: str = "implicit-decay"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -103,12 +102,6 @@ class SolverConfig:
             raise ValueError("T_end must be non-negative")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        if self.stress_scheme not in ("implicit-decay", "explicit"):
-            raise ValueError(f"unknown stress scheme {self.stress_scheme!r}")
-        if self.stress_scheme == "explicit" and self.epsilon > 0:
-            # an explicit dt*epsilon*(I+L_h)^2 has eigenvalues ~ dt*eps*N^4
-            raise ValueError(f'stress_scheme = "explicit" needs epsilon = '
-                             f"0.0, got {self.epsilon!r}")
         steps = self.T_end / self.dt  # a whole number, up to round-off
         if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ValueError(f"T_end={self.T_end:g} is not a multiple of "
@@ -190,8 +183,8 @@ class _Stepper:
 
     Every step runs ``build``, except in a run whose model is frozen
     (``TransformedModel.frozen``): its fields cannot change, so the
-    step-1 build is kept for every later step, and a non-finite field,
-    an indefinite system or an unstable stress update fails at step 1.
+    step-1 build is kept for every later step, and a non-finite field
+    or a singular or indefinite system fails at step 1.
 
     The epsilon = 0 concentration system is tridiagonal SPD: ``build``
     factors it with LAPACK dpttrf and ``advance`` solves with dpttrs,
@@ -243,11 +236,11 @@ class _Stepper:
     def build(self, state: State, step_index: int) -> tuple:
         """The lagged part of the step from ``state``: the stiffness bands
         of E, the flux load of f, the concentration system (dpttrf's
-        factors at epsilon = 0, else its bands), beta1, gamma, dt*gamma,
-        and the stress update's divisor 1 - dt*beta1 (epsilon = 0), its
-        bands (epsilon > 0), or None (explicit scheme)."""
+        factors at epsilon = 0, else its bands), dt*gamma, and the stress
+        update's divisor 1 - dt*beta1 (epsilon = 0) or its bands
+        (epsilon > 0)."""
         mesh, cfg = self.mesh, self.cfg
-        dt, dt_, eps = cfg.dt, self.dt_, cfg.epsilon
+        dt_, eps = self.dt_, cfg.epsilon
         n = self.n
         fields = self.model.fields(state.t, mesh.nodes, state.u,
                                    state.sigma_v, out=self.fields)
@@ -288,30 +281,22 @@ class _Stepper:
             u_system[4, :] += a_main
             u_system[5, :-1] += a_off
 
-        if cfg.stress_scheme == "explicit":
-            rate = dt * float(np.abs(b1n).max())
-            if rate >= 1.0:
+        s_system = np.subtract(self.one_,
+                               np.multiply(dt_, b1n, out=self.divisor),
+                               out=self.divisor)
+        if eps == 0.0:
+            # beta1 is finite here, so the minimum is never NaN
+            if s_system.min() <= 0:
                 raise LinearSolveFailure(
-                    f"explicit stress update unstable at step {step_index}: "
-                    f"dt * max|beta1| = {rate:.6g} >= 1")
-            s_system = None
+                    "implicit stress decay singular at step "
+                    f"{step_index}: dt * beta1 >= 1 with positive beta1")
         else:
-            s_system = np.subtract(self.one_,
-                                   np.multiply(dt_, b1n, out=self.divisor),
-                                   out=self.divisor)
-            if eps == 0.0:
-                # beta1 is finite here, so the minimum is never NaN
-                if s_system.min() <= 0:
-                    raise LinearSolveFailure(
-                        "implicit stress decay singular at step "
-                        f"{step_index}: dt * beta1 >= 1 with positive beta1")
-            else:
-                np.copyto(self.s_bands, self.reg_s)
-                self.s_bands[4, :] += s_system
-                s_system = self.s_bands
+            np.copyto(self.s_bands, self.reg_s)
+            self.s_bands[4, :] += s_system
+            s_system = self.s_bands
         return (k_main[n:], k_off[n:],
                 load_from_means(means[2 * n:], out=self.load), u_system,
-                b1n, gn, np.multiply(dt_, gn, out=self.dt_gamma), s_system)
+                np.multiply(dt_, gn, out=self.dt_gamma), s_system)
 
     def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
         built = self.kept
@@ -319,7 +304,7 @@ class _Stepper:
             built = self.build(state, step_index)
             if self.frozen:
                 self.kept = built
-        kE_main, kE_off, load, u_system, b1n, gn, dt_gn, s_system = built
+        kE_main, kE_off, load, u_system, dt_gn, s_system = built
         ops, cfg, bd = self.ops, self.cfg, self.bd
         dt, eps = cfg.dt, cfg.epsilon
         u, s = state.u, state.sigma_v
@@ -342,20 +327,14 @@ class _Stepper:
             u_next = _solve_banded(u_system, rhs, step_index, "concentration",
                                    not self.frozen)
 
-        if cfg.stress_scheme == "explicit":
-            # varsigma + dt*(beta1*varsigma + gamma*u_next), epsilon = 0
-            change = np.multiply(b1n, s, out=self.stress)
-            change += np.multiply(gn, u_next, out=self.mass_u)
-            s_next = s + np.multiply(self.dt_, change, out=change)
+        # varsigma + (dt*gamma)*u_next, fresh: the update divides or
+        # solves in place
+        s_next = s + np.multiply(dt_gn, u_next, out=self.stress)
+        if eps == 0.0:
+            np.divide(s_next, s_system, out=s_next)
         else:
-            # varsigma + (dt*gamma)*u_next, fresh: the update divides or
-            # solves in place
-            s_next = s + np.multiply(dt_gn, u_next, out=self.stress)
-            if eps == 0.0:
-                np.divide(s_next, s_system, out=s_next)
-            else:
-                s_next = _solve_banded(s_system, s_next, step_index, "stress",
-                                       not self.frozen)
+            s_next = _solve_banded(s_system, s_next, step_index, "stress",
+                                   not self.frozen)
 
         bad = _nonfinite(("concentration", "stress"), (u_next, s_next),
                          np.dot(u_next, s_next))

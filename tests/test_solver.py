@@ -80,13 +80,8 @@ class TestSolverConfig:
             SolverConfig(dt=0.1, T_end=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, T_end=1.0, epsilon=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(dt=0.1, T_end=1.0, stress_scheme="midpoint")
         with pytest.raises(ValueError, match="multiple"):
             SolverConfig(dt=0.1, T_end=0.15)
-        with pytest.raises(ValueError, match='"explicit" needs epsilon'):
-            SolverConfig(dt=0.1, T_end=1.0, epsilon=1e-2,
-                         stress_scheme="explicit")
 
     def test_n_steps_rounding(self):
         assert SolverConfig(dt=1e-3, T_end=1.0).n_steps == 1000
@@ -158,26 +153,6 @@ class TestStep:
         res = run(init, mesh, model, ZERO_INFLUX, cfg)
         exact = math.exp(-math.pi ** 2 * 0.05) * u0
         assert np.max(np.abs(res.final_state.u - exact)) <= 5e-3
-
-    def test_explicit_scheme_guard(self):
-        mesh = build_mesh(1.0, 4)
-        model = constant_model(beta1=-20.0)
-        cfg = SolverConfig(dt=0.1, T_end=0.1, stress_scheme="explicit")
-        state = State(t=0.0, u=np.zeros(5), sigma_v=np.ones(5))
-        with pytest.raises(LinearSolveFailure,
-                           match=r"step 0: dt \* max\|beta1\| = 2 >= 1"):
-            step(state, mesh, model, ZERO_INFLUX, cfg)
-
-    def test_explicit_matches_implicit_to_first_order(self):
-        mesh = build_mesh(1.0, 8)
-        model = constant_model(D=1.0, beta1=-1.0, gamma=0.5)
-        state = State(t=0.0, u=np.full(9, 0.5), sigma_v=np.full(9, 0.1))
-        dt = 1e-4
-        a = step(state.copy(), mesh, model, ZERO_INFLUX,
-                 SolverConfig(dt=dt, T_end=dt))
-        b = step(state.copy(), mesh, model, ZERO_INFLUX,
-                 SolverConfig(dt=dt, T_end=dt, stress_scheme="explicit"))
-        assert np.max(np.abs(a.sigma_v - b.sigma_v)) <= 5.0 * dt ** 2
 
     def test_nan_watchdog(self):
         mesh = build_mesh(1.0, 8)
@@ -389,19 +364,12 @@ def _sparse_reference_step(state, mesh, model, bd, cfg, t_next=None):
         ab[0, 1:] = A.diagonal(1)
         ab[1, :] = A.diagonal()
         u_next = solveh_banded(ab, rhs, lower=False)
-        if cfg.stress_scheme == "explicit":
-            s_next = s + dt * (b1 * s + g * u_next)
-        else:
-            s_next = (s + dt * g * u_next) / (1.0 - dt * b1)
+        s_next = (s + dt * g * u_next) / (1.0 - dt * b1)
         return State(t=t_next, u=u_next, sigma_v=s_next)
     A = A + (dt * eps) * sp.csr_matrix(sp.diags(ml) @ bilap)
     u_next = solve(A, rhs)
-    if cfg.stress_scheme == "explicit":
-        s_next = s + dt * (b1 * s + g * u_next)
-        s_next -= dt * eps * (bilap @ s)
-    else:
-        B = sp.diags(1.0 - dt * b1) + (dt * eps) * sp.csr_matrix(bilap)
-        s_next = solve(B, s + dt * g * u_next)
+    B = sp.diags(1.0 - dt * b1) + (dt * eps) * sp.csr_matrix(bilap)
+    s_next = solve(B, s + dt * g * u_next)
     return State(t=t_next, u=u_next, sigma_v=s_next)
 
 
@@ -464,8 +432,7 @@ def _block_rows(mesh):
     return len(Recorder(mesh, 1.0, longer).chains)
 
 
-def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme,
-                                       model=None):
+def _assert_run_matches_reference_loop(cfg, n_steps, eps, model=None):
     """Require run's states and records over n_steps to equal, in bytes,
     the reference step and record looped by hand; return the model, by
     default the transform of cfg's laws."""
@@ -474,9 +441,7 @@ def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme,
     model = transform(phys) if model is None else model
     bd = build_boundary(cfg)
     init = build_initial(cfg, mesh, phys)
-    scfg = _solver_config(cfg["time.dt"], n_steps, eps, scheme)
-    if scfg is None:
-        return model
+    scfg = _solver_config(cfg["time.dt"], n_steps, eps)
     res = run(init, mesh, model, bd, scfg, output_every=1, gamma=0.8)
 
     states, records = _reference_loop(init, mesh, model, bd, scfg, n_steps)
@@ -491,18 +456,16 @@ def _assert_run_matches_reference_loop(cfg, n_steps, eps, scheme,
     return model
 
 
-def _solver_config(dt, n_steps, eps, scheme):
-    """The SolverConfig of an (eps, scheme) cell of a test grid.  The
-    explicit scheme with eps > 0 is rejected up front: for that cell,
-    check the rejection and return None."""
-    if scheme == "explicit" and eps > 0:
-        with pytest.raises(ValueError,
-                           match='"explicit" needs epsilon = 0.0, got 0.0'):
-            SolverConfig(dt=dt, T_end=n_steps * dt, epsilon=eps,
-                         stress_scheme=scheme)
-        return None
-    return SolverConfig(dt=dt, T_end=n_steps * dt, epsilon=eps,
-                        stress_scheme=scheme)
+def _solver_config(dt, n_steps, eps):
+    """The SolverConfig of an eps cell of a test grid."""
+    return SolverConfig(dt=dt, T_end=n_steps * dt, epsilon=eps)
+
+
+def _eps_cells(*values):
+    """The eps axis of a test grid.  Each id ends in "implicit-decay", the
+    stress update that every cell runs, as when a second one existed."""
+    return pytest.mark.parametrize(
+        "eps", values, ids=[f"{e}-implicit-decay" for e in values])
 
 
 def _reference_energies(mesh, states, scfg):
@@ -556,16 +519,13 @@ class TestRegularized:
         assert np.ptp(out.u) <= 1e-13
         assert np.ptp(out.sigma_v) <= 1e-13
 
-    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
-    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 0.0])
-    def test_matches_sparse_reference(self, eps, scheme):
+    @_eps_cells(1e-2, 1e-4, 0.0)
+    def test_matches_sparse_reference(self, eps):
         # at L = 1 every operator entry is dyadic, so summation order
         # shows only at a length like 0.7
         model = transform(_tanh_mix())
         bd = BoundaryData(phi_left=lambda t: 0.3, phi_right=lambda t: -0.1)
-        cfg = _solver_config(1e-3, 1, eps, scheme)
-        if cfg is None:
-            return
+        cfg = _solver_config(1e-3, 1, eps)
         for L in (1.0, 0.7):
             mesh = build_mesh(L, 16)
             x = mesh.nodes / L
@@ -644,14 +604,12 @@ class TestRun:
         assert len(states) == 51
         assert dual_obs.value == dual
 
-    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
-    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @_eps_cells(0.0, 1e-2)
     @pytest.mark.parametrize("preset", sorted(config.PRESETS))
-    def test_run_matches_reference_loop(self, preset, eps, scheme):
+    def test_run_matches_reference_loop(self, preset, eps):
         # run's states and records equal the reference step and record
         # looped by hand, bit for bit, signed zeros included
-        _assert_run_matches_reference_loop(preset_config(preset), 12, eps,
-                                           scheme)
+        _assert_run_matches_reference_loop(preset_config(preset), 12, eps)
 
     def test_observed_states_are_never_overwritten(self):
         # the step workspace must not write into a state already handed out
@@ -722,13 +680,12 @@ class TestRecordBlocks:
         assert rows > 1
         # the initial state and 3*rows + rows//2 steps: three full blocks
         # and one part-filled
-        _assert_run_matches_reference_loop(cfg, 3 * rows + rows // 2, 0.0,
-                                           "implicit-decay")
+        _assert_run_matches_reference_loop(cfg, 3 * rows + rows // 2, 0.0)
 
     def test_one_state_per_block(self):
         cfg = parse_config('preset = "sorption"\nmesh.N = 2048\n')
         assert _block_rows(build_mesh_from(cfg)) == 1
-        _assert_run_matches_reference_loop(cfg, 4, 0.0, "implicit-decay")
+        _assert_run_matches_reference_loop(cfg, 4, 0.0)
 
     @pytest.mark.parametrize("case", ["nan-diffusion",
                                       "indefinite-diffusion"])
@@ -814,36 +771,32 @@ def _constant_law_config(*lines):
 class TestFrozen:
     """Constant-law runs keep their step-1 build, bit for bit."""
 
-    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
-    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @_eps_cells(0.0, 1e-2)
     @pytest.mark.parametrize("preset", ["homogenize", "fickian"])
-    def test_frozen_preset_matches_reference_loop(self, preset, eps, scheme):
+    def test_frozen_preset_matches_reference_loop(self, preset, eps):
         # fickian's u crosses zero, so its f holds both +0.0 and -0.0
         model = _assert_run_matches_reference_loop(
-            preset_config(preset), 500, eps, scheme)
+            preset_config(preset), 500, eps)
         assert model.frozen
 
-    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
-    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @_eps_cells(0.0, 1e-2)
     @pytest.mark.parametrize("preset, laws", [
         ("homogenize", dict(D=1.0, E=0.1, beta1=-1.0, gamma=0.5)),
         ("fickian", {})])
-    def test_constant_model_runs_are_frozen(self, preset, laws, eps, scheme):
+    def test_constant_model_runs_are_frozen(self, preset, laws, eps):
         # constant_model() is fickian's laws; the other is homogenize's
         model = constant_model(**laws)
         assert model.frozen
         _assert_run_matches_reference_loop(preset_config(preset),
-                                           200, eps, scheme, model=model)
+                                           200, eps, model=model)
 
-    @pytest.mark.parametrize("scheme", ["implicit-decay", "explicit"])
-    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @_eps_cells(0.0, 1e-2)
     @pytest.mark.parametrize("lines, frozen", [
         (["model.M0.value = -0.0"], True), (["model.nu0.value = -0.0"], True),
         (["model.mu0.value = -0.0"], False)])
-    def test_signed_zero_laws_match_reference_loop(self, lines, frozen, eps,
-                                                   scheme):
+    def test_signed_zero_laws_match_reference_loop(self, lines, frozen, eps):
         model = _assert_run_matches_reference_loop(
-            _constant_law_config(*lines), 50, eps, scheme)
+            _constant_law_config(*lines), 50, eps)
         assert model.frozen is frozen
 
     @pytest.mark.parametrize("lines", [
@@ -926,9 +879,7 @@ class TestFrozen:
     @pytest.mark.parametrize("lines, message", [
         (["model.D0.value = -1.0"], "not SPD at step 1 "),
         (["model.beta0.value = -2000.0"],
-         "implicit stress decay singular at step 1:"),
-        (['stress_scheme = "explicit"', "model.beta0.value = 2000.0"],
-         r"explicit stress update unstable at step 1: dt \* max\|beta1\| = 2 ")])
+         "implicit stress decay singular at step 1:")])
     def test_failures_keep_their_step_index(self, lines, message):
         cfg = parse_config("\n".join(['preset = "homogenize"',
                                       "time.T_end = 0.01"] + lines) + "\n")
