@@ -35,7 +35,7 @@ from .coefficients import (
 )
 from .discretization import BoundaryData, Mesh, build_mesh
 from .output import read_snapshot
-from .solver import InitialData, SolverConfig
+from .solver import InitialData, SolverConfig, grid_steps
 
 __all__ = [
     "ConfigError",
@@ -362,10 +362,25 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
     cfg.laws.update(_scalar_models(cfg, lines))
     _validate_group(values, "initial.u0", _FIELD_KINDS, lines)
     _validate_group(values, "initial.sigma0", _FIELD_KINDS, lines)
+    dt, T_end = values["time.dt"], values["time.T_end"]
+    try:  # a whole number of steps, before the pulses' rule on the steps
+        build_solver_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line=lines.get("time.T_end"),
+                          key="time.T_end") from exc
     for side in ("boundary.phi_left", "boundary.phi_right"):
         _validate_group(values, side, _SIGNAL_KINDS, lines)
+        if values[side] != "pulse":
+            continue
         on, off = f"{side}.t_on", f"{side}.t_off"
-        if values[side] == "pulse" and values[off] <= values[on]:
+        t_on, t_off = (_step_time(values[k], dt, T_end) for k in (on, off))
+        for key, t in ((on, t_on), (off, t_off)):
+            if t is None:
+                raise ConfigError(
+                    f"{key} = {values[key]!r} is not a step time k*time.dt "
+                    f"(time.dt = {dt!r}), so the pulse would switch between "
+                    "two steps", line=lines.get(key), key=key)
+        if t_off <= t_on:
             raise ConfigError(f"{off} must be greater than {on}",
                               line=lines.get(off, lines.get(on)), key=off)
 
@@ -451,7 +466,22 @@ def build_model(cfg: ScenarioConfig) -> TransformedModel:
     return transform(build_physical(cfg))
 
 
-def _signal(kind: str, params: dict):
+def _step_time(t: float, dt: float, T_end: float) -> Optional[float]:
+    """A pulse's switching time as the run is built with it.
+
+    A t > 0 within the rule ``SolverConfig`` applies to T_end of a step
+    time k*dt is k*dt itself, the very float the run steps to, so the
+    pulse switches at that step and not one step off.  Any other t in
+    (0, T_end) is None: no step would sample the switch.  Any other t
+    stays as it is.
+    """
+    k = grid_steps(t, dt) if t > 0 else None
+    if k is not None:
+        return k * dt
+    return None if 0 < t < T_end else t
+
+
+def _signal(kind: str, params: dict, dt: float, T_end: float):
     if kind == "zero":
         return lambda t: 0.0
     if kind == "constant":
@@ -461,15 +491,19 @@ def _signal(kind: str, params: dict):
         a, w, p = params["amplitude"], params["omega"], params["phase"]
         return lambda t: a * math.sin(w * t + p)
     if kind == "pulse":
-        v, t_on, t_off = params["value"], params["t_on"], params["t_off"]
+        v = params["value"]
+        t_on, t_off = (_step_time(params[k], dt, T_end)
+                       for k in ("t_on", "t_off"))
         return lambda t: v if t_on < t <= t_off else 0.0
     raise ConfigError(f"unknown boundary signal kind {kind!r}")
 
 
 def build_boundary(cfg: ScenarioConfig) -> BoundaryData:
+    dt, T_end = cfg["time.dt"], cfg["time.T_end"]
     lk, lp = cfg.group("boundary.phi_left")
     rk, rp = cfg.group("boundary.phi_right")
-    return BoundaryData(phi_left=_signal(lk, lp), phi_right=_signal(rk, rp))
+    return BoundaryData(phi_left=_signal(lk, lp, dt, T_end),
+                        phi_right=_signal(rk, rp, dt, T_end))
 
 
 def _field(kind: str, params: dict, mesh: Mesh, column: str) -> np.ndarray:
@@ -502,13 +536,8 @@ def build_initial(cfg: ScenarioConfig, mesh: Mesh,
 
 
 def build_solver_config(cfg: ScenarioConfig) -> SolverConfig:
-    # validate checks every field but one: that T_end is a whole number
-    # of steps, which SolverConfig checks here
-    try:
-        return SolverConfig(dt=cfg["time.dt"], T_end=cfg["time.T_end"],
-                            epsilon=cfg["epsilon"])
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="time.T_end") from exc
+    return SolverConfig(dt=cfg["time.dt"], T_end=cfg["time.T_end"],
+                        epsilon=cfg["epsilon"])
 
 
 def longtime_box(cfg: ScenarioConfig) -> Box:

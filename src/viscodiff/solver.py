@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dpttrf, dpttrs
-# not called here: the step kernel calls LAPACK directly.  They stay
-# module attributes because perfbench/tracing.py wraps them by name.
-from scipy.linalg import solve_banded, solveh_banded  # noqa: F401
 
 from .coefficients import PhysicalCoefficients, TransformedModel
 from .diagnostics import CSV_COLUMNS, Recorder, RecordTable
@@ -40,6 +36,7 @@ from .discretization import (
 # attributes because perfbench/tracing.py wraps them by name.
 from .discretization import (  # noqa: F401
     boundary_functional, stiffness_diagonals)
+from .lapack import Banded, Tridiagonal
 
 __all__ = [
     "State",
@@ -54,6 +51,18 @@ __all__ = [
     "compute_flux",
     "reconstruct_sigma",
 ]
+
+
+def __getattr__(name: str):
+    # solve_banded and solveh_banded are not called here: the step kernel
+    # calls LAPACK through .lapack.  perfbench/tracing.py wraps them by
+    # name, so they are module attributes, but scipy is imported only
+    # when one of them is asked for, and no untraced run loads it.
+    if name in ("solve_banded", "solveh_banded"):
+        import scipy.linalg
+        globals()[name] = value = getattr(scipy.linalg, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NumericalFailure(Exception):
@@ -89,6 +98,14 @@ class State:
         return State(self.t, self.u.copy(), self.sigma_v.copy())
 
 
+def grid_steps(t: float, dt: float) -> Optional[int]:
+    """k when t is the step time k*dt up to round-off (1e-9 relative),
+    else None."""
+    steps = t / dt
+    k = round(steps)
+    return k if abs(steps - k) <= 1e-9 * max(steps, 1.0) else None
+
+
 @dataclass
 class SolverConfig:
     dt: float
@@ -102,14 +119,13 @@ class SolverConfig:
             raise ValueError("T_end must be non-negative")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        steps = self.T_end / self.dt  # a whole number, up to round-off
-        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+        if grid_steps(self.T_end, self.dt) is None:
             raise ValueError(f"T_end={self.T_end:g} is not a multiple of "
                              f"dt={self.dt:g}")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.T_end / self.dt))
+        return grid_steps(self.T_end, self.dt)
 
 
 class InitialData:
@@ -191,10 +207,16 @@ class _Stepper:
     which is what dptsv does.  With epsilon > 0 both step systems are
     pentadiagonal: ``build`` assembles them in (2, 2) band storage, with
     the two rows of fill space on top that dgbsv needs, and ``advance``
-    solves them with dgbsv, which factors them in place unless the build
-    is kept.  The cached regularization bands are scaled once to
-    dt*eps*M_L(I+L_h)^2 (concentration) and dt*eps*(I+L_h)^2 (stress),
-    and each build adds its lagged tridiagonal part to a copy of them.
+    solves them with dgbsv, which factors them in place; a kept build's
+    bands are copied into a scratch matrix first.  The cached
+    regularization bands are scaled once to dt*eps*M_L(I+L_h)^2
+    (concentration) and dt*eps*(I+L_h)^2 (stress), and each build adds
+    its lagged tridiagonal part to a copy of them.
+
+    The LAPACK systems (``lapack.Tridiagonal``, ``lapack.Banded``) are
+    bound once per run to the buffers here: the concentration system's
+    right-hand side is ``mass_u`` and the stress system's is ``stress``,
+    each solved in place and then copied into the fresh state.
     """
 
     def __init__(self, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
@@ -226,19 +248,26 @@ class _Stepper:
         self.mass_u, self.stress = np.empty(n), np.empty(n)
         self.work = np.empty(n - 1)
         self.influx = np.zeros(n)
-        if cfg.epsilon > 0:
+        if cfg.epsilon == 0:
+            self.u_solver = Tridiagonal(self.a_main, self.a_off, self.mass_u)
+        else:
             w = cfg.dt * cfg.epsilon
             self.reg_u = w * self.ops.lumped_bilaplacian
             self.reg_s = w * self.ops.bilaplacian
             self.u_bands = np.empty_like(self.reg_u, order="F")
             self.s_bands = np.empty_like(self.reg_s, order="F")
+            # dgbsv factors its matrix in place: a kept build's bands are
+            # solved from a scratch copy, any other build's in place
+            lu = np.empty_like if self.frozen else (lambda a: a)
+            self.u_solver = Banded(lu(self.u_bands), self.mass_u, 2, 2)
+            self.s_solver = Banded(lu(self.s_bands), self.stress, 2, 2)
 
     def build(self, state: State, step_index: int) -> tuple:
         """The lagged part of the step from ``state``: the stiffness bands
         of E, the flux load of f, the concentration system (dpttrf's
-        factors at epsilon = 0, else its bands), dt*gamma, and the stress
-        update's divisor 1 - dt*beta1 (epsilon = 0) or its bands
-        (epsilon > 0)."""
+        factors, in place in ``a_main`` and ``a_off``, at epsilon = 0,
+        else its bands), dt*gamma, and the stress update's divisor
+        1 - dt*beta1 (epsilon = 0) or its bands (epsilon > 0)."""
         mesh, cfg = self.mesh, self.cfg
         dt_, eps = self.dt_, cfg.epsilon
         n = self.n
@@ -267,13 +296,13 @@ class _Stepper:
                                                  out=self.a_off),
                        out=self.a_off)
         if eps == 0.0:
-            d, e, info = dpttrf(a_main, a_off, overwrite_d=1, overwrite_e=1)
+            info = self.u_solver.factor()
             if info > 0:
                 raise LinearSolveFailure(
                     f"concentration system not SPD at step {step_index} "
                     f"(discrete ellipticity violation): {info}th leading "
                     "minor not positive definite")
-            u_system = (d, e)
+            u_system = (a_main, a_off)
         else:
             u_system = self.u_bands
             np.copyto(u_system, self.reg_u)
@@ -319,22 +348,24 @@ class _Stepper:
         influx = self.influx
         influx[0] = dt * float(bd.phi_left(t_next))
         influx[-1] = dt * float(bd.phi_right(t_next))
-        rhs = rest + influx  # fresh: the solve writes u_next into it
+        # the rhs, solved in place into u_next, which is then copied out
+        np.add(rest, influx, out=rest)
         if eps == 0.0:
-            u_next, _ = dpttrs(*u_system, rhs, overwrite_b=1)
+            self.u_solver.solve()
         else:
-            # dgbsv factors the bands in place, unless they are kept
-            u_next = _solve_banded(u_system, rhs, step_index, "concentration",
-                                   not self.frozen)
+            _solve_banded(self.u_solver, u_system, step_index,
+                          "concentration")
+        u_next = rest.copy()
 
-        # varsigma + (dt*gamma)*u_next, fresh: the update divides or
-        # solves in place
-        s_next = s + np.multiply(dt_gn, u_next, out=self.stress)
+        # varsigma + (dt*gamma)*u_next, then divided, or solved in place
+        # and copied out
+        stress = np.add(s, np.multiply(dt_gn, u_next, out=self.stress),
+                        out=self.stress)
         if eps == 0.0:
-            np.divide(s_next, s_system, out=s_next)
+            s_next = np.divide(stress, s_system)
         else:
-            s_next = _solve_banded(s_system, s_next, step_index, "stress",
-                                   not self.frozen)
+            _solve_banded(self.s_solver, s_system, step_index, "stress")
+            s_next = stress.copy()
 
         bad = _nonfinite(("concentration", "stress"), (u_next, s_next),
                          np.dot(u_next, s_next))
@@ -365,16 +396,17 @@ def _nonfinite(names, arrays, total: float) -> Optional[str]:
     return None
 
 
-def _solve_banded(ab: np.ndarray, rhs: np.ndarray, step_index: int,
-                  what: str, overwrite_ab: bool = True) -> np.ndarray:
-    """Solve the (2, 2) band system; rhs, and ab if overwrite_ab, are
-    overwritten."""
-    _, _, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=overwrite_ab,
-                          overwrite_b=1)
-    if info > 0:
+def _solve_banded(system: Banded, bands: np.ndarray, step_index: int,
+                  what: str) -> None:
+    """Solve ``system`` with the matrix ``bands``, overwriting its
+    right-hand side with the solution and its matrix with the factors.
+    Bands that are not the system's matrix (a kept build's) are copied
+    into it first."""
+    if bands is not system.ab:
+        np.copyto(system.ab, bands)
+    if system.solve() > 0:
         raise LinearSolveFailure(
             f"{what} system singular at step {step_index}: singular matrix")
-    return x
 
 
 def step(state: State, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
@@ -410,19 +442,25 @@ class DualTimeDerivative:
 
     def __init__(self, mesh: Mesh, dt: float):
         ops = mesh_operators(mesh)
-        self.ml, self.dt = ops.lumped, dt
+        self.ml, self.dt, self.dt_ = ops.lumped, dt, scalar(dt)
+        # l and the solve's rhs, which it overwrites with (M_L + K)^-1 l
+        self.load, self.y = np.empty(mesh.N + 1), np.empty(mesh.N + 1)
         # (M_L + K) factored once: dpttrf then dpttrs is what dptsv does,
         # so each solve matches a dptsv call
-        self.d, self.e, _ = dpttrf(ops.lumped + ops.unit_stiffness_main,
-                                   ops.unit_stiffness_off)
+        self.system = Tridiagonal(ops.lumped + ops.unit_stiffness_main,
+                                  ops.unit_stiffness_off.copy(), self.y)
+        self.system.factor()
         self.value = 0.0
         self.prev_u = None
 
     def __call__(self, state: State) -> None:
         if self.prev_u is not None:
-            load = self.ml * ((state.u - self.prev_u) / self.dt)
-            y, _ = dpttrs(self.d, self.e, load)
-            self.value += self.dt * float(np.dot(load, y))
+            load = np.subtract(state.u, self.prev_u, out=self.load)
+            np.multiply(self.ml, np.divide(load, self.dt_, out=load),
+                        out=load)
+            np.copyto(self.y, load)
+            self.system.solve()
+            self.value += self.dt * float(np.dot(load, self.y))
         self.prev_u = state.u
 
 

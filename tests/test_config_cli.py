@@ -480,6 +480,19 @@ class TestCli:
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG_ERROR
         assert "time.T_end" in capsys.readouterr().err
 
+    def test_off_grid_pulse_override_exit_two(self, tmp_path, capsys):
+        # the pulse's t_off = 0.5 lies between the steps of dt = 0.3, which
+        # T_end = 0.9 is a whole number of; the --dt override and the
+        # eps-scan members are held to the rule a file is
+        p = tmp_path / "s.cfg"
+        p.write_text('preset = "eps-scan"\ntime.T_end = 0.9\n')
+        for args in (["run", str(p), "--dt", "0.3"],
+                     ["eps-scan", str(p), "--dt", "0.3"]):
+            assert main(args + ["--out", str(tmp_path / "o"),
+                                "--quiet"]) == EXIT_CONFIG_ERROR
+            assert "'boundary.phi_left.t_off'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("verb", ["run", "check-assumptions", "find-gamma"])
     def test_non_smooth_coefficient_exit_one(self, tmp_path, capsys, verb):
         # a near-step beta0 makes the h and h/2 difference stencils disagree
@@ -573,7 +586,11 @@ class TestCli:
         # the stress update is always the implicit decay: the key that
         # chose it is unknown, also in a config.txt that still sets it
         (['preset = "homogenize"', 'stress_scheme = "implicit-decay"'],
-         "stress_scheme")])
+         "stress_scheme"),
+        # no step of dt = 5e-4 lands on 1.00025, so the pulse would end
+        # between two steps
+        (['preset = "sorption"', "boundary.phi_left.t_off = 1.00025"],
+         "boundary.phi_left.t_off")])
     def test_bad_check_input_exit_two_before_any_step(
             self, tmp_path, capsys, monkeypatch, lines, key):
         def no_run(*args, **kwargs):

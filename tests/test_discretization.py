@@ -274,3 +274,25 @@ def test_import_loads_no_sparse_matrices():
                          text=True, check=True, env={**os.environ,
                          "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # LAPACK comes from numpy's own OpenBLAS: a preset run and an
+    # eps-scan (the dual-norm solve and the epsilon > 0 band solves)
+    # import nothing from scipy
+    code = (
+        "import pathlib, sys\n"
+        "import viscodiff\n"
+        "from viscodiff.cli import main\n"
+        "d = pathlib.Path(sys.argv[1])\n"
+        "for verb, preset in (('run', 'sorption'), ('eps-scan', 'eps-scan')):\n"
+        "    cfg = d / (preset + '.cfg')\n"
+        "    cfg.write_text(f'preset = \"{preset}\"\\ntime.T_end = 0.01\\n')\n"
+        "    print(main([verb, str(cfg), '--out', str(d / preset), '--quiet']))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split("\n")[:3] == ["0", "0", "[]"]
+    assert (tmp_path / "eps-scan" / "diagnostics_eps_0p01.csv").exists()

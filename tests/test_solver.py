@@ -42,6 +42,7 @@ from viscodiff.discretization import (
     stiffness_diagonals,
     tridiag_matvec,
 )
+from viscodiff.lapack import Banded
 from viscodiff.solver import (
     DualTimeDerivative,
     InitialData,
@@ -263,6 +264,32 @@ class TestMassBalance:
         assert res.records[500].t == 0.5
         gain = res.records[-1].mass - res.records[0].mass
         assert abs(gain - 0.1) <= 1e-12
+
+    def test_pulse_switches_on_the_step_grid(self):
+        # 3*0.1 > 0.3 in binary: t_off = 0.3 is built as 3*0.1 itself, so
+        # the pulse covers three steps, not two
+        cfg = parse_config('time.dt = 0.1\nboundary.phi_left = "pulse"\n'
+                           'boundary.phi_left.value = 1.0\n'
+                           'boundary.phi_left.t_off = 0.3\n')
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        res = run(build_initial(cfg, mesh, phys), mesh, transform(phys),
+                  build_boundary(cfg), build_solver_config(cfg))
+        gain = res.records[-1].mass - res.records[0].mass
+        assert gain == pytest.approx(0.3, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("preset, influx", [("sorption", 1.0),
+                                                ("desorption", -0.5)])
+    def test_pulse_presets_gain_the_prescribed_mass(self, preset, influx):
+        # the integral of the pulse, value * (t_off - t_on), to 1e-12 of
+        # the masses whose difference the gain is
+        cfg = preset_config(preset)
+        mesh = build_mesh_from(cfg)
+        phys = build_physical(cfg)
+        res = run(build_initial(cfg, mesh, phys), mesh, transform(phys),
+                  build_boundary(cfg), build_solver_config(cfg))
+        m0, m1 = res.records[0].mass, res.records[-1].mass
+        assert abs((m1 - m0) - influx) <= 1e-12 * max(abs(m0), abs(m1))
 
     def test_influx_one_over_unit_time(self):
         mesh = build_mesh(1.0, 64)
@@ -550,9 +577,10 @@ class TestRegularized:
     def test_singular_band_system_names_its_step(self):
         # a zero pivot is the only failure dgbsv reports; no public input
         # reaches one exactly, so the helper is given a zero matrix
+        ab = np.zeros((7, 5), order="F")
         with pytest.raises(LinearSolveFailure,
                            match="stress system singular at step 3"):
-            _solve_banded(np.zeros((7, 5), order="F"), np.ones(5), 3, "stress")
+            _solve_banded(Banded(ab, np.ones(5), 2, 2), ab, 3, "stress")
 
     def test_terminal_distance_monotone_in_epsilon(self):
         mesh = build_mesh(1.0, 32)
