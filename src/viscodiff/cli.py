@@ -47,6 +47,7 @@ from .diagnostics import (
     lyapunov_decay_check,
     mass_balance_check,
 )
+from .discretization import chain_of, pair_rows
 from .output import write_diagnostics, write_flux, write_snapshot
 from .solver import (
     DualTimeDerivative,
@@ -144,6 +145,72 @@ class _FrontTracker:
             f"over {len(self.times)} samples")
 
 
+class _BoxMonitor:
+    """Run observer: the range of t, u and varsigma over every state of a
+    run, checked against the longtime box the decay condition was
+    verified on.
+
+    u and varsigma are kept as nodewise minima and maxima of the states'
+    chains [u, 0.0, varsigma, 0.0] (``State.chain``), two ufunc calls a
+    step; a state without a chain is taken a row at a time.
+    """
+
+    def __init__(self, box, n_nodes: int):
+        self.box = box
+        self.t = (math.inf, -math.inf)
+        self.lo = np.full(2 * n_nodes + 2, math.inf)
+        self.hi = np.full(2 * n_nodes + 2, -math.inf)
+
+    def __call__(self, state):
+        t_lo, t_hi = self.t
+        self.t = min(t_lo, state.t), max(t_hi, state.t)
+        chain = chain_of(state)
+        if chain is not None:
+            np.minimum(self.lo, chain, out=self.lo)
+            np.maximum(self.hi, chain, out=self.hi)
+            return
+        for ext, acc in ((np.minimum, self.lo), (np.maximum, self.hi)):
+            for row, v in zip(pair_rows(acc), (state.u, state.sigma_v)):
+                ext(row, v, out=row)
+
+    def report(self) -> CheckReport:
+        """PASS when every axis stays in the box, else FAIL naming the
+        first of t, u and varsigma that leaves it.  A step time within
+        the 1e-9 relative rule of ``solver.grid_steps`` of the box's
+        t-range counts as inside it, as T_end counts as a step time."""
+        ranges = [("t", "t", self.t)] + [
+            (name, axis, (float(lo.min()), float(hi.max())))
+            for name, axis, lo, hi in zip(("u", "varsigma"), "us",
+                                          pair_rows(self.lo),
+                                          pair_rows(self.hi))]
+        for name, axis, (lo, hi) in ranges:
+            b_lo, b_hi = getattr(self.box, axis)
+            slack = 1e-9 * max(abs(b_lo), abs(b_hi)) if axis == "t" else 0.0
+            if lo < b_lo - slack or hi > b_hi + slack:
+                return CheckReport(
+                    ok=False, name="longtime_box",
+                    message=(f"{name} range [{lo:.6g}, {hi:.6g}] leaves "
+                             f"longtime.box.{axis} = [{b_lo:g}, {b_hi:g}]"))
+        return CheckReport(
+            ok=True, name="longtime_box",
+            message="run stays in the longtime box: " + ", ".join(
+                f"{name} in [{lo:.6g}, {hi:.6g}]"
+                for name, _, (lo, hi) in ranges))
+
+
+def _observers(*observers):
+    """One run observer that calls each of observers that is not None,
+    in order, or None if none is."""
+    active = [o for o in observers if o is not None]
+    if len(active) <= 1:
+        return active[0] if active else None
+
+    def observe(state):
+        for o in active:
+            o(state)
+    return observe
+
+
 # ---------------------------------------------------------------------------
 # scenario execution
 
@@ -215,11 +282,13 @@ def _execute(cfg: ScenarioConfig):
 
     front = (_FrontTracker(mesh, cfg["front.threshold"])
              if cfg["signature"] == "front" else None)
+    box = (_BoxMonitor(cfgmod.longtime_box(cfg), mesh.N + 1)
+           if lt is not None else None)
 
     output_every = cfg["time.output_every"] or None
     result = run(init, mesh, model, bd, scfg, output_every=output_every,
-                 gamma=gamma, observer=front)
-    return mesh, phys, bd, lt, result, front
+                 gamma=gamma, observer=_observers(front, box))
+    return mesh, phys, bd, lt, result, front, box
 
 
 def _signature_lines(cfg: ScenarioConfig, records, front) -> list[str]:
@@ -235,13 +304,16 @@ def _signature_lines(cfg: ScenarioConfig, records, front) -> list[str]:
             f"signature kind: {kind}", f"signature detail: {desc}"]
 
 
-def _run_checks(cfg: ScenarioConfig, mesh, bd, lt, result) -> list[CheckReport]:
+def _run_checks(cfg: ScenarioConfig, mesh, bd, lt, result,
+                box) -> list[CheckReport]:
     checks = []
     if cfg["check.mass_balance"]:
         checks.append(mass_balance_check(result.records, bd,
                                          epsilon=result.epsilon))
     if cfg["check.lyapunov"]:
         checks.append(lyapunov_decay_check(result.records, lt))
+    if box is not None:
+        checks.append(box.report())
     if "check.analytic" in cfg.values:
         tol = cfg["check.analytic_tol"]
         err = _analytic_error(cfg, mesh, result.final_state)
@@ -313,11 +385,11 @@ def _write_failure(outdir: Path, cfg: ScenarioConfig, exc) -> None:
 
 def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     try:
-        mesh, phys, bd, lt, result, front = _execute(cfg)
+        mesh, phys, bd, lt, result, front, box = _execute(cfg)
     except (NumericalFailure, LinearSolveFailure) as exc:
         _write_failure(outdir, cfg, exc)
         raise
-    checks = _run_checks(cfg, mesh, bd, lt, result)
+    checks = _run_checks(cfg, mesh, bd, lt, result, box)
     _write_outputs(outdir, cfg, mesh, phys, lt, result, front, checks)
     if not quiet:
         rec = result.records[-1]

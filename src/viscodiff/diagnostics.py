@@ -16,8 +16,8 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .coefficients import LongTimeCondition
-from .discretization import (BoundaryData, Mesh, mesh_operators,
-                             tridiag_matvec)
+from .discretization import (BoundaryData, Mesh, chain_of, mesh_operators,
+                             pair_bands, pair_rows, tridiag_matvec)
 
 __all__ = [
     "DiagnosticsRecord",
@@ -65,7 +65,7 @@ CSV_COLUMNS = DiagnosticsRecord._fields
 
 # rows per block when a record table is iterated or written out
 BLOCK_ROWS = 1024
-# bytes of state chains per block of records computed together: 63
+# bytes of state chains per block of records computed together: 62
 # states at N = 64, 31 at N = 128, one from N = 2047 up.  A block's
 # products are no larger, so they stay below glibc's 128 KiB mmap
 # threshold and reuse heap memory, as the step's own temporaries do.
@@ -151,9 +151,11 @@ class Recorder:
 
     ``add`` writes a state's time into its row of the table and copies
     its fields into the next row of a block of ``pair_bands`` chains (u,
-    a zero pad, varsigma, a zero pad), allocated once; when the block is
-    full, and on ``flush``, the records of the states in it are
-    computed together into their rows.  A block holds
+    a zero pad, varsigma, a zero pad), allocated once: a state that
+    already has that layout (``State.chain``, as every state a run's
+    steps return has) in one copy, any other one row at a time.  When
+    the block is full, and on ``flush``, the records of the states in it
+    are computed together into their rows.  A block holds
     RECORD_BLOCK_BYTES of chains, and at least one state.  ``prev`` is
     the record before the table's row 0, if any; ``gamma`` is the
     Lyapunov weight, as for ``record``.
@@ -186,21 +188,26 @@ class Recorder:
         self.rows = rows = max(1, min(len(table),
                                       RECORD_BLOCK_BYTES // (8 * width)))
         self.chains = np.zeros((rows, width))  # the pads stay 0.0
-        # the mass and unit-stiffness pair bands as one-row stacks, so
-        # that a one-state block is multiplied without broadcasting
-        self.bands = [(main[None], off[None]) for main, off in (
-            (ops.mass_pair_main, ops.mass_pair_off),
-            (ops.unit_stiffness_pair_main, ops.unit_stiffness_pair_off))]
+        # the mass and unit-stiffness bands of the whole block read as
+        # one chain of 2*rows rows, so that a block is multiplied by one
+        # 1-D product; m states take the first m*width nodes
+        self.bands = [pair_bands(main, off, 2 * rows) for main, off in (
+            (ops.mass_main, ops.mass_off),
+            (ops.unit_stiffness_main, ops.unit_stiffness_off))]
         # [row, u or varsigma, mass or stiffness] quadratic forms
         self.sq = np.empty((rows, 2, 2))
         self.count = 0  # states in the block
         self.filled = 0  # rows of the table written
 
     def add(self, state) -> None:
-        j, n = self.count, self.n
-        chain = self.chains[j]
-        chain[:n] = state.u
-        chain[n + 1:-1] = state.sigma_v
+        j = self.count
+        chain = chain_of(state)
+        if chain is None:
+            u, s = pair_rows(self.chains[j])
+            u[:] = state.u
+            s[:] = state.sigma_v
+        else:
+            self.chains[j] = chain
         self.table[self.filled + j, 0] = state.t
         self.count = j + 1
         if self.count == self.rows:
@@ -209,27 +216,33 @@ class Recorder:
     def flush(self) -> None:
         """Compute the records of the states in the block and empty it.
 
-        The mass and the unit stiffness each act on the block's chains
-        in one product, the quadratic forms of each operator come from
-        one ``vecdot`` (which sums as ``np.dot`` does, bit for bit), and
-        the mass and the range of u are reductions along each row, so
-        every row equals the one a one-state block gives.  The Lyapunov
-        functional and the trapezoid sums are taken row by row in Python
-        floats: Python's ``x ** 2`` (libm ``pow``) and numpy's square
-        differ in the last bit on some values.  The regularization
-        energies come from the same unit-stiffness product, each row's
-        sums (equal to a one-state ``.sum()``) added in row order.
+        The mass and the unit stiffness each act on the block's chains,
+        read as one chain, in one 1-D product (a pad decouples each row
+        from the next, bit for bit, as in ``pair_bands``), the quadratic
+        forms of each operator come from one ``vecdot`` (which sums as
+        ``np.dot`` does, bit for bit), and the mass and the range of u
+        are reductions along each row, so every row equals the one a
+        one-state block gives.  The Lyapunov
+        functional w*|u|^2 + |varsigma|_1^2/2 is a column of the same
+        two products and a sum as the scalar formula, so the same bits.
+        The trapezoid sums are taken row by row in Python floats:
+        Python's ``x ** 2`` (libm ``pow``) and numpy's square differ in
+        the last bit on some values.  The regularization energies come
+        from the same unit-stiffness product, each row's sums (equal to a
+        one-state ``.sum()``) added in row order.
         """
         m, n = self.count, self.n
         if m == 0:
             return
         chains, sq = self.chains[:m], self.sq[:m]
+        size = chains.size
         rec = self.table[self.filled:self.filled + m]
         # [row, u or varsigma, node]
         fields = chains.reshape(m, 2, n + 1)[..., :n]
         u = fields[:, 0]
         for k, (main, off) in enumerate(self.bands):
-            prod = tridiag_matvec(main, off, chains)
+            prod = tridiag_matvec(main[:size], off[:size - 1],
+                                  chains.reshape(-1)).reshape(m, 2 * n + 2)
             np.vecdot(fields, prod.reshape(m, 2, n + 1)[..., :n],
                       out=sq[..., k])
             if k == 0:
@@ -244,20 +257,21 @@ class Recorder:
         u.max(axis=1, out=rec[:, 10])
 
         w = 0.5 * self.gamma * self.gamma
+        np.add(w * sq[:, 0], 0.5 * sq[:, 3], out=rec[:, 6])
         t_p, hu_p, hs_p, cu, cs = self.carry or (None,) * 5
-        rest = []  # lyapunov, cum_grad_u, cum_grad_s of each row
-        for t, hu, hs, (l2u_sq, hu_sq, _, hs_sq) in zip(
+        cums = []  # cum_grad_u, cum_grad_s of each row
+        for t, hu, hs, hu_sq, hs_sq in zip(
                 rec[:, 0].tolist(), rec[:, 3].tolist(), rec[:, 5].tolist(),
-                sq.tolist()):
+                sq[:, 1].tolist(), sq[:, 3].tolist()):
             if t_p is None:
                 cu = cs = 0.0
             else:
                 dt = t - t_p
                 cu = cu + 0.5 * dt * (hu_p ** 2 + hu_sq)
                 cs = cs + 0.5 * dt * (hs_p ** 2 + hs_sq)
-            rest.append((w * l2u_sq + 0.5 * hs_sq, cu, cs))
+            cums.append((cu, cs))
             t_p, hu_p, hs_p = t, hu, hs
-        rec[:, 6:9] = rest
+        rec[:, 7:9] = cums
         self.carry = t_p, hu_p, hs_p, cu, cs
         self.count, self.filled = 0, self.filled + m
 
@@ -369,29 +383,36 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
     Assumes the series was recorded every step, so the expected mass
     follows the stepping rule term by term:
     m_k = (m_{k-1} + dt*(phi_left + phi_right)(t_k)) / (1 + dt*epsilon),
-    the regularization removing dt*epsilon*m_k per step.
+    the regularization removing dt*epsilon*m_k per step.  Both messages
+    state the net gain and the influx the steps took in, the sum of
+    dt*(phi_left + phi_right)(t_k) up to the last step checked (the
+    integral of the influx whenever phi is constant over each step).
     """
     rows = _rows(series, ("t", "mass"))
     t_prev, mass0 = next(rows)
     expected = mass = mass0
+    influx = 0.0
     scale = 1.0 + abs(expected)
     for k, (t, mass) in enumerate(rows, start=1):
         dt = t - t_prev
-        expected = (expected + dt * (float(bd.phi_left(t))
-                                     + float(bd.phi_right(t)))
-                    ) / (1.0 + dt * epsilon)
+        gain = dt * (float(bd.phi_left(t)) + float(bd.phi_right(t)))
+        influx += gain
+        expected = (expected + gain) / (1.0 + dt * epsilon)
         drift = mass - expected
         if abs(drift) > MASS_BALANCE_TOL * scale:
             return CheckReport(
                 ok=False, name="mass_balance", first_violation=k,
                 message=(f"mass drift {drift:.3e} at step {k} "
                          f"(t={t:.6g}) exceeds "
-                         f"{MASS_BALANCE_TOL:g} relative"))
+                         f"{MASS_BALANCE_TOL:g} relative "
+                         f"(net gain {mass - mass0:.12g}, "
+                         f"influx sum dt*phi {influx:.12g})"))
         t_prev = t
     return CheckReport(
         ok=True, name="mass_balance",
         message=(f"mass tracks influx over {len(series) - 1} steps "
-                 f"(net gain {mass - mass0:.12g})"))
+                 f"(net gain {mass - mass0:.12g}, "
+                 f"influx sum dt*phi {influx:.12g})"))
 
 
 def apriori_scaling_check(runs: Mapping[float, "RunResult"]) -> CheckReport:

@@ -203,23 +203,42 @@ def _bilaplacian_bands(lumped: np.ndarray, k_main: np.ndarray,
     return bilap, lumped_bilap
 
 
-def pair_bands(main: np.ndarray, off: np.ndarray):
-    """(main, off) diagonals of two copies of a tridiagonal operator on a
-    chain of two rows, each of n nodes followed by one pad node.
+def pair_bands(main: np.ndarray, off: np.ndarray, copies: int = 2):
+    """(main, off) diagonals of copies of a tridiagonal operator on a
+    chain of rows, each of n nodes followed by one pad node.
 
-    Two nodal vectors a and b make the chain a, 0.0, b, 0.0.  Every
-    coupling to a pad is -0.0 and every pad holds 0.0, so a coupling
-    adds -0.0 * 0.0 = -0.0 to a product entry, which leaves the entry
-    unchanged bit for bit: one ``tridiag_matvec`` on the chain equals one
-    call on each row, and the rows of a product p on the chain are p[:n]
-    and p[n + 1:-1].
+    Two nodal vectors a and b make the chain a, 0.0, b, 0.0 (a state's
+    ``State.chain``), and a block of such chains laid end to end is a
+    chain of twice as many rows.  Every coupling to a pad is -0.0 and
+    every pad holds 0.0, so a coupling adds -0.0 * 0.0 = -0.0 to a
+    product entry, which leaves the entry unchanged bit for bit: one
+    ``tridiag_matvec`` on the chain equals one call on each row, and the
+    rows of a product p on a two-row chain are ``pair_rows(p)``.
     """
     n = main.size
-    chain_main = np.zeros((2, n + 1))
+    chain_main = np.zeros((copies, n + 1))
     chain_main[:, :n] = main
-    chain_off = np.full((2, n + 1), -0.0)
+    chain_off = np.full((copies, n + 1), -0.0)
     chain_off[:, :n - 1] = off
     return chain_main.reshape(-1), chain_off.reshape(-1)[:-1]
+
+
+def pair_rows(chain: np.ndarray):
+    """Views of the two rows of a chain of 2n + 2 nodes in the layout of
+    ``pair_bands`` (a, 0.0, b, 0.0): chain[..., :n] and
+    chain[..., n + 1:-1]."""
+    n = chain.shape[-1] // 2 - 1
+    return chain[..., :n], chain[..., n + 1:-1]
+
+
+def chain_of(state):
+    """A state's ``chain`` while its u and sigma_v are views of it, else
+    None (no chain, or a field rebound to another array)."""
+    chain = state.chain
+    if (chain is not None and state.u.base is chain
+            and state.sigma_v.base is chain):
+        return chain
+    return None
 
 
 @dataclass(frozen=True)
@@ -227,8 +246,7 @@ class DiscreteOperators:
     """Pre-assembled mesh-dependent operators shared across time steps.
 
     They depend on the mesh only through N and h.  Tridiagonal matrices
-    are held as (main, off) diagonals, the mass and unit stiffness also
-    as ``pair_bands`` chains, the regularization operators
+    are held as (main, off) diagonals, the regularization operators
     (I + L_h)^2 and M_L (I + L_h)^2 in (2, 2) band storage.  The arrays
     are read-only, so one instance can be shared by every caller.
     """
@@ -240,18 +258,13 @@ class DiscreteOperators:
     unit_stiffness_off: np.ndarray
     bilaplacian: np.ndarray
     lumped_bilaplacian: np.ndarray
-    mass_pair_main: np.ndarray
-    mass_pair_off: np.ndarray
-    unit_stiffness_pair_main: np.ndarray
-    unit_stiffness_pair_off: np.ndarray
 
     @classmethod
     def build(cls, mesh: Mesh) -> "DiscreteOperators":
         lumped = lumped_mass_diagonal(mesh)
         mm, mo = mass_diagonals(mesh)
         km, ko = stiffness_diagonals(mesh, np.ones(mesh.N + 1))
-        ops = cls(mm, mo, lumped, km, ko, *_bilaplacian_bands(lumped, km, ko),
-                  *pair_bands(mm, mo), *pair_bands(km, ko))
+        ops = cls(mm, mo, lumped, km, ko, *_bilaplacian_bands(lumped, km, ko))
         for arr in vars(ops).values():
             arr.flags.writeable = False
         return ops
@@ -280,6 +293,7 @@ def tridiag_matvec(main: np.ndarray, off: np.ndarray, v: np.ndarray,
     ``off * v[..., 1:]``, holds the off-diagonal terms if given.
     """
     out = np.multiply(main, v, out=out)
-    out[..., :-1] += np.multiply(off, v[..., 1:], out=work)
-    out[..., 1:] += np.multiply(off, v[..., :-1], out=work)
+    upper, lower = out[..., :-1], out[..., 1:]
+    np.add(upper, np.multiply(off, v[..., 1:], out=work), out=upper)
+    np.add(lower, np.multiply(off, v[..., :-1], out=work), out=lower)
     return out

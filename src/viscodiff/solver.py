@@ -11,7 +11,7 @@ both equations; it turns the stress update into a banded solve too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -24,9 +24,12 @@ from .diagnostics import record  # noqa: F401
 from .discretization import (
     BoundaryData,
     Mesh,
+    chain_of,
     element_means,
     load_from_means,
     mesh_operators,
+    pair_bands,
+    pair_rows,
     scalar,
     stiffness_from_means,
     tridiag_matvec,
@@ -81,11 +84,24 @@ class LinearSolveFailure(Exception):
 
 @dataclass
 class State:
-    """Time plus nodal concentration u and transformed stress varsigma."""
+    """Time plus nodal concentration u and transformed stress varsigma.
+
+    A state that a run's steps return (``_Stepper.advance``) is one
+    fresh float64 array, ``chain`` = [u, 0.0, varsigma, 0.0] in the
+    layout of ``discretization.pair_bands``, and u and sigma_v are views
+    of it; nothing writes to it again.  The step multiplies the chain,
+    and ``diagnostics.Recorder`` copies it, in one call each.  A state
+    built from separate arrays, as ``State(t, u, sigma_v)`` builds it,
+    has no chain (None), and neither counts as chained once u or
+    sigma_v is rebound to an array that is not a view of it: such a
+    state is copied into a chain where one is needed.
+    """
 
     t: float
     u: np.ndarray
     sigma_v: np.ndarray
+    chain: Optional[np.ndarray] = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def check(self, mesh: Mesh) -> None:
         n = mesh.N + 1
@@ -189,13 +205,23 @@ class _Stepper:
     1 - dt*beta1 and dt*gamma.  ``advance`` then builds the right-hand
     side, solves and updates varsigma.
 
+    ``advance`` forms M u and K(E) varsigma in one ``tridiag_matvec``
+    over the state's chain [u, 0.0, varsigma, 0.0] (``State.chain``),
+    against the ``pair_bands`` chain of [M; K(E)]: its mass half is
+    written once per run here, and its K(E) half by each build.  Every
+    pad holds 0.0 and every coupling to a pad is -0.0, so each real
+    entry of the product equals that of the separate product, bit for
+    bit.  A state without a chain (the initial state, or one built from
+    separate arrays) is first copied into a scratch chain.
+
     Every array a build or an advance writes, apart from the state it
     returns, is allocated once per run here and rewritten in place by
-    ufuncs.  A step allocates only its new u and varsigma, and the
-    temporaries of laws that need one (cohen-e0's (u-1)^2, nu0's
-    antiderivative), so every state it returns is fresh and is never
-    written again.  A build writes only its own arrays and an advance
-    only its scratch, so a build that is kept is never overwritten.
+    ufuncs.  A step allocates only the chain of the state it returns,
+    and the temporaries of laws that need one (cohen-e0's (u-1)^2,
+    nu0's antiderivative), so every state it returns is fresh and is
+    never written again.  A build writes only its own arrays and an
+    advance only its scratch, so a build that is kept is never
+    overwritten.
 
     Every step runs ``build``, except in a run whose model is frozen
     (``TransformedModel.frozen``): its fields cannot change, so the
@@ -215,8 +241,9 @@ class _Stepper:
 
     The LAPACK systems (``lapack.Tridiagonal``, ``lapack.Banded``) are
     bound once per run to the buffers here: the concentration system's
-    right-hand side is ``mass_u`` and the stress system's is ``stress``,
-    each solved in place and then copied into the fresh state.
+    right-hand side is ``rhs``, the mass half of the product, and the
+    stress system's is ``stress``, each solved in place and then copied
+    into the fresh state.
     """
 
     def __init__(self, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
@@ -225,7 +252,7 @@ class _Stepper:
         self.model = model
         self.bd = bd
         self.cfg = cfg
-        self.ops = mesh_operators(mesh)
+        self.ops = ops = mesh_operators(mesh)
         self.n = n = mesh.N + 1
         self.frozen = model.frozen
         self.kept = None  # the step-1 build of a frozen run
@@ -241,41 +268,56 @@ class _Stepper:
         self.load = np.empty(n)
         self.divisor = np.empty(n)
         self.dt_gamma = np.empty(n)
-        # written by advance: M u and then the rhs without the influx,
-        # K(E) varsigma and then the stress update's scratch, the
-        # off-diagonal terms of a product, and dt times the boundary
-        # load, whose interior entries stay 0.0
-        self.mass_u, self.stress = np.empty(n), np.empty(n)
-        self.work = np.empty(n - 1)
+        # the chain bands of [M; K(E)]: the mass half is written here,
+        # the K(E) half (``e_main``, ``e_off``) by build
+        self.chain_main, self.chain_off = pair_bands(ops.mass_main,
+                                                     ops.mass_off)
+        self.e_main = self.chain_main[n + 1:-1]
+        self.e_off = self.chain_off[n + 1:-1]
+        # written by advance: a scratch chain for a state without one,
+        # the product of the chain bands and the state's chain, whose
+        # rows M u (then the rhs, solved in place) and K(E) varsigma are
+        # ``rhs`` and ``e_sigma``, the off-diagonal terms of the
+        # product, the stress update's scratch, and dt times the
+        # boundary load, whose interior entries stay 0.0
+        self.scratch = np.zeros(2 * n + 2)
+        self.product = np.empty(2 * n + 2)
+        self.rhs, self.e_sigma = pair_rows(self.product)
+        self.work = np.empty(2 * n + 1)
+        self.stress = np.empty(n)
         self.influx = np.zeros(n)
         if cfg.epsilon == 0:
-            self.u_solver = Tridiagonal(self.a_main, self.a_off, self.mass_u)
+            self.u_solver = Tridiagonal(self.a_main, self.a_off, self.rhs)
         else:
             w = cfg.dt * cfg.epsilon
-            self.reg_u = w * self.ops.lumped_bilaplacian
-            self.reg_s = w * self.ops.bilaplacian
+            self.reg_u = w * ops.lumped_bilaplacian
+            self.reg_s = w * ops.bilaplacian
             self.u_bands = np.empty_like(self.reg_u, order="F")
             self.s_bands = np.empty_like(self.reg_s, order="F")
             # dgbsv factors its matrix in place: a kept build's bands are
             # solved from a scratch copy, any other build's in place
             lu = np.empty_like if self.frozen else (lambda a: a)
-            self.u_solver = Banded(lu(self.u_bands), self.mass_u, 2, 2)
+            self.u_solver = Banded(lu(self.u_bands), self.rhs, 2, 2)
             self.s_solver = Banded(lu(self.s_bands), self.stress, 2, 2)
 
     def build(self, state: State, step_index: int) -> tuple:
         """The lagged part of the step from ``state``: the stiffness bands
-        of E, the flux load of f, the concentration system (dpttrf's
-        factors, in place in ``a_main`` and ``a_off``, at epsilon = 0,
-        else its bands), dt*gamma, and the stress update's divisor
-        1 - dt*beta1 (epsilon = 0) or its bands (epsilon > 0)."""
+        of E, written into the K(E) half of the chain bands, and, in the
+        tuple returned, the flux load of f, the concentration system
+        (dpttrf's factors, in place in ``a_main`` and ``a_off``, at
+        epsilon = 0, else its bands), dt*gamma, and the stress update's
+        divisor 1 - dt*beta1 (epsilon = 0) or its bands (epsilon > 0)."""
         mesh, cfg = self.mesh, self.cfg
         dt_, eps = self.dt_, cfg.epsilon
         n = self.n
         fields = self.model.fields(state.t, mesh.nodes, state.u,
                                    state.sigma_v, out=self.fields)
-        bad = _nonfinite(_FIELD_NAMES, fields, np.vdot(fields, fields))
-        if bad is not None:
-            raise NumericalFailure(step_index, state.t, f"{bad} coefficient field")
+        total = np.vdot(fields, fields)
+        if not math.isfinite(total):
+            bad = _nonfinite(_FIELD_NAMES, fields)
+            if bad is not None:
+                raise NumericalFailure(step_index, state.t,
+                                       f"{bad} coefficient field")
         b1n, gn = fields[3], fields[4]
 
         # element means of the rows D, E, f read as one chain of 3n
@@ -287,6 +329,8 @@ class _Stepper:
         abar = np.divide(means[:2 * n - 1], self.h_, out=means[:2 * n - 1])
         abar[n - 1] = 0.0
         k_main, k_off = stiffness_from_means(abar, self.k_main, self.k_off)
+        self.e_main[:] = k_main[n:]
+        self.e_off[:] = k_off[n:]
 
         ops = self.ops
         a_main = np.add(ops.mass_main, np.multiply(dt_, k_main[:n],
@@ -323,8 +367,7 @@ class _Stepper:
             np.copyto(self.s_bands, self.reg_s)
             self.s_bands[4, :] += s_system
             s_system = self.s_bands
-        return (k_main[n:], k_off[n:],
-                load_from_means(means[2 * n:], out=self.load), u_system,
+        return (load_from_means(means[2 * n:], out=self.load), u_system,
                 np.multiply(dt_, gn, out=self.dt_gamma), s_system)
 
     def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
@@ -333,63 +376,71 @@ class _Stepper:
             built = self.build(state, step_index)
             if self.frozen:
                 self.kept = built
-        kE_main, kE_off, load, u_system, dt_gn, s_system = built
-        ops, cfg, bd = self.ops, self.cfg, self.bd
-        dt, eps = cfg.dt, cfg.epsilon
-        u, s = state.u, state.sigma_v
+        load, u_system, dt_gn, s_system = built
+        dt, eps, n = self.cfg.dt, self.cfg.epsilon, self.n
+        chain = chain_of(state)
+        if chain is None:
+            chain = self.scratch  # its pads stay 0.0
+            u_row, s_row = pair_rows(chain)
+            u_row[:], s_row[:] = state.u, state.sigma_v
         # M u - dt*(K(E) varsigma + load) + dt*psi, with psi the influx
         # functional: its interior entries add 0.0, as a full psi does
-        rest = tridiag_matvec(ops.mass_main, ops.mass_off, u,
-                              out=self.mass_u, work=self.work)
-        stress = tridiag_matvec(kE_main, kE_off, s, out=self.stress,
-                                work=self.work)
+        tridiag_matvec(self.chain_main, self.chain_off, chain,
+                       out=self.product, work=self.work)
+        rest, stress = self.rhs, self.e_sigma
         np.add(stress, load, out=stress)
         np.subtract(rest, np.multiply(self.dt_, stress, out=stress), out=rest)
         influx = self.influx
-        influx[0] = dt * float(bd.phi_left(t_next))
-        influx[-1] = dt * float(bd.phi_right(t_next))
-        # the rhs, solved in place into u_next, which is then copied out
+        influx[0] = dt * float(self.bd.phi_left(t_next))
+        influx[-1] = dt * float(self.bd.phi_right(t_next))
+        # the rhs, solved in place, then copied into the fresh chain
         np.add(rest, influx, out=rest)
         if eps == 0.0:
             self.u_solver.solve()
         else:
             _solve_banded(self.u_solver, u_system, step_index,
                           "concentration")
-        u_next = rest.copy()
+        new = np.empty(2 * n + 2)
+        new[n] = new[-1] = 0.0
+        u_next, s_next = pair_rows(new)
+        np.copyto(u_next, rest)
 
         # varsigma + (dt*gamma)*u_next, then divided, or solved in place
-        # and copied out
-        stress = np.add(s, np.multiply(dt_gn, u_next, out=self.stress),
+        # and copied
+        stress = np.add(state.sigma_v, np.multiply(dt_gn, u_next,
+                                                   out=self.stress),
                         out=self.stress)
         if eps == 0.0:
-            s_next = np.divide(stress, s_system)
+            np.divide(stress, s_system, out=s_next)
         else:
             _solve_banded(self.s_solver, s_system, step_index, "stress")
-            s_next = stress.copy()
+            np.copyto(s_next, stress)
 
-        bad = _nonfinite(("concentration", "stress"), (u_next, s_next),
-                         np.dot(u_next, s_next))
-        if bad is not None:
-            raise NumericalFailure(step_index, t_next, bad)
-        return State(t=t_next, u=u_next, sigma_v=s_next)
+        total = np.dot(u_next, s_next)
+        if not math.isfinite(total):
+            bad = _nonfinite(("concentration", "stress"), (u_next, s_next))
+            if bad is not None:
+                raise NumericalFailure(step_index, t_next, bad)
+        result = State(t_next, u_next, s_next)
+        result.chain = new
+        return result
 
 
 _FIELD_NAMES = ("diffusion", "stress-diffusion", "forcing", "relaxation",
                 "stress-drive")
 
 
-def _nonfinite(names, arrays, total: float) -> Optional[str]:
+def _nonfinite(names, arrays) -> Optional[str]:
     """Name of the first of arrays holding a NaN or inf, or None.
 
-    ``total`` is a sum of terms in which every entry of the arrays
-    appears, as in a dot product of two of them, or of one with itself
-    (one call, and cheaper than a ``sum`` per array).  A NaN or an inf
-    makes its term, and so the total, NaN or infinite (inf * 0 is NaN):
-    a finite total proves every entry finite, so the arrays are tested
-    one by one only when it is not (a non-finite entry, or overflow).
+    Callers test a sum of terms in which every entry of the arrays
+    appears first, as in a dot product of two of them, or of one with
+    itself (one call, and cheaper than a ``sum`` per array).  A NaN or
+    an inf makes its term, and so the total, NaN or infinite (inf * 0
+    is NaN): a finite total proves every entry finite, so the arrays
+    are tested one by one only when it is not (a non-finite entry, or
+    overflow, which gives None here).
     """
-    if math.isfinite(total):
-        return None
     for name, a in zip(names, arrays):
         if not np.all(np.isfinite(a)):
             return name

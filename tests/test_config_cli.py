@@ -292,6 +292,36 @@ class TestCli:
         lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
         assert "homogenization metric stays below 1e-4 from t=2.471" in lines
         assert not any("first below" in line for line in lines)
+        box = [line for line in lines if line.startswith("check longtime_box")]
+        assert box == ["check longtime_box: PASS - run stays in the longtime "
+                       "box: t in [0, 3], u in [0.2, 0.8], varsigma in "
+                       "[0.238335, 0.261665]"]
+
+    @pytest.mark.parametrize("lines, status, axis", [
+        # homogenize starts at u in [0.2, 0.8] and varsigma = 0.25
+        (["longtime.box.u = [0.49, 0.51]", "longtime.box.s = [0.9, 1.0]"],
+         EXIT_CHECK_FAILED, "u range [0.2, 0.8] leaves longtime.box.u = "
+                            "[0.49, 0.51]"),
+        (["longtime.box.s = [0.9, 1.0]"], EXIT_CHECK_FAILED,
+         "varsigma range [0.238335, 0.261665] leaves longtime.box.s = "
+         "[0.9, 1]"),
+        (["longtime.box.t = [0.0, 0.5]"], EXIT_CHECK_FAILED,
+         "t range [0, 1] leaves longtime.box.t = [0, 0.5]"),
+        # 3 steps of 0.1 end at t = 0.30000000000000004, the step time
+        # that stands for T_end = 0.3, inside the box's t-range
+        (["time.dt = 0.1", "time.T_end = 0.3", "longtime.box.t = [0.0, 0.3]"],
+         EXIT_OK, "run stays in the longtime box: t in [0, 0.3]"),
+    ])
+    def test_longtime_box_check(self, tmp_path, capsys, lines, status, axis):
+        p = tmp_path / "box.cfg"
+        if not any(line.startswith("time.T_end") for line in lines):
+            lines = ["time.T_end = 1.0", *lines]
+        p.write_text("\n".join(['preset = "homogenize"', *lines]) + "\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == status
+        out = capsys.readouterr().out
+        verdict = "PASS" if status == EXIT_OK else "FAIL"
+        assert f"check longtime_box: {verdict} - {axis}" in out
+        assert "check lyapunov_decay: PASS" in out
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG_ERROR
@@ -434,7 +464,9 @@ class TestCli:
         p = tmp_path / "reg.cfg"
         p.write_text('preset = "eps-scan"\nepsilon = 1e-2\n')
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert "check mass_balance: PASS" in capsys.readouterr().out
+        assert ("check mass_balance: PASS - mass tracks influx over 1000 "
+                "steps (net gain 0.094277357938, influx sum dt*phi 0.1)"
+                in capsys.readouterr().out)
 
     def test_tanh_parameter_given_twice_exit_two(self, tmp_path, capsys):
         # lo and its alias D_G would leave config.txt naming a law other

@@ -22,6 +22,8 @@ from viscodiff.discretization import (
     lumped_mass_diagonal,
     mass_diagonals,
     mesh_operators,
+    pair_bands,
+    pair_rows,
     stiffness_diagonals,
     tridiag_matvec,
 )
@@ -240,6 +242,38 @@ class TestHelpers:
         v = rng.normal(size=10)
         assert np.allclose(tridiag_matvec(ops.mass_main, ops.mass_off, v),
                            _mass(mesh) @ v, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 65, 4097])
+    def test_chained_matvec_equals_two_calls(self, n):
+        # the chain [a, 0.0, b, 0.0] against the pair_bands chain of
+        # [A; B], B written over the second half as the step writes
+        # K(E): each row of the one product has the bytes of its own call.
+        # Vectors of signed zeros alone make every term a signed zero,
+        # so a pad coupling of +0.0 would flip some sums to +0.0.
+        rng = np.random.default_rng(n)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                            -1e-310, -3.5, 1e150])
+
+        def draw(size, pool):
+            v = rng.normal(0.0, 10.0, size) * 10.0 ** rng.integers(-5, 5, size)
+            picks = rng.random(size) < 0.4
+            v[picks] = rng.choice(pool, picks.sum())
+            return v
+
+        for trial in range(20):
+            pool = special if trial % 2 else np.array([0.0, -0.0])
+            a, b = (rng.choice(pool, n) for _ in range(2))
+            a_main, b_main = draw(n, special), draw(n, special)
+            a_off, b_off = draw(n - 1, special), draw(n - 1, special)
+            chain_main, chain_off = pair_bands(a_main, a_off)
+            chain_main[n + 1:-1], chain_off[n + 1:-1] = b_main, b_off
+            chain = np.zeros(2 * n + 2)
+            rows = pair_rows(chain)
+            rows[0][:], rows[1][:] = a, b
+            product = pair_rows(tridiag_matvec(chain_main, chain_off, chain))
+            for row, want in zip(product, (tridiag_matvec(a_main, a_off, a),
+                                           tridiag_matvec(b_main, b_off, b))):
+                assert row.tobytes() == want.tobytes()
 
     def test_bandwidth_at_most_two(self):
         mesh = build_mesh(1.0, 20)

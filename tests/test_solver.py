@@ -51,6 +51,7 @@ from viscodiff.solver import (
     SolverConfig,
     State,
     _solve_banded,
+    _Stepper,
     compute_flux,
     reconstruct_sigma,
     run,
@@ -787,6 +788,114 @@ class TestRecordBlocks:
             [_reference_record(states[0], mesh, 0.8)] + [
                 _reference_record(s, mesh, 0.8, prev=p)
                 for s, p in zip(states[1:], want)]).tobytes()
+
+
+def _run_states(cfg, eps, n_steps):
+    """The states a run of cfg hands its observer over n_steps, with the
+    pieces a stepper needs: (states, mesh, model, bd, scfg)."""
+    mesh = build_mesh_from(cfg)
+    phys = build_physical(cfg)
+    model, bd = transform(phys), build_boundary(cfg)
+    scfg = _solver_config(cfg["time.dt"], n_steps, eps)
+    states = []
+    run(build_initial(cfg, mesh, phys), mesh, model, bd, scfg,
+        observer=states.append)
+    return states, mesh, model, bd, scfg
+
+
+def _unchained(state):
+    return State(state.t, state.u.copy(), state.sigma_v.copy())
+
+
+class TestStateChains:
+    """A state a step returns is one array [u, 0.0, varsigma, 0.0]; the
+    step and the recorder give the same bits for it as for the same
+    state built from separate arrays."""
+
+    @_eps_cells(0.0, 1e-2)
+    @pytest.mark.parametrize("preset", ["sorption", "homogenize"])
+    def test_advance_same_bytes_from_arrays_and_chain(self, preset, eps):
+        states, mesh, model, bd, scfg = _run_states(
+            preset_config(preset), eps, 6)
+        assert states[0].chain is None
+        for state in states[1:]:
+            assert state.chain is not None
+            plain = _unchained(state)
+            assert plain.chain is None
+            t_next = state.t + scfg.dt
+            got = _Stepper(mesh, model, bd, scfg).advance(state, t_next, 7)
+            want = _Stepper(mesh, model, bd, scfg).advance(plain, t_next, 7)
+            assert got.chain.tobytes() == want.chain.tobytes()
+            assert got.u.tobytes() == want.u.tobytes()
+            assert got.sigma_v.tobytes() == want.sigma_v.tobytes()
+
+    @_eps_cells(0.0, 1e-2)
+    @pytest.mark.parametrize("preset", ["sorption", "homogenize"])
+    def test_states_share_no_memory(self, preset, eps):
+        cfg = preset_config(preset)
+        states, mesh, model, bd, scfg = _run_states(cfg, eps, 6)
+        stepper = _Stepper(mesh, model, bd, scfg)
+        stepped = [states[0]]
+        for k in range(1, 7):
+            stepped.append(stepper.advance(stepped[-1], k * scfg.dt, k))
+        buffers = [a for a in vars(stepper).values()
+                   if isinstance(a, np.ndarray)]
+        buffers += [a for a in stepper.kept or () if isinstance(a, np.ndarray)]
+        for solver_ in (stepper.u_solver, getattr(stepper, "s_solver", None)):
+            buffers += [] if solver_ is None else list(solver_.arrays)
+        n = mesh.N + 1
+        res = run(build_initial(cfg, mesh, build_physical(cfg)), mesh, model,
+                  bd, scfg, output_every=1)
+        for group in (states, stepped, res.trajectory):
+            fields = [(s.u, s.sigma_v) for s in group]
+            for i, (u, s) in enumerate(fields):
+                for buf in buffers:
+                    assert not np.shares_memory(u, buf)
+                    assert not np.shares_memory(s, buf)
+                for v, w in fields[i + 1:]:
+                    assert not any(np.shares_memory(a, b)
+                                   for a in (u, s) for b in (v, w))
+        for state in stepped[1:] + states[1:]:
+            chain = state.chain
+            assert chain[n].tobytes() == chain[-1].tobytes() == \
+                np.float64(0.0).tobytes()
+            assert np.shares_memory(chain, state.u)
+            assert np.shares_memory(chain, state.sigma_v)
+
+    def test_rebound_field_is_not_read_from_the_chain(self):
+        # a chained state whose u is rebound to a new array counts as
+        # unchained: the step and the recorder read the new u
+        states, mesh, model, bd, scfg = _run_states(
+            preset_config("sorption"), 0.0, 3)
+        state = states[-1]
+        stale = state.chain.copy()
+        state.u = state.u + 0.125
+        plain = _unchained(state)
+        t_next = state.t + scfg.dt
+        got = _Stepper(mesh, model, bd, scfg).advance(state, t_next, 4)
+        want = _Stepper(mesh, model, bd, scfg).advance(plain, t_next, 4)
+        assert got.chain.tobytes() == want.chain.tobytes()
+        tables = [np.empty((1, 11)), np.empty((1, 11))]
+        for table, s in zip(tables, (state, plain)):
+            Recorder(mesh, 1.0, table).add(s)
+        assert tables[0].tobytes() == tables[1].tobytes()
+        assert state.chain.tobytes() == stale.tobytes()
+
+    @_eps_cells(0.0, 1e-2)
+    def test_recorder_rows_same_for_chained_and_unchained(self, eps):
+        # homogenize centred on 0, so u and f = -u*M0 take both signs
+        cfg = _constant_law_config("model.M0.value = -0.0")
+        states, mesh, *_ = _run_states(cfg, eps, 40)
+        tables = []
+        for group in (states, [states[0]] + [_unchained(s)
+                                             for s in states[1:]]):
+            table = np.empty((len(group), 11))
+            recorder = Recorder(mesh, 0.8, table, reg_weight=eps * 1e-3)
+            for state in group:
+                recorder.add(state)
+            recorder.flush()
+            tables.append((table.tobytes(), recorder.reg_u, recorder.reg_s))
+        assert tables[0] == tables[1]
 
 
 def _constant_law_config(*lines):
