@@ -47,7 +47,7 @@ from .diagnostics import (
     lyapunov_decay_check,
     mass_balance_check,
 )
-from .discretization import chain_of, pair_rows
+from .discretization import pair_rows
 from .output import write_diagnostics, write_flux, write_snapshot
 from .solver import (
     DualTimeDerivative,
@@ -152,7 +152,7 @@ class _BoxMonitor:
 
     u and varsigma are kept as nodewise minima and maxima of the states'
     chains [u, 0.0, varsigma, 0.0] (``State.chain``), two ufunc calls a
-    step; a state without a chain is taken a row at a time.
+    step.
     """
 
     def __init__(self, box, n_nodes: int):
@@ -164,14 +164,8 @@ class _BoxMonitor:
     def __call__(self, state):
         t_lo, t_hi = self.t
         self.t = min(t_lo, state.t), max(t_hi, state.t)
-        chain = chain_of(state)
-        if chain is not None:
-            np.minimum(self.lo, chain, out=self.lo)
-            np.maximum(self.hi, chain, out=self.hi)
-            return
-        for ext, acc in ((np.minimum, self.lo), (np.maximum, self.hi)):
-            for row, v in zip(pair_rows(acc), (state.u, state.sigma_v)):
-                ext(row, v, out=row)
+        np.minimum(self.lo, state.chain, out=self.lo)
+        np.maximum(self.hi, state.chain, out=self.hi)
 
     def report(self) -> CheckReport:
         """PASS when every axis stays in the box, else FAIL naming the
@@ -274,7 +268,16 @@ def _build(cfg: ScenarioConfig):
     return mesh, phys, model, bd, init, cfgmod.build_solver_config(cfg)
 
 
-def _execute(cfg: ScenarioConfig):
+def _make_outdir(outdir: Path) -> None:
+    """Make the output directory; a path that cannot be one names --out."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: "
+                          f"{exc.strerror or exc}", key="--out") from exc
+
+
+def _execute(cfg: ScenarioConfig, outdir: Path):
     """Build and run one scenario; returns everything the writers need."""
     mesh, phys, model, bd, init, scfg = _build(cfg)
     lt = _longtime(cfg, model)
@@ -286,6 +289,7 @@ def _execute(cfg: ScenarioConfig):
            if lt is not None else None)
 
     output_every = cfg["time.output_every"] or None
+    _make_outdir(outdir)  # before the first step
     result = run(init, mesh, model, bd, scfg, output_every=output_every,
                  gamma=gamma, observer=_observers(front, box))
     return mesh, phys, bd, lt, result, front, box
@@ -329,8 +333,7 @@ def _check_line(c: CheckReport) -> str:
 
 
 def _write_records(outdir: Path, cfg: ScenarioConfig, records) -> None:
-    """The output directory with ``diagnostics.csv`` and ``config.txt``."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """``diagnostics.csv`` and ``config.txt`` in the output directory."""
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
     write_diagnostics(outdir / "diagnostics.csv", records,
                       header_note=f"generated {stamp}")
@@ -385,7 +388,7 @@ def _write_failure(outdir: Path, cfg: ScenarioConfig, exc) -> None:
 
 def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     try:
-        mesh, phys, bd, lt, result, front, box = _execute(cfg)
+        mesh, phys, bd, lt, result, front, box = _execute(cfg, outdir)
     except (NumericalFailure, LinearSolveFailure) as exc:
         _write_failure(outdir, cfg, exc)
         raise
@@ -420,7 +423,6 @@ def _cmd_find_gamma(cfg: ScenarioConfig, quiet: bool) -> int:
 
 def _write_scan_diagnostics(outdir: Path, records: dict) -> None:
     """One diagnostics_eps_<eps>.csv per member, from {eps: records}."""
-    outdir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
     for e, series in records.items():
         tag = f"{e:g}".replace(".", "p").replace("-", "m")
@@ -439,6 +441,7 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     # every member is validated and built before any of them runs
     members = {eps: _build(cfgmod.validate({**cfg.values, "epsilon": eps}))
                for eps in all_eps}
+    _make_outdir(outdir)  # before the first step
     results, duals = {}, {}
     for eps, (mesh, _phys, model, bd, init, scfg) in members.items():
         duals[eps] = DualTimeDerivative(mesh, scfg.dt)
@@ -543,9 +546,12 @@ def _load_config(args) -> ScenarioConfig:
         cfg = preset_config("eps-scan")
     else:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"no such file: {path}")
-        cfg = parse_config(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read {path}: {reason}") from exc
+        cfg = parse_config(text)
     return _override(cfg, args.dt, args.n_cells)
 
 

@@ -516,12 +516,16 @@ def _field(kind: str, params: dict, mesh: Mesh, column: str) -> np.ndarray:
     if kind == "step":
         return np.where(x < params["x0"], params["left"], params["right"])
     if kind == "file":
-        data = read_snapshot(params["path"])
+        key = f"initial.{column}0.path"  # the key naming the file
+        try:
+            data = read_snapshot(params["path"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc), key=key) from exc
         vals = np.asarray(data[column], dtype=float)
         if vals.shape != x.shape:
             raise ConfigError(
                 f"snapshot {params['path']!r} has {vals.size} nodes, "
-                f"mesh has {x.size}")
+                f"mesh has {x.size}", key=key)
         return vals
     raise ConfigError(f"unknown field kind {kind!r}")
 

@@ -16,8 +16,8 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .coefficients import LongTimeCondition
-from .discretization import (BoundaryData, Mesh, chain_of, mesh_operators,
-                             pair_bands, pair_rows, tridiag_matvec)
+from .discretization import (BoundaryData, Mesh, mesh_operators, pair_bands,
+                             tridiag_matvec)
 
 __all__ = [
     "DiagnosticsRecord",
@@ -150,15 +150,13 @@ class Recorder:
     """Fills a record table a block of states at a time.
 
     ``add`` writes a state's time into its row of the table and copies
-    its fields into the next row of a block of ``pair_bands`` chains (u,
-    a zero pad, varsigma, a zero pad), allocated once: a state that
-    already has that layout (``State.chain``, as every state a run's
-    steps return has) in one copy, any other one row at a time.  When
-    the block is full, and on ``flush``, the records of the states in it
-    are computed together into their rows.  A block holds
-    RECORD_BLOCK_BYTES of chains, and at least one state.  ``prev`` is
-    the record before the table's row 0, if any; ``gamma`` is the
-    Lyapunov weight, as for ``record``.
+    its chain (``State.chain``: u, a zero pad, varsigma, a zero pad, in
+    the layout of ``pair_bands``) into the next row of a block of
+    chains, allocated once.  When the block is full, and on ``flush``,
+    the records of the states in it are computed together into their
+    rows.  A block holds RECORD_BLOCK_BYTES of chains, and at least one
+    state.  ``prev`` is the record before the table's row 0, if any;
+    ``gamma`` is the Lyapunov weight, as for ``record``.
 
     With ``reg_weight`` = epsilon*dt > 0, the recorder also sums the
     regularization energies ``reg_u`` and ``reg_s`` over the states
@@ -187,7 +185,7 @@ class Recorder:
         width = 2 * n + 2
         self.rows = rows = max(1, min(len(table),
                                       RECORD_BLOCK_BYTES // (8 * width)))
-        self.chains = np.zeros((rows, width))  # the pads stay 0.0
+        self.chains = np.zeros((rows, width))
         # the mass and unit-stiffness bands of the whole block read as
         # one chain of 2*rows rows, so that a block is multiplied by one
         # 1-D product; m states take the first m*width nodes
@@ -201,13 +199,7 @@ class Recorder:
 
     def add(self, state) -> None:
         j = self.count
-        chain = chain_of(state)
-        if chain is None:
-            u, s = pair_rows(self.chains[j])
-            u[:] = state.u
-            s[:] = state.sigma_v
-        else:
-            self.chains[j] = chain
+        self.chains[j] = state.chain
         self.table[self.filled + j, 0] = state.t
         self.count = j + 1
         if self.count == self.rows:

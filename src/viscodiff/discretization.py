@@ -231,16 +231,6 @@ def pair_rows(chain: np.ndarray):
     return chain[..., :n], chain[..., n + 1:-1]
 
 
-def chain_of(state):
-    """A state's ``chain`` while its u and sigma_v are views of it, else
-    None (no chain, or a field rebound to another array)."""
-    chain = state.chain
-    if (chain is not None and state.u.base is chain
-            and state.sigma_v.base is chain):
-        return chain
-    return None
-
-
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Pre-assembled mesh-dependent operators shared across time steps.

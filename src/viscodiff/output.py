@@ -79,12 +79,19 @@ def read_snapshot(path: Union[str, Path]) -> dict[str, np.ndarray]:
             raise ValueError(
                 f"{path}: expected header {','.join(SNAPSHOT_COLUMNS)!r}, "
                 f"got {header!r}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(SNAPSHOT_COLUMNS):
+                raise ValueError(f"{where}: expected {len(SNAPSHOT_COLUMNS)} "
+                                 f"values, found {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: snapshot has no data rows")
     data = np.asarray(rows, dtype=float)
-    if data.shape[1] != len(SNAPSHOT_COLUMNS):
-        raise ValueError(f"{path}: expected {len(SNAPSHOT_COLUMNS)} columns")
     return {name: data[:, i] for i, name in enumerate(SNAPSHOT_COLUMNS)}
 
 

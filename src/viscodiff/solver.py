@@ -11,7 +11,7 @@ both equations; it turns the stress update into a banded solve too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -24,7 +24,6 @@ from .diagnostics import record  # noqa: F401
 from .discretization import (
     BoundaryData,
     Mesh,
-    chain_of,
     element_means,
     load_from_means,
     mesh_operators,
@@ -82,36 +81,45 @@ class LinearSolveFailure(Exception):
     (discrete ellipticity violation or dt * beta1 >= 1)."""
 
 
-@dataclass
 class State:
     """Time plus nodal concentration u and transformed stress varsigma.
 
-    A state that a run's steps return (``_Stepper.advance``) is one
-    fresh float64 array, ``chain`` = [u, 0.0, varsigma, 0.0] in the
-    layout of ``discretization.pair_bands``, and u and sigma_v are views
-    of it; nothing writes to it again.  The step multiplies the chain,
-    and ``diagnostics.Recorder`` copies it, in one call each.  A state
-    built from separate arrays, as ``State(t, u, sigma_v)`` builds it,
-    has no chain (None), and neither counts as chained once u or
-    sigma_v is rebound to an array that is not a view of it: such a
-    state is copied into a chain where one is needed.
+    A state is one float64 array, ``chain`` = [u, 0.0, varsigma, 0.0]
+    (the layout of ``discretization.pair_bands``), with u and sigma_v
+    views of it; none of the three can be rebound.  ``State(t, u,
+    sigma_v)`` copies two 1-D arrays of one length into a fresh chain;
+    ``of_chain`` wraps a filled chain without a copy, as
+    ``_Stepper.advance`` wraps each state it returns.  Nothing in the
+    package writes to a chain once its state is made.
     """
 
-    t: float
-    u: np.ndarray
-    sigma_v: np.ndarray
-    chain: Optional[np.ndarray] = field(default=None, init=False,
-                                        repr=False, compare=False)
+    __slots__ = ("t", "_chain", "_u", "_s")
+    chain = property(lambda self: self._chain)
+    u = property(lambda self: self._u)
+    sigma_v = property(lambda self: self._s)
+
+    def __init__(self, t: float, u, sigma_v):
+        shape = np.shape(u)
+        if len(shape) != 1 or np.shape(sigma_v) != shape:
+            raise ValueError("u and sigma_v must be 1-D arrays of one length, "
+                             f"not of shapes {shape} and {np.shape(sigma_v)}")
+        self.t, self._chain = t, np.zeros(2 * shape[0] + 2)
+        self._u, self._s = pair_rows(self._chain)
+        self._u[:], self._s[:] = u, sigma_v
+
+    @classmethod
+    def of_chain(cls, t: float, chain: np.ndarray) -> "State":
+        """The state at time t whose chain is ``chain`` itself."""
+        state = cls.__new__(cls)
+        state.t, state._chain = t, chain
+        state._u, state._s = pair_rows(chain)
+        return state
 
     def check(self, mesh: Mesh) -> None:
-        n = mesh.N + 1
-        if self.u.shape != (n,) or self.sigma_v.shape != (n,):
+        if self.u.shape != (mesh.N + 1,):
             raise ValueError("field lengths do not match the mesh")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.sigma_v))):
+        if not np.all(np.isfinite(self.chain)):
             raise ValueError("state contains non-finite entries")
-
-    def copy(self) -> "State":
-        return State(self.t, self.u.copy(), self.sigma_v.copy())
 
 
 def grid_steps(t: float, dt: float) -> Optional[int]:
@@ -167,7 +175,7 @@ class InitialData:
             raise ValueError("change of variables is not self-consistent")
 
     def initial_state(self) -> State:
-        return State(t=0.0, u=self.u0.copy(), sigma_v=self.varsigma0.copy())
+        return State(0.0, self.u0, self.varsigma0)
 
 
 def reconstruct_sigma(state: State, phys: PhysicalCoefficients) -> np.ndarray:
@@ -211,17 +219,16 @@ class _Stepper:
     written once per run here, and its K(E) half by each build.  Every
     pad holds 0.0 and every coupling to a pad is -0.0, so each real
     entry of the product equals that of the separate product, bit for
-    bit.  A state without a chain (the initial state, or one built from
-    separate arrays) is first copied into a scratch chain.
+    bit.
 
     Every array a build or an advance writes, apart from the state it
     returns, is allocated once per run here and rewritten in place by
     ufuncs.  A step allocates only the chain of the state it returns,
-    and the temporaries of laws that need one (cohen-e0's (u-1)^2,
-    nu0's antiderivative), so every state it returns is fresh and is
-    never written again.  A build writes only its own arrays and an
-    advance only its scratch, so a build that is kept is never
-    overwritten.
+    which it fills and wraps without a copy (``State.of_chain``), and
+    the temporaries of laws that need one (cohen-e0's (u-1)^2, nu0's
+    antiderivative), so every state it returns is fresh and is never
+    written again.  A build writes only its own arrays and an advance
+    only its own buffers, so a build that is kept is never overwritten.
 
     Every step runs ``build``, except in a run whose model is frozen
     (``TransformedModel.frozen``): its fields cannot change, so the
@@ -274,13 +281,11 @@ class _Stepper:
                                                      ops.mass_off)
         self.e_main = self.chain_main[n + 1:-1]
         self.e_off = self.chain_off[n + 1:-1]
-        # written by advance: a scratch chain for a state without one,
-        # the product of the chain bands and the state's chain, whose
-        # rows M u (then the rhs, solved in place) and K(E) varsigma are
-        # ``rhs`` and ``e_sigma``, the off-diagonal terms of the
-        # product, the stress update's scratch, and dt times the
-        # boundary load, whose interior entries stay 0.0
-        self.scratch = np.zeros(2 * n + 2)
+        # written by advance: the product of the chain bands and the
+        # state's chain, whose rows M u (then the rhs, solved in place)
+        # and K(E) varsigma are ``rhs`` and ``e_sigma``, the off-diagonal
+        # terms of the product, the stress update's scratch, and dt
+        # times the boundary load, whose interior entries stay 0.0
         self.product = np.empty(2 * n + 2)
         self.rhs, self.e_sigma = pair_rows(self.product)
         self.work = np.empty(2 * n + 1)
@@ -378,14 +383,9 @@ class _Stepper:
                 self.kept = built
         load, u_system, dt_gn, s_system = built
         dt, eps, n = self.cfg.dt, self.cfg.epsilon, self.n
-        chain = chain_of(state)
-        if chain is None:
-            chain = self.scratch  # its pads stay 0.0
-            u_row, s_row = pair_rows(chain)
-            u_row[:], s_row[:] = state.u, state.sigma_v
         # M u - dt*(K(E) varsigma + load) + dt*psi, with psi the influx
         # functional: its interior entries add 0.0, as a full psi does
-        tridiag_matvec(self.chain_main, self.chain_off, chain,
+        tridiag_matvec(self.chain_main, self.chain_off, state.chain,
                        out=self.product, work=self.work)
         rest, stress = self.rhs, self.e_sigma
         np.add(stress, load, out=stress)
@@ -402,7 +402,8 @@ class _Stepper:
                           "concentration")
         new = np.empty(2 * n + 2)
         new[n] = new[-1] = 0.0
-        u_next, s_next = pair_rows(new)
+        result = State.of_chain(t_next, new)
+        u_next, s_next = result.u, result.sigma_v
         np.copyto(u_next, rest)
 
         # varsigma + (dt*gamma)*u_next, then divided, or solved in place
@@ -421,8 +422,6 @@ class _Stepper:
             bad = _nonfinite(("concentration", "stress"), (u_next, s_next))
             if bad is not None:
                 raise NumericalFailure(step_index, t_next, bad)
-        result = State(t_next, u_next, s_next)
-        result.chain = new
         return result
 
 
@@ -541,7 +540,7 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     recorder = Recorder(mesh, gamma, table,
                         reg_weight=cfg.epsilon * cfg.dt)
     recorder.add(state)
-    trajectory = [state.copy()]
+    trajectory = [state]
     if observer is not None:
         observer(state)
 
@@ -558,11 +557,11 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
         if observer is not None:
             observer(state)
         if output_every and (k % output_every == 0) and k != n_steps:
-            trajectory.append(state.copy())
+            trajectory.append(state)
 
     recorder.flush()
     if n_steps > 0:
-        trajectory.append(state.copy())
+        trajectory.append(state)
     l2_s, h1semi_s = (table[:, CSV_COLUMNS.index(c)]
                       for c in ("l2_s", "h1semi_s"))
     sup_h1_s = float(np.max(np.hypot(l2_s, h1semi_s)))

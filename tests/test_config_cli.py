@@ -251,6 +251,26 @@ class TestSnapshotIO:
         with pytest.raises(ValueError):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("x,u,varsigma,sigma\n0,0,0,0\n1,0,0\n",
+         "line 3: expected 4 values, found 3"),
+        ("x,u,varsigma,sigma\n0,0,0,0\n1,0,0,0\n",
+         "has 2 nodes, mesh has 33"),
+    ], ids=["bad-row", "node-count"])
+    def test_bad_snapshot_file_names_its_key(self, tmp_path, capsys, body,
+                                             message):
+        snap = tmp_path / "snap.csv"
+        snap.write_text(body)
+        p = tmp_path / "s.cfg"
+        p.write_text(f'mesh.N = 32\ninitial.u0 = "file"\n'
+                     f'initial.u0.path = "{snap}"\n')
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert message in err and str(snap) in err
+        assert "[key 'initial.u0.path']" in err
+        assert not (tmp_path / "o").exists()
+
     def test_file_initial_data_round_trip(self, tmp_path):
         # run one step, snapshot, restart from the file: state reproduced
         out = tmp_path / "first"
@@ -326,6 +346,37 @@ class TestCli:
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf-8"])
+    def test_unreadable_config_file_exit_two(self, tmp_path, capsys, case):
+        if case == "directory":
+            p = tmp_path / "cfg.d"
+            p.mkdir()
+        else:
+            p = tmp_path / "latin1.cfg"
+            p.write_bytes("# r\xe9sum\xe9\nmesh.N = 16\n".encode("latin-1"))
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        assert f"configuration error: cannot read {p}: " in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", [["preset", "homogenize", "--dt", "0.5"],
+                                      ["eps-scan"]], ids=["preset", "eps-scan"])
+    def test_out_that_is_a_file_exits_two_before_any_step(
+            self, tmp_path, capsys, monkeypatch, verb):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(cli, "run", no_steps)
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main([*verb, "--out", str(out),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {out}: " in err
+        assert "[key '--out']" in err
+        assert out.read_text() == "kept\n"
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"

@@ -108,3 +108,17 @@ def test_unequal_columns_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_flux(tmp_path / "f.csv", np.zeros(5), short)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("body, found", [
+    ("0,1,2,3\n0.5,1,2\n", "expected 4 values, found 3"),
+    ("0,1,2,3\n0.5,1,2,3,4\n", "expected 4 values, found 5"),
+    ("0,1,2,3\n0.5,abc,2,3\n", "could not convert string to float: 'abc'"),
+], ids=["short-row", "long-row", "not-a-number"])
+def test_bad_snapshot_row_names_its_file_and_line(tmp_path, body, found):
+    # the header is line 1 and the bad row line 3
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(SNAPSHOT_COLUMNS) + "\n" + body)
+    with pytest.raises(ValueError) as info:
+        read_snapshot(path)
+    assert str(info.value) == f"{path}, line 3: {found}"

@@ -803,31 +803,83 @@ def _run_states(cfg, eps, n_steps):
     return states, mesh, model, bd, scfg
 
 
-def _unchained(state):
-    return State(state.t, state.u.copy(), state.sigma_v.copy())
+def _from_arrays(state):
+    """state rebuilt by ``State(t, u, sigma_v)`` from its two fields."""
+    return State(state.t, state.u, state.sigma_v)
+
+
+def _assert_chain_layout(state, u, s):
+    """state's chain is [u, 0.0, s, 0.0], bit for bit, and its fields
+    are views of it."""
+    n = u.size
+    zero = np.float64(0.0).tobytes()
+    chain = state.chain
+    assert chain.shape == (2 * n + 2,) and chain.dtype == np.float64
+    assert chain[:n].tobytes() == np.asarray(u, float).tobytes()
+    assert chain[n + 1:-1].tobytes() == np.asarray(s, float).tobytes()
+    assert chain[n].tobytes() == chain[-1].tobytes() == zero
+    assert state.u.base is chain and state.sigma_v.base is chain
 
 
 class TestStateChains:
-    """A state a step returns is one array [u, 0.0, varsigma, 0.0]; the
-    step and the recorder give the same bits for it as for the same
-    state built from separate arrays."""
+    """Every state is one array [u, 0.0, varsigma, 0.0]: a state built
+    from separate arrays owns a fresh chain in that layout, and the step
+    and the recorder give the same bits for it as for the state a step
+    returned."""
 
     @_eps_cells(0.0, 1e-2)
     @pytest.mark.parametrize("preset", ["sorption", "homogenize"])
     def test_advance_same_bytes_from_arrays_and_chain(self, preset, eps):
         states, mesh, model, bd, scfg = _run_states(
             preset_config(preset), eps, 6)
-        assert states[0].chain is None
-        for state in states[1:]:
-            assert state.chain is not None
-            plain = _unchained(state)
-            assert plain.chain is None
+        for state in states:
+            plain = _from_arrays(state)
+            _assert_chain_layout(plain, state.u, state.sigma_v)
+            assert not np.shares_memory(plain.chain, state.chain)
+            assert plain.chain.tobytes() == state.chain.tobytes()
             t_next = state.t + scfg.dt
             got = _Stepper(mesh, model, bd, scfg).advance(state, t_next, 7)
             want = _Stepper(mesh, model, bd, scfg).advance(plain, t_next, 7)
             assert got.chain.tobytes() == want.chain.tobytes()
-            assert got.u.tobytes() == want.u.tobytes()
-            assert got.sigma_v.tobytes() == want.sigma_v.tobytes()
+            _assert_chain_layout(got, want.u, want.sigma_v)
+
+    def test_built_state_owns_its_chain(self):
+        # State(t, u, sigma_v) copies both arrays, signed zeros and all,
+        # and accepts any float-convertible 1-D sequences of one length
+        u = np.array([0.25, -0.0, 3.0])
+        s = np.array([-0.0, 0.0, -1.5])
+        state = State(0.5, u, s)
+        _assert_chain_layout(state, u, s)
+        assert not np.shares_memory(state.chain, u)
+        assert not np.shares_memory(state.chain, s)
+        u[0] = s[2] = 7.0
+        assert state.u[0] == 0.25 and state.sigma_v[2] == -1.5
+        from_lists = State(0.5, [0.25, -0.0, 3], [-0.0, 0.0, -1.5])
+        assert from_lists.chain.tobytes() == state.chain.tobytes()
+        wrapped = State.of_chain(1.0, state.chain)
+        assert wrapped.chain is state.chain and wrapped.t == 1.0
+        _assert_chain_layout(wrapped, state.u, state.sigma_v)
+
+    @pytest.mark.parametrize("u, s", [
+        (np.zeros(3), np.zeros(4)),
+        (np.zeros((2, 3)), np.zeros((2, 3))),
+        (0.0, 0.0),
+    ], ids=["lengths", "2-D", "scalars"])
+    def test_built_state_rejects_fields_of_other_shapes(self, u, s):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            State(0.0, u, s)
+
+    def test_fields_and_chain_cannot_be_rebound(self):
+        # a state's u, sigma_v and chain are fixed when it is made, for a
+        # state built from arrays and for one a step returned alike
+        states, *_ = _run_states(preset_config("sorption"), 0.0, 2)
+        for state in (states[0], states[-1], State(0.0, [1.0], [2.0])):
+            chain = state.chain
+            for name in ("u", "sigma_v", "chain"):
+                with pytest.raises(AttributeError):
+                    setattr(state, name, getattr(state, name) + 0.125)
+            assert state.chain is chain
+            assert state.u.base is chain and state.sigma_v.base is chain
 
     @_eps_cells(0.0, 1e-2)
     @pytest.mark.parametrize("preset", ["sorption", "homogenize"])
@@ -862,33 +914,13 @@ class TestStateChains:
             assert np.shares_memory(chain, state.u)
             assert np.shares_memory(chain, state.sigma_v)
 
-    def test_rebound_field_is_not_read_from_the_chain(self):
-        # a chained state whose u is rebound to a new array counts as
-        # unchained: the step and the recorder read the new u
-        states, mesh, model, bd, scfg = _run_states(
-            preset_config("sorption"), 0.0, 3)
-        state = states[-1]
-        stale = state.chain.copy()
-        state.u = state.u + 0.125
-        plain = _unchained(state)
-        t_next = state.t + scfg.dt
-        got = _Stepper(mesh, model, bd, scfg).advance(state, t_next, 4)
-        want = _Stepper(mesh, model, bd, scfg).advance(plain, t_next, 4)
-        assert got.chain.tobytes() == want.chain.tobytes()
-        tables = [np.empty((1, 11)), np.empty((1, 11))]
-        for table, s in zip(tables, (state, plain)):
-            Recorder(mesh, 1.0, table).add(s)
-        assert tables[0].tobytes() == tables[1].tobytes()
-        assert state.chain.tobytes() == stale.tobytes()
-
     @_eps_cells(0.0, 1e-2)
     def test_recorder_rows_same_for_chained_and_unchained(self, eps):
         # homogenize centred on 0, so u and f = -u*M0 take both signs
         cfg = _constant_law_config("model.M0.value = -0.0")
         states, mesh, *_ = _run_states(cfg, eps, 40)
         tables = []
-        for group in (states, [states[0]] + [_unchained(s)
-                                             for s in states[1:]]):
+        for group in (states, [_from_arrays(s) for s in states]):
             table = np.empty((len(group), 11))
             recorder = Recorder(mesh, 0.8, table, reg_weight=eps * 1e-3)
             for state in group:
