@@ -17,6 +17,7 @@ serialize/parse round-trips are semantically exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -169,11 +170,13 @@ class ScenarioConfig:
     """Validated scenario with defaults applied; semantics live in ``values``.
 
     ``laws`` holds the six coefficient laws, by role, that ``validate``
-    built from ``values``; ``build_physical`` reads them.
+    built from ``values``; ``build_physical`` reads them.  ``groups``
+    maps each group head to its params as ``validate`` left them.
     """
 
     values: dict
     laws: dict = field(default_factory=dict, compare=False, repr=False)
+    groups: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, key):
         """The value of ``key``, or the default of an unset optional key."""
@@ -185,12 +188,8 @@ class ScenarioConfig:
         return self.values.get(key, default)
 
     def group(self, head: str) -> tuple[str, dict]:
-        """(kind name, params) for a model/field/signal group key."""
-        name = self.values[head]
-        prefix = head + "."
-        params = {k[len(prefix):]: v for k, v in self.values.items()
-                  if k.startswith(prefix) and "." not in k[len(prefix):]}
-        return name, params
+        """(kind name, a copy of its params) for a group head."""
+        return self.values[head], dict(self.groups[head])
 
 
 # ---------------------------------------------------------------------------
@@ -283,28 +282,26 @@ def _coerce(key: str, value, want: type, line: Optional[int]):
     if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
         raise ConfigError(f"expected {want.__name__}, got {value!r}",
                           line=line, key=key)
-    return value
+    return list(value) if want is list else value
 
 
-def _validate_group(values: dict, head: str, kinds: dict, lines: dict):
-    name = values.get(head)
+def _validate_group(cfg, head: str, kinds: dict, lines: dict):
+    name, params = cfg.values.get(head), cfg.groups[head]
     if name not in kinds:
         raise ConfigError(
             f"unknown kind {name!r}; expected one of {sorted(kinds)}",
             line=lines.get(head), key=head)
     schema = kinds[name]
     prefix = head + "."
-    present = {k[len(prefix):] for k in values if k.startswith(prefix)}
-    for extra in sorted(present - set(schema)):
+    for extra in sorted(set(params) - set(schema)):
         raise ConfigError(f"parameter {extra!r} not valid for kind {name!r}",
                           line=lines.get(prefix + extra), key=prefix + extra)
     for pname, default in schema.items():
-        key = prefix + pname
-        if key not in values:
+        if pname not in params:
             if default is None:
                 raise ConfigError(f"kind {name!r} requires parameter {pname!r}",
-                                  key=key)
-            values[key] = default
+                                  key=prefix + pname)
+            cfg.values[prefix + pname] = params[pname] = default
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -329,9 +326,16 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"unknown preset {preset_name!r}; available: "
                 f"{sorted(PRESETS)}", line=lines.get("preset"), key="preset")
-        base = _overlay(base, _raw_pairs(PRESETS[preset_name]))
+        base = _overlay(base, _preset_pairs(preset_name))
 
     return validate(_overlay(base, body), lines)
+
+
+@functools.cache
+def _preset_pairs(name: str) -> tuple:
+    """A preset's pairs, parsed once per process.  ``validate`` copies
+    every list it keeps, so no scenario holds a list of the cache."""
+    return tuple(_raw_pairs(PRESETS[name]))
 
 
 def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
@@ -342,6 +346,7 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
     to the file lines they came from, for the error messages.
     """
     values, lines = dict(values), lines or {}
+    groups = {head: {} for head in _GROUP_HEADS}  # ScenarioConfig.groups
     for key, value in values.items():
         rule = _rule(key)
         if rule is None:
@@ -357,11 +362,14 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
         if test is not None and not test(v):
             raise ConfigError(f"{key} {need}, got {v!r}",
                               line=lines.get(key), key=key)
+        head, _, pname = key.rpartition(".")
+        if head in groups:
+            groups[head][pname] = v
 
-    cfg = ScenarioConfig(values=values)
+    cfg = ScenarioConfig(values=values, groups=groups)
     cfg.laws.update(_scalar_models(cfg, lines))
-    _validate_group(values, "initial.u0", _FIELD_KINDS, lines)
-    _validate_group(values, "initial.sigma0", _FIELD_KINDS, lines)
+    _validate_group(cfg, "initial.u0", _FIELD_KINDS, lines)
+    _validate_group(cfg, "initial.sigma0", _FIELD_KINDS, lines)
     dt, T_end = values["time.dt"], values["time.T_end"]
     try:  # a whole number of steps, before the pulses' rule on the steps
         build_solver_config(cfg)
@@ -369,7 +377,7 @@ def validate(values: dict, lines: Optional[dict] = None) -> ScenarioConfig:
         raise ConfigError(str(exc), line=lines.get("time.T_end"),
                           key="time.T_end") from exc
     for side in ("boundary.phi_left", "boundary.phi_right"):
-        _validate_group(values, side, _SIGNAL_KINDS, lines)
+        _validate_group(cfg, side, _SIGNAL_KINDS, lines)
         if values[side] != "pulse":
             continue
         on, off = f"{side}.t_on", f"{side}.t_off"
@@ -489,21 +497,19 @@ def _signal(kind: str, params: dict, dt: float, T_end: float):
         return lambda t: v
     if kind == "sinusoid":
         a, w, p = params["amplitude"], params["omega"], params["phase"]
-        return lambda t: a * math.sin(w * t + p)
+        return lambda t: a * np.sin(w * t + p)
     if kind == "pulse":
         v = params["value"]
         t_on, t_off = (_step_time(params[k], dt, T_end)
                        for k in ("t_on", "t_off"))
-        return lambda t: v if t_on < t <= t_off else 0.0
+        return lambda t: np.where((t_on < t) & (t <= t_off), v, 0.0)
     raise ConfigError(f"unknown boundary signal kind {kind!r}")
 
 
 def build_boundary(cfg: ScenarioConfig) -> BoundaryData:
-    dt, T_end = cfg["time.dt"], cfg["time.T_end"]
-    lk, lp = cfg.group("boundary.phi_left")
-    rk, rp = cfg.group("boundary.phi_right")
-    return BoundaryData(phi_left=_signal(lk, lp, dt, T_end),
-                        phi_right=_signal(rk, rp, dt, T_end))
+    grid = cfg["time.dt"], cfg["time.T_end"]
+    return BoundaryData(*(_signal(*cfg.group(f"boundary.phi_{side}"), *grid)
+                          for side in ("left", "right")))
 
 
 def _field(kind: str, params: dict, mesh: Mesh, column: str) -> np.ndarray:
@@ -526,17 +532,20 @@ def _field(kind: str, params: dict, mesh: Mesh, column: str) -> np.ndarray:
             raise ConfigError(
                 f"snapshot {params['path']!r} has {vals.size} nodes, "
                 f"mesh has {x.size}", key=key)
+        off = ~np.isclose(data["x"], x, rtol=1e-12, atol=1e-12 * mesh.L)
+        if off.any():
+            i = off.argmax()
+            raise ConfigError(f"snapshot {params['path']!r} is from another "
+                              f"mesh: its node {i} is at x = {data['x'][i]:g}, "
+                              f"the mesh's at x = {x[i]:g}", key=key)
         return vals
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
 def build_initial(cfg: ScenarioConfig, mesh: Mesh,
                   phys: PhysicalCoefficients) -> InitialData:
-    uk, up = cfg.group("initial.u0")
-    sk, sp = cfg.group("initial.sigma0")
-    u0 = _field(uk, up, mesh, "u")
-    sigma0 = _field(sk, sp, mesh, "sigma")
-    return InitialData(u0, sigma0, phys)
+    return InitialData(*(_field(*cfg.group(f"initial.{c}0"), mesh, c)
+                         for c in ("u", "sigma")), phys)
 
 
 def build_solver_config(cfg: ScenarioConfig) -> SolverConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -72,13 +73,18 @@ BLOCK_ROWS = 1024
 RECORD_BLOCK_BYTES = 2 ** 16
 
 
-def _rows(series, names: Sequence[str] = CSV_COLUMNS) -> Iterator[tuple]:
-    """The named columns of a record table or a list of records, row by
-    row as tuples of Python floats, converted BLOCK_ROWS rows at a time."""
-    table = np.asarray(series, dtype=float)
+def _steps(table: np.ndarray, names: Sequence[str]) -> Iterator[tuple]:
+    """(k, columns) per block of up to BLOCK_ROWS steps from step k: views
+    of the named columns over the block's rows and the row before."""
     cols = [CSV_COLUMNS.index(name) for name in names]
-    for start in range(0, len(table), BLOCK_ROWS):
-        yield from zip(*table[start:start + BLOCK_ROWS, cols].T.tolist())
+    for k in range(1, len(table), BLOCK_ROWS):
+        yield k, [table[k - 1:k + BLOCK_ROWS, c] for c in cols]
+
+
+def _running(start: float, terms: np.ndarray) -> np.ndarray:
+    """Running sums from start, added in order in Python floats, as a
+    loop of += adds them (np.cumsum's first call raises peak RSS)."""
+    return np.array(list(accumulate(terms.tolist(), initial=float(start)))[1:])
 
 
 class RecordTable(Sequence[DiagnosticsRecord]):
@@ -107,7 +113,9 @@ class RecordTable(Sequence[DiagnosticsRecord]):
             self._table[operator.index(index)].tolist())
 
     def __iter__(self) -> Iterator[DiagnosticsRecord]:
-        return map(DiagnosticsRecord._make, _rows(self._table))
+        for start in range(0, len(self._table), BLOCK_ROWS):
+            columns = self._table[start:start + BLOCK_ROWS].T.tolist()
+            yield from map(DiagnosticsRecord._make, zip(*columns))
 
     def __array__(self, dtype=None, copy=None):
         if copy:
@@ -334,37 +342,46 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
     """
     G, G0 = lt.Gamma, lt.Gamma_0
     tol = DECAY_STEP_SLACK
-    rows = _rows(series, ("t", "h1semi_u", "h1semi_s", "lyapunov",
-                          "cum_grad_u", "cum_grad_s"))
-    t_prev, _, _, lyap0, _, _ = next(rows)
-    lyap_prev = lyap0
+    table = np.asarray(series, dtype=float)
+    lyap0, lyap_end = table[[0, -1], CSV_COLUMNS.index("lyapunov")].tolist()
     bound = lyap0 / min(G0 * G * G, G0) + tol
     # the implicit scheme controls the right-endpoint quadrature of the
     # gradient integrals, so the inequality sums it here rather than
     # using the trapezoid running totals
     cum_right = 0.0
     w = G0 * min(G * G, 1.0)
-    for k, (t, h1u, h1s, lyap, cum_u, cum_s) in enumerate(rows, start=1):
-        cum_right += (t - t_prev) * (h1u ** 2 + h1s ** 2)
-        if lyap > lyap_prev + tol:
-            message = (f"Lyapunov increase at step {k} (t={t:.6g}): "
-                       f"{lyap_prev:.12g} -> {lyap:.12g}")
-        elif cum_u > bound or cum_s > bound:
-            message = (f"cumulative gradient integral exceeds the decay bound "
-                       f"{bound:.6g} at step {k}")
-        elif lyap + w * cum_right > lyap0 + tol * (k + 1):
-            message = (f"dissipation inequality fails at step {k} "
-                       f"(t={t:.6g}): {lyap:.12g} + "
-                       f"{w * cum_right:.12g} > {lyap0:.12g}")
-        else:
-            t_prev, lyap_prev = t, lyap
-            continue
-        return CheckReport(ok=False, name="lyapunov_decay",
-                           first_violation=k, message=message)
+    names = ("t", "h1semi_u", "h1semi_s", "lyapunov", "cum_grad_u",
+             "cum_grad_s")
+    for k0, (t, h1u, h1s, lyap, cum_u, cum_s) in _steps(table, names):
+        # libm pow, as Python's x ** 2: numpy's square can differ in a bit
+        sq = [pow(a, 2) + pow(b, 2) for a, b in zip(h1u[1:].tolist(),
+                                                    h1s[1:].tolist())]
+        cums = _running(cum_right, (t[1:] - t[:-1]) * sq)
+        rises = lyap[1:] > lyap[:-1] + tol
+        exceeds = (cum_u[1:] > bound) | (cum_s[1:] > bound)
+        dissipates = lyap[1:] + w * cums > lyap0 + tol * np.arange(
+            k0 + 1, k0 + 1 + len(cums))
+        bad = rises | exceeds | dissipates
+        i = int(bad.argmax())  # the first failing step, in the loop's order
+        if bad[i]:
+            k, tk, (lp, lk) = k0 + i, t[i + 1], lyap[i:i + 2]
+            if rises[i]:
+                message = (f"Lyapunov increase at step {k} (t={tk:.6g}): "
+                           f"{lp:.12g} -> {lk:.12g}")
+            elif exceeds[i]:
+                message = (f"cumulative gradient integral exceeds the decay "
+                           f"bound {bound:.6g} at step {k}")
+            else:
+                message = (f"dissipation inequality fails at step {k} "
+                           f"(t={tk:.6g}): {lk:.12g} + "
+                           f"{w * cums[i]:.12g} > {lyap0:.12g}")
+            return CheckReport(ok=False, name="lyapunov_decay",
+                               first_violation=k, message=message)
+        cum_right = cums[-1]
     return CheckReport(
         ok=True, name="lyapunov_decay",
         message=f"non-increasing over {len(series)} records "
-                f"(initial {lyap0:.6g}, final {lyap_prev:.6g})",
+                f"(initial {lyap0:.6g}, final {lyap_end:.6g})",
         details={"gradient_bound": bound, "combined_estimate_ok": True})
 
 
@@ -380,26 +397,33 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
     dt*(phi_left + phi_right)(t_k) up to the last step checked (the
     integral of the influx whenever phi is constant over each step).
     """
-    rows = _rows(series, ("t", "mass"))
-    t_prev, mass0 = next(rows)
-    expected = mass = mass0
-    influx = 0.0
+    table = np.asarray(series, dtype=float)
+    mass0, mass = table[[0, -1], CSV_COLUMNS.index("mass")].tolist()
+    expected, influx = mass0, 0.0
     scale = 1.0 + abs(expected)
-    for k, (t, mass) in enumerate(rows, start=1):
-        dt = t - t_prev
-        gain = dt * (float(bd.phi_left(t)) + float(bd.phi_right(t)))
-        influx += gain
-        expected = (expected + gain) / (1.0 + dt * epsilon)
-        drift = mass - expected
-        if abs(drift) > MASS_BALANCE_TOL * scale:
+    for k0, (t, masses) in _steps(table, ("t", "mass")):
+        dt = t[1:] - t[:-1]
+        gain = dt * np.add(*bd.values(t[1:]))
+        influxes = _running(influx, gain)
+        if epsilon == 0.0:  # each division is by 1.0, which is exact
+            expects = _running(expected, gain)
+        else:  # Python floats, step by step
+            expects = list(accumulate(
+                zip(gain.tolist(), (1.0 + dt * epsilon).tolist()),
+                lambda e, g_d: (e + g_d[0]) / g_d[1], initial=expected))[1:]
+        drift = masses[1:] - expects
+        bad = np.abs(drift) > MASS_BALANCE_TOL * scale
+        i = int(bad.argmax())
+        if bad[i]:
+            k = k0 + i
             return CheckReport(
                 ok=False, name="mass_balance", first_violation=k,
-                message=(f"mass drift {drift:.3e} at step {k} "
-                         f"(t={t:.6g}) exceeds "
+                message=(f"mass drift {drift[i]:.3e} at step {k} "
+                         f"(t={t[i + 1]:.6g}) exceeds "
                          f"{MASS_BALANCE_TOL:g} relative "
-                         f"(net gain {mass - mass0:.12g}, "
-                         f"influx sum dt*phi {influx:.12g})"))
-        t_prev = t
+                         f"(net gain {masses[i + 1] - mass0:.12g}, "
+                         f"influx sum dt*phi {influxes[i]:.12g})"))
+        influx, expected = influxes[-1], expects[-1]
     return CheckReport(
         ok=True, name="mass_balance",
         message=(f"mass tracks influx over {len(series) - 1} steps "

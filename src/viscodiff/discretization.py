@@ -56,14 +56,26 @@ def build_mesh(L: float, N: int) -> Mesh:
 class BoundaryData:
     """Prescribed influx through the two end points, as functions of time."""
 
-    phi_left: Callable[[float], float]
-    phi_right: Callable[[float], float]
+    phi_left: Callable[[np.ndarray], np.ndarray]
+    phi_right: Callable[[np.ndarray], np.ndarray]
+
+    def values(self, t: np.ndarray) -> list:
+        """[phi_left(t), phi_right(t)] as float64 arrays of t's shape; a
+        signal that cannot take an array of times is a ValueError."""
+        out = []
+        for name in ("phi_left", "phi_right"):
+            try:
+                v = np.asarray(getattr(self, name)(t), dtype=float)
+                out.append(np.broadcast_to(v, t.shape))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name} must map an array of times to "
+                                 f"values that broadcast to it: {exc}") from exc
+        return out
 
     def validate(self, T: float) -> None:
         """Check finiteness and square-integrability on [0, T] by quadrature."""
         t = np.linspace(0.0, T, 1000)
-        for name, fn in (("phi_left", self.phi_left), ("phi_right", self.phi_right)):
-            vals = np.asarray([float(fn(tt)) for tt in t])
+        for name, vals in zip(("phi_left", "phi_right"), self.values(t)):
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"{name} is not finite on [0, {T}]")
             if not np.isfinite(np.trapezoid(vals ** 2, t)):
@@ -164,8 +176,7 @@ def assemble_flux_vector(mesh: Mesh, w: np.ndarray) -> np.ndarray:
 def boundary_functional(mesh: Mesh, bd: BoundaryData, t: float) -> np.ndarray:
     """Influx functional: point loads at the two boundary nodes."""
     psi = np.zeros(mesh.N + 1)
-    psi[0] = float(bd.phi_left(t))
-    psi[-1] = float(bd.phi_right(t))
+    psi[[0, -1]] = bd.values(np.array(t))
     return psi
 
 

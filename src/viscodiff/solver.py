@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .coefficients import PhysicalCoefficients, TransformedModel
-from .diagnostics import CSV_COLUMNS, Recorder, RecordTable
+from .diagnostics import BLOCK_ROWS, CSV_COLUMNS, Recorder, RecordTable
 # not called here: run records a block of states at a time.  It stays a
 # module attribute because perfbench/tracing.py wraps it by name.
 from .diagnostics import record  # noqa: F401
@@ -375,7 +375,9 @@ class _Stepper:
         return (load_from_means(means[2 * n:], out=self.load), u_system,
                 np.multiply(dt_, gn, out=self.dt_gamma), s_system)
 
-    def advance(self, state: State, t_next: float, step_index: int = 0) -> State:
+    def advance(self, state: State, t_next: float, step_index: int = 0,
+                influx=None) -> State:
+        """The state at t_next, given dt*(phi_left, phi_right) there."""
         built = self.kept
         if built is None:
             built = self.build(state, step_index)
@@ -390,11 +392,10 @@ class _Stepper:
         rest, stress = self.rhs, self.e_sigma
         np.add(stress, load, out=stress)
         np.subtract(rest, np.multiply(self.dt_, stress, out=stress), out=rest)
-        influx = self.influx
-        influx[0] = dt * float(self.bd.phi_left(t_next))
-        influx[-1] = dt * float(self.bd.phi_right(t_next))
+        self.influx[0], self.influx[-1] = influx or [
+            dt * phi for phi in self.bd.values(np.array(t_next))]
         # the rhs, solved in place, then copied into the fresh chain
-        np.add(rest, influx, out=rest)
+        np.add(rest, self.influx, out=rest)
         if eps == 0.0:
             self.u_solver.solve()
         else:
@@ -545,19 +546,23 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
         observer(state)
 
     dt = cfg.dt
-    for k in range(1, n_steps + 1):
-        # k*dt, not a running sum, so step times do not drift from the grid
-        try:
-            state = stepper.advance(state, k * dt, step_index=k)
-        except (NumericalFailure, LinearSolveFailure) as exc:
-            recorder.flush()
-            exc.records = RecordTable(table[:k])
-            raise
-        recorder.add(state)
-        if observer is not None:
-            observer(state)
-        if output_every and (k % output_every == 0) and k != n_steps:
-            trajectory.append(state)
+    for start in range(1, n_steps + 1, BLOCK_ROWS):
+        # k*dt, not a running sum, so step times do not drift from the
+        # grid; the influx of a block of steps is evaluated at once
+        steps = range(start, min(start + BLOCK_ROWS, n_steps + 1))
+        times = np.arange(steps.start, steps.stop) * dt
+        for k, *influx in zip(steps, *(dt * v for v in bd.values(times))):
+            try:
+                state = stepper.advance(state, k * dt, k, influx)
+            except (NumericalFailure, LinearSolveFailure) as exc:
+                recorder.flush()
+                exc.records = RecordTable(table[:k])
+                raise
+            recorder.add(state)
+            if observer is not None:
+                observer(state)
+            if output_every and (k % output_every == 0) and k != n_steps:
+                trajectory.append(state)
 
     recorder.flush()
     if n_steps > 0:

@@ -194,6 +194,34 @@ class TestParsing:
         # a box wider than the domain covers it
         parse_config(text.format("[-0.5, 2.5]"))
 
+    def test_preset_cache_hands_out_no_shared_list(self):
+        # a preset is parsed once per process; changing one scenario's
+        # values, a list included, changes no later parse of the preset
+        first = parse_config('preset = "homogenize"\n')
+        first.values["longtime.box.t"][1] = 7.0
+        first.values["mesh.N"] = 3
+        again = parse_config('preset = "homogenize"\n')
+        assert again.values == preset_config("homogenize").values
+        assert again["longtime.box.t"] == [0.0, 50.0]
+        assert again["longtime.box.t"] is not first["longtime.box.t"]
+
+    def test_group_reads_the_validated_params(self):
+        cfg = parse_config('boundary.phi_left = "pulse"\n'
+                           'boundary.phi_left.value = 2.0\n'
+                           'boundary.phi_left.t_off = 0.5\n')
+        name, params = cfg.group("boundary.phi_left")
+        assert (name, params) == (
+            "pulse", {"value": 2.0, "t_on": 0.0, "t_off": 0.5})
+        params["value"] = 9.0  # a copy: the scenario keeps its value
+        assert cfg.group("boundary.phi_left")[1]["value"] == 2.0
+        for preset in PRESETS:
+            cfg = preset_config(preset)
+            for head in _GROUP_HEADS:
+                prefix = head + "."
+                assert cfg.group(head) == (cfg[head], {
+                    k[len(prefix):]: v for k, v in cfg.values.items()
+                    if k.startswith(prefix)})
+
     def test_all_presets_parse(self):
         for name in PRESETS:
             cfg = preset_config(name)
@@ -270,6 +298,36 @@ class TestSnapshotIO:
         assert message in err and str(snap) in err
         assert "[key 'initial.u0.path']" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field", ["u0", "sigma0"])
+    def test_snapshot_from_another_mesh_exit_two(self, tmp_path, capsys,
+                                                 field):
+        # as many nodes as the mesh (0, 0.5, 1), but at x = 0, 5, 9
+        snap = tmp_path / "snap.csv"
+        snap.write_text("x,u,varsigma,sigma\n0,0.1,0,0.1\n5,0.2,0,0.2\n"
+                        "9,0.3,0,0.3\n")
+        p = tmp_path / "s.cfg"
+        p.write_text(f'mesh.N = 2\ninitial.{field} = "file"\n'
+                     f'initial.{field}.path = "{snap}"\n')
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"[key 'initial.{field}.path']" in err
+        assert (f"snapshot {str(snap)!r} is from another mesh: its node 1 "
+                "is at x = 5, the mesh's at x = 0.5") in err
+        assert not (tmp_path / "o").exists()
+
+    def test_snapshot_nodes_written_by_hand_fit_the_mesh(self, tmp_path):
+        # "0.3" is not linspace's 0.30000000000000004, but within round-off
+        snap = tmp_path / "snap.csv"
+        snap.write_text("x,u,varsigma,sigma\n" + "".join(
+            f"{k / 10},{k},0,0\n" for k in range(11)))
+        cfg = parse_config(f'mesh.N = 10\ninitial.u0 = "file"\n'
+                           f'initial.u0.path = "{snap}"\n')
+        mesh = build_mesh_from(cfg)
+        assert not np.array_equal(read_snapshot(snap)["x"], mesh.nodes)
+        init = build_initial(cfg, mesh, build_physical(cfg))
+        assert init.u0.tolist() == list(range(11))
 
     def test_file_initial_data_round_trip(self, tmp_path):
         # run one step, snapshot, restart from the file: state reproduced

@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from viscodiff.coefficients import Box, LongTimeCondition, constant_model
 from viscodiff.diagnostics import (
     CSV_COLUMNS,
+    DECAY_STEP_SLACK,
+    MASS_BALANCE_TOL,
     DiagnosticsRecord,
     Recorder,
     homogenization_from_record,
@@ -239,7 +241,7 @@ class TestMassBalance:
     def test_sine_influx_quadrature(self):
         mesh = build_mesh(1.0, 32)
         phys = _fickian_phys()
-        bd = BoundaryData(phi_left=math.sin, phi_right=lambda t: 0.0)
+        bd = BoundaryData(phi_left=np.sin, phi_right=lambda t: 0.0)
         init = InitialData(np.zeros(33), np.zeros(33), phys)
         dt = 1e-3
         # 3142 steps: the whole number of steps nearest to T = pi
@@ -286,6 +288,131 @@ class TestMassBalance:
         assert report.message == (
             "mass drift -1.000e-03 at step 1 (t=0.001) exceeds 1e-10 "
             f"relative (net gain {gain:.12g}, influx sum dt*phi 0.001)")
+
+
+def _lyapunov_loop(series, lt):
+    """The scalar loop lyapunov_decay_check replaced: the reference."""
+    G, G0, tol = lt.Gamma, lt.Gamma_0, DECAY_STEP_SLACK
+    rows = iter(list(series))
+    first = next(rows)
+    t_prev, lyap0 = first.t, first.lyapunov
+    lyap_prev = lyap0
+    bound = lyap0 / min(G0 * G * G, G0) + tol
+    cum_right = 0.0
+    w = G0 * min(G * G, 1.0)
+    for k, r in enumerate(rows, start=1):
+        cum_right += (r.t - t_prev) * (r.h1semi_u ** 2 + r.h1semi_s ** 2)
+        if r.lyapunov > lyap_prev + tol:
+            message = (f"Lyapunov increase at step {k} (t={r.t:.6g}): "
+                       f"{lyap_prev:.12g} -> {r.lyapunov:.12g}")
+        elif r.cum_grad_u > bound or r.cum_grad_s > bound:
+            message = (f"cumulative gradient integral exceeds the decay bound "
+                       f"{bound:.6g} at step {k}")
+        elif r.lyapunov + w * cum_right > lyap0 + tol * (k + 1):
+            message = (f"dissipation inequality fails at step {k} "
+                       f"(t={r.t:.6g}): {r.lyapunov:.12g} + "
+                       f"{w * cum_right:.12g} > {lyap0:.12g}")
+        else:
+            t_prev, lyap_prev = r.t, r.lyapunov
+            continue
+        return (False, k, message)
+    return (True, None, f"non-increasing over {len(series)} records "
+                        f"(initial {lyap0:.6g}, final {lyap_prev:.6g})")
+
+
+def _mass_loop(series, bd, epsilon=0.0):
+    """The scalar loop mass_balance_check replaced: the reference."""
+    rows = iter(list(series))
+    first = next(rows)
+    t_prev, mass0 = first.t, first.mass
+    expected = mass = mass0
+    influx = 0.0
+    scale = 1.0 + abs(expected)
+    for k, r in enumerate(rows, start=1):
+        t, mass = r.t, r.mass
+        dt = t - t_prev
+        gain = dt * (float(bd.phi_left(t)) + float(bd.phi_right(t)))
+        influx += gain
+        expected = (expected + gain) / (1.0 + dt * epsilon)
+        drift = mass - expected
+        if abs(drift) > MASS_BALANCE_TOL * scale:
+            return (False, k, f"mass drift {drift:.3e} at step {k} "
+                              f"(t={t:.6g}) exceeds "
+                              f"{MASS_BALANCE_TOL:g} relative "
+                              f"(net gain {mass - mass0:.12g}, "
+                              f"influx sum dt*phi {influx:.12g})")
+        t_prev = t
+    return (True, None, f"mass tracks influx over {len(series) - 1} steps "
+                        f"(net gain {mass - mass0:.12g}, "
+                        f"influx sum dt*phi {influx:.12g})")
+
+
+def _tampered(records, row, **changes):
+    rows = list(records)
+    for k in (row if isinstance(row, tuple) else (row,)):
+        rows[k] = rows[k]._replace(**{
+            name: f(getattr(rows[k], name)) for name, f in changes.items()})
+    return rows
+
+
+class TestChecksMatchTheScalarLoops:
+    """The mass and Lyapunov checks pass over blocks of records with
+    numpy; they give the verdict, the step and the message of the scalar
+    loops they replaced, bit for bit, on runs longer than two blocks and
+    on tables tampered to fail in each way, at a block's first or last
+    row or inside one."""
+
+    LT = LongTimeCondition(Gamma=1.0, Gamma_0=0.8, verified_box=BOX)
+
+    @pytest.fixture(scope="class")
+    def decay(self):
+        model = constant_model(D=1.0, E=0.1, beta1=-1.0, gamma=0.5)
+        return list(_series_from_run(model, T=2.5, N=8).records)
+
+    @pytest.mark.parametrize("case", [
+        "pass", "rise", "rise-and-bound", "bound", "bound-and-dissipation",
+        "dissipation", "nan-before-rise"])
+    @pytest.mark.parametrize("row", [1, 1023, 1024, 1025, 2500])
+    def test_lyapunov(self, decay, case, row):
+        big = lambda v: v + 1e6  # noqa: E731
+        rise = lambda v: v + 1.0  # noqa: E731
+        series = {
+            "pass": decay,
+            "rise": _tampered(decay, row, lyapunov=rise),
+            "rise-and-bound": _tampered(decay, row, lyapunov=rise,
+                                        cum_grad_s=big),
+            "bound": _tampered(decay, row, cum_grad_u=big),
+            "bound-and-dissipation": _tampered(decay, row, cum_grad_u=big,
+                                               h1semi_s=big),
+            "dissipation": _tampered(decay, row, h1semi_u=big),
+            # a NaN compares false: the rise after it is not seen as one
+            "nan-before-rise": _tampered(
+                _tampered(decay, row - 1, lyapunov=lambda v: math.nan),
+                row, lyapunov=rise),
+        }[case]
+        report = lyapunov_decay_check(series, self.LT)
+        ok, step, message = _lyapunov_loop(series, self.LT)
+        assert (report.ok, report.first_violation, report.message) == (
+            ok, step, message)
+        if case != "nan-before-rise":
+            assert ok == (case == "pass")
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("row", [None, 1, 1024, 1025, 1800, 2500])
+    def test_mass_balance(self, eps, row):
+        mesh = build_mesh(1.0, 8)
+        bd = BoundaryData(phi_left=lambda t: 0.3 * np.sin(5 * t),
+                          phi_right=lambda t: np.where(t <= 1.2, -0.1, 0.0))
+        u0 = 0.5 + 0.3 * np.cos(math.pi * mesh.nodes)
+        res = run(InitialData(u0, np.zeros_like(u0), _fickian_phys()), mesh,
+                  constant_model(D=1.0, E=0.1, gamma=0.5), bd,
+                  SolverConfig(dt=1e-3, T_end=2.5, epsilon=eps))
+        series = list(res.records) if row is None else _tampered(
+            res.records, row, mass=lambda v: v + 1e-8)
+        report = mass_balance_check(series, bd, epsilon=eps)
+        assert (report.ok, report.first_violation, report.message) == \
+            _mass_loop(series, bd, eps)
+        assert report.ok == (row is None)
 
 
 class TestCsv:

@@ -189,7 +189,7 @@ class TestBoundaryFunctional:
 
     def test_time_dependence(self):
         mesh = build_mesh(1.0, 3)
-        bd = BoundaryData(phi_left=math.sin, phi_right=lambda t: 0.0)
+        bd = BoundaryData(phi_left=np.sin, phi_right=lambda t: 0.0)
         psi = boundary_functional(mesh, bd, math.pi / 2)
         assert psi[0] == pytest.approx(1.0)
         assert np.all(psi[1:] == 0.0)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded, solveh_banded
 
 from viscodiff import config, discretization
@@ -174,7 +176,7 @@ class TestStep:
         phys = build_physical(cfg)
         bd = build_boundary(cfg)
         nan_after = BoundaryData(
-            phi_left=lambda t: math.nan if t > 0.004 else bd.phi_left(t),
+            phi_left=lambda t: np.where(t > 0.004, np.nan, bd.phi_left(t)),
             phi_right=bd.phi_right)
         with pytest.raises(NumericalFailure) as exc:
             run(build_initial(cfg, mesh, phys), mesh, transform(phys),
@@ -242,7 +244,7 @@ class TestMassBalance:
         mesh = build_mesh(1.0, 32)
         phys = _tanh_mix()
         model = transform(phys)
-        bd = BoundaryData(phi_left=lambda t: math.sin(3 * t),
+        bd = BoundaryData(phi_left=lambda t: np.sin(3 * t),
                           phi_right=lambda t: 0.25)
         cfg = SolverConfig(dt=1e-3, T_end=1e-3)
         state = State(t=0.0, u=np.full(33, 0.3),
@@ -523,6 +525,111 @@ def _dense_bands(ab):
     return A
 
 
+def _scalar_signal(kind, params, dt, T_end):
+    """The point-by-point signals that the array signals replaced, as
+    config built them: the reference."""
+    if kind == "zero":
+        return lambda t: 0.0
+    if kind == "constant":
+        v = params["value"]
+        return lambda t: v
+    if kind == "sinusoid":
+        a, w, p = params["amplitude"], params["omega"], params["phase"]
+        return lambda t: a * math.sin(w * t + p)
+    v = params["value"]
+    t_on, t_off = (config._step_time(params[k], dt, T_end)
+                   for k in ("t_on", "t_off"))
+    return lambda t: v if t_on < t <= t_off else 0.0
+
+
+_NUMBERS = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _signals(draw):
+    """(kind, params, dt, steps) of a signal that config accepts; pulse
+    switching times lie on the step grid, up to the 1e-9 the grid rule
+    allows, or past T_end."""
+    dt = draw(st.sampled_from([5e-4, 1e-3, 2e-3, 0.05, 0.1]))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["zero", "constant", "sinusoid", "pulse"]))
+    params = {}
+    if kind == "constant":
+        params = {"value": draw(_NUMBERS)}
+    elif kind == "sinusoid":
+        params = {"amplitude": draw(_NUMBERS), "omega": draw(_NUMBERS),
+                  "phase": draw(st.floats(-4.0, 4.0))}
+    elif kind == "pulse":
+        k_on = draw(st.integers(0, n))
+        k_off = draw(st.integers(k_on + 1, n + 3))
+        nudge = st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12])
+        params = {"value": draw(_NUMBERS), "t_on": k_on * dt * draw(nudge),
+                  "t_off": k_off * dt * draw(nudge)}
+    return kind, params, dt, n
+
+
+class TestArraySignals:
+    """Boundary signals map arrays of times to values, and run evaluates
+    them a block of steps at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_signals())
+    def test_equal_the_scalar_lambdas_and_keep_the_mass_identity(
+            self, drawn):
+        kind, params, dt, n = drawn
+        T_end = n * dt
+        phi = config._signal(kind, params, dt, T_end)
+        ref = _scalar_signal(kind, params, dt, T_end)
+        steps = range(n + 2)  # t = 0, the n step times and one past
+        got = BoundaryData(phi, phi).values(np.arange(n + 2) * dt)[0]
+        want = np.array([float(ref(k * dt)) for k in steps])
+        assert got.tobytes() == want.tobytes()
+
+        # every step gains dt*(phi_left + phi_right) at its own k*dt
+        mesh = build_mesh(1.0, 4)
+        phys = _fickian_phys()
+        res = run(InitialData(np.full(5, 0.3), np.zeros(5), phys), mesh,
+                  transform(phys), BoundaryData(phi, phi),
+                  SolverConfig(dt=dt, T_end=T_end))
+        mass = [r.mass for r in res.records]
+        for k in range(1, n + 1):
+            gain = dt * (float(ref(k * dt)) + float(ref(k * dt)))
+            assert mass[k] - mass[k - 1] == pytest.approx(gain, abs=1e-12)
+
+    @pytest.mark.parametrize("side", ["phi_left", "phi_right"])
+    @pytest.mark.parametrize("signal", [
+        math.sin, lambda t: 0.3 if t <= 0.25 else 0.0, lambda t: np.ones(3)],
+        ids=["math.sin", "conditional", "wrong-shape"])
+    def test_scalar_only_signal_is_named_before_any_step(self, side, signal):
+        other = "phi_right" if side == "phi_left" else "phi_left"
+        bd = BoundaryData(**{side: signal, other: lambda t: 0.0})
+        message = f"^{side} must map an array of times to values"
+        with pytest.raises(ValueError, match=message):
+            bd.validate(1.0)
+        seen = []
+        mesh = build_mesh(1.0, 4)
+        with pytest.raises(ValueError, match=message):
+            run(InitialData(np.zeros(5), np.zeros(5), _fickian_phys()),
+                mesh, constant_model(), bd, SolverConfig(dt=0.1, T_end=0.5),
+                observer=seen.append)
+        assert [s.t for s in seen] == [0.0]
+
+    def test_run_spans_blocks_as_single_steps_do(self):
+        # steps on both sides of a block joint take the influx at k*dt
+        mesh = build_mesh(1.0, 4)
+        phys = _fickian_phys()
+        bd = BoundaryData(phi_left=lambda t: np.sin(3 * t),
+                          phi_right=lambda t: np.where(t > 1.0245, 0.5, 0.0))
+        cfg = SolverConfig(dt=1e-3, T_end=1.03)
+        init = InitialData(np.full(5, 0.3), np.zeros(5), phys)
+        res = run(init, mesh, transform(phys), bd, cfg)
+        stepper = _Stepper(mesh, transform(phys), bd, cfg)
+        state = init.initial_state()
+        for k in range(1, cfg.n_steps + 1):
+            state = stepper.advance(state, k * cfg.dt, k)
+        assert state.chain.tobytes() == res.final_state.chain.tobytes()
+
+
 class TestRegularized:
     def test_epsilon_zero_dispatch_identity(self):
         # step takes any epsilon and is the step run takes
@@ -587,7 +694,7 @@ class TestRegularized:
         mesh = build_mesh(1.0, 32)
         phys = _tanh_mix()
         model = transform(phys)
-        bd = BoundaryData(phi_left=lambda t: 0.3 if t <= 0.25 else 0.0,
+        bd = BoundaryData(phi_left=lambda t: np.where(t <= 0.25, 0.3, 0.0),
                           phi_right=lambda t: 0.0)
         u0 = np.full(33, 0.2)
         M = _sparse_tridiag(*mass_diagonals(mesh))
