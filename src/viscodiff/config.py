@@ -333,8 +333,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 @functools.cache
 def _preset_pairs(name: str) -> tuple:
-    """A preset's pairs, parsed once per process.  ``validate`` copies
-    every list it keeps, so no scenario holds a list of the cache."""
+    """A preset's pairs, parsed once; ``validate`` copies their lists."""
     return tuple(_raw_pairs(PRESETS[name]))
 
 
@@ -534,10 +533,10 @@ def _field(kind: str, params: dict, mesh: Mesh, column: str) -> np.ndarray:
                 f"mesh has {x.size}", key=key)
         off = ~np.isclose(data["x"], x, rtol=1e-12, atol=1e-12 * mesh.L)
         if off.any():
-            i = off.argmax()
+            i = off.argmax()  # in full digits, so a near miss shows
             raise ConfigError(f"snapshot {params['path']!r} is from another "
-                              f"mesh: its node {i} is at x = {data['x'][i]:g}, "
-                              f"the mesh's at x = {x[i]:g}", key=key)
+                              f"mesh: its node {i} is at x = {data['x'][i]}, "
+                              f"the mesh's at x = {x[i]}", key=key)
         return vals
     raise ConfigError(f"unknown field kind {kind!r}")
 

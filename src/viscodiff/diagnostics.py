@@ -81,12 +81,6 @@ def _steps(table: np.ndarray, names: Sequence[str]) -> Iterator[tuple]:
         yield k, [table[k - 1:k + BLOCK_ROWS, c] for c in cols]
 
 
-def _running(start: float, terms: np.ndarray) -> np.ndarray:
-    """Running sums from start, added in order in Python floats, as a
-    loop of += adds them (np.cumsum's first call raises peak RSS)."""
-    return np.array(list(accumulate(terms.tolist(), initial=float(start)))[1:])
-
-
 class RecordTable(Sequence[DiagnosticsRecord]):
     """Read-only sequence of records over one (n, 11) float64 table.
 
@@ -353,10 +347,12 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
     names = ("t", "h1semi_u", "h1semi_s", "lyapunov", "cum_grad_u",
              "cum_grad_s")
     for k0, (t, h1u, h1s, lyap, cum_u, cum_s) in _steps(table, names):
-        # libm pow, as Python's x ** 2: numpy's square can differ in a bit
+        # libm pow, as Python's x ** 2: numpy's square can differ in a bit;
+        # the sums add in order in Python floats, as the loop's += did
         sq = [pow(a, 2) + pow(b, 2) for a, b in zip(h1u[1:].tolist(),
                                                     h1s[1:].tolist())]
-        cums = _running(cum_right, (t[1:] - t[:-1]) * sq)
+        cums = np.array(list(accumulate(((t[1:] - t[:-1]) * sq).tolist(),
+                                        initial=cum_right))[1:])
         rises = lyap[1:] > lyap[:-1] + tol
         exceeds = (cum_u[1:] > bound) | (cum_s[1:] > bound)
         dissipates = lyap[1:] + w * cums > lyap0 + tol * np.arange(
@@ -399,18 +395,15 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
     """
     table = np.asarray(series, dtype=float)
     mass0, mass = table[[0, -1], CSV_COLUMNS.index("mass")].tolist()
-    expected, influx = mass0, 0.0
-    scale = 1.0 + abs(expected)
+    expected, influx, scale = mass0, 0.0, 1.0 + abs(mass0)
     for k0, (t, masses) in _steps(table, ("t", "mass")):
         dt = t[1:] - t[:-1]
         gain = dt * np.add(*bd.values(t[1:]))
-        influxes = _running(influx, gain)
-        if epsilon == 0.0:  # each division is by 1.0, which is exact
-            expects = _running(expected, gain)
-        else:  # Python floats, step by step
-            expects = list(accumulate(
-                zip(gain.tolist(), (1.0 + dt * epsilon).tolist()),
-                lambda e, g_d: (e + g_d[0]) / g_d[1], initial=expected))[1:]
+        # in Python floats, step by step, as the loop's recursion went
+        influxes = list(accumulate(gain.tolist(), initial=influx))[1:]
+        expects = list(accumulate(
+            zip(gain.tolist(), (1.0 + dt * epsilon).tolist()),
+            lambda e, g_d: (e + g_d[0]) / g_d[1], initial=expected))[1:]
         drift = masses[1:] - expects
         bad = np.abs(drift) > MASS_BALANCE_TOL * scale
         i = int(bad.argmax())

@@ -253,11 +253,9 @@ class _Stepper:
     into the fresh state.
     """
 
-    def __init__(self, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
-                 cfg: SolverConfig):
+    def __init__(self, mesh: Mesh, model: TransformedModel, cfg: SolverConfig):
         self.mesh = mesh
         self.model = model
-        self.bd = bd
         self.cfg = cfg
         self.ops = ops = mesh_operators(mesh)
         self.n = n = mesh.N + 1
@@ -375,8 +373,8 @@ class _Stepper:
         return (load_from_means(means[2 * n:], out=self.load), u_system,
                 np.multiply(dt_, gn, out=self.dt_gamma), s_system)
 
-    def advance(self, state: State, t_next: float, step_index: int = 0,
-                influx=None) -> State:
+    def advance(self, state: State, t_next: float, step_index: int,
+                influx: list) -> State:
         """The state at t_next, given dt*(phi_left, phi_right) there."""
         built = self.kept
         if built is None:
@@ -384,7 +382,7 @@ class _Stepper:
             if self.frozen:
                 self.kept = built
         load, u_system, dt_gn, s_system = built
-        dt, eps, n = self.cfg.dt, self.cfg.epsilon, self.n
+        eps, n = self.cfg.epsilon, self.n
         # M u - dt*(K(E) varsigma + load) + dt*psi, with psi the influx
         # functional: its interior entries add 0.0, as a full psi does
         tridiag_matvec(self.chain_main, self.chain_off, state.chain,
@@ -392,8 +390,7 @@ class _Stepper:
         rest, stress = self.rhs, self.e_sigma
         np.add(stress, load, out=stress)
         np.subtract(rest, np.multiply(self.dt_, stress, out=stress), out=rest)
-        self.influx[0], self.influx[-1] = influx or [
-            dt * phi for phi in self.bd.values(np.array(t_next))]
+        self.influx[0], self.influx[-1] = influx
         # the rhs, solved in place, then copied into the fresh chain
         np.add(rest, self.influx, out=rest)
         if eps == 0.0:
@@ -465,7 +462,9 @@ def step(state: State, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
     """One semi-implicit step, with the fourth-order regularization term
     when epsilon > 0."""
     state.check(mesh)
-    return _Stepper(mesh, model, bd, cfg).advance(state, state.t + cfg.dt)
+    t = state.t + cfg.dt
+    influx = [cfg.dt * phi for phi in bd.values(np.array(t))]
+    return _Stepper(mesh, model, cfg).advance(state, t, 0, influx)
 
 
 @dataclass
@@ -534,7 +533,7 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     """
     state = init.initial_state()
     state.check(mesh)
-    stepper = _Stepper(mesh, model, bd, cfg)
+    stepper = _Stepper(mesh, model, cfg)
 
     n_steps = cfg.n_steps
     table = np.empty((n_steps + 1, len(CSV_COLUMNS)))
@@ -547,8 +546,7 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
 
     dt = cfg.dt
     for start in range(1, n_steps + 1, BLOCK_ROWS):
-        # k*dt, not a running sum, so step times do not drift from the
-        # grid; the influx of a block of steps is evaluated at once
+        # k*dt, not a running sum, so step times do not drift from the grid
         steps = range(start, min(start + BLOCK_ROWS, n_steps + 1))
         times = np.arange(steps.start, steps.stop) * dt
         for k, *influx in zip(steps, *(dt * v for v in bd.values(times))):

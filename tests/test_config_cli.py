@@ -300,12 +300,15 @@ class TestSnapshotIO:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field", ["u0", "sigma0"])
+    @pytest.mark.parametrize("x1, x2", [("5", "9"), ("0.500000001", "1")],
+                             ids=["far", "near-miss"])
     def test_snapshot_from_another_mesh_exit_two(self, tmp_path, capsys,
-                                                 field):
-        # as many nodes as the mesh (0, 0.5, 1), but at x = 0, 5, 9
+                                                 field, x1, x2):
+        # as many nodes as the mesh (0, 0.5, 1), but at x = 0, x1, x2; the
+        # message prints node 1 with every digit that differs
         snap = tmp_path / "snap.csv"
-        snap.write_text("x,u,varsigma,sigma\n0,0.1,0,0.1\n5,0.2,0,0.2\n"
-                        "9,0.3,0,0.3\n")
+        snap.write_text(f"x,u,varsigma,sigma\n0,0.1,0,0.1\n{x1},0.2,0,0.2\n"
+                        f"{x2},0.3,0,0.3\n")
         p = tmp_path / "s.cfg"
         p.write_text(f'mesh.N = 2\ninitial.{field} = "file"\n'
                      f'initial.{field}.path = "{snap}"\n')
@@ -314,7 +317,7 @@ class TestSnapshotIO:
         err = capsys.readouterr().err
         assert f"[key 'initial.{field}.path']" in err
         assert (f"snapshot {str(snap)!r} is from another mesh: its node 1 "
-                "is at x = 5, the mesh's at x = 0.5") in err
+                f"is at x = {float(x1)}, the mesh's at x = 0.5") in err
         assert not (tmp_path / "o").exists()
 
     def test_snapshot_nodes_written_by_hand_fit_the_mesh(self, tmp_path):
