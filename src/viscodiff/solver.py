@@ -374,7 +374,7 @@ class _Stepper:
                 np.multiply(dt_, gn, out=self.dt_gamma), s_system)
 
     def advance(self, state: State, t_next: float, step_index: int,
-                influx: list) -> State:
+                influx: tuple) -> State:
         """The state at t_next, given dt*(phi_left, phi_right) there."""
         built = self.kept
         if built is None:
@@ -463,7 +463,7 @@ def step(state: State, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
     when epsilon > 0."""
     state.check(mesh)
     t = state.t + cfg.dt
-    influx = [cfg.dt * phi for phi in bd.values(np.array(t))]
+    influx = tuple(cfg.dt * phi for phi in bd.values(np.array(t)))
     return _Stepper(mesh, model, cfg).advance(state, t, 0, influx)
 
 
@@ -549,7 +549,7 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
         # k*dt, not a running sum, so step times do not drift from the grid
         steps = range(start, min(start + BLOCK_ROWS, n_steps + 1))
         times = np.arange(steps.start, steps.stop) * dt
-        for k, *influx in zip(steps, *(dt * v for v in bd.values(times))):
+        for k, influx in zip(steps, zip(*(dt * v for v in bd.values(times)))):
             try:
                 state = stepper.advance(state, k * dt, k, influx)
             except (NumericalFailure, LinearSolveFailure) as exc:

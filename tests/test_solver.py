@@ -74,9 +74,8 @@ def _fickian_phys(D=1.0):
 
 def _advance(stepper, bd, state, t_next, step_index):
     """A stepper's step to t_next with the influx dt*phi(t_next)."""
-    dt = stepper.cfg.dt
-    return stepper.advance(state, t_next, step_index,
-                           [dt * phi for phi in bd.values(np.array(t_next))])
+    influx = tuple(stepper.cfg.dt * v for v in bd.values(np.array(t_next)))
+    return stepper.advance(state, t_next, step_index, influx)
 
 
 def _mass(mesh, u):
