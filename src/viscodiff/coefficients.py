@@ -102,12 +102,9 @@ def _logcosh(z):
     return z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)
 
 
-def _out(out, *operands):
-    """out, or a new array of the operands' broadcast shape if it is None."""
-    if out is None:
-        out = np.empty(np.shape(operands[0]) if len(operands) == 1
-                       else np.broadcast(*operands).shape)
-    return out
+def _out(out, u):
+    """out, or a new array of u's shape if it is None."""
+    return np.empty(np.shape(u)) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -303,15 +300,17 @@ def _rows(out: np.ndarray) -> list:
     return [out[i, ...] for i in range(len(out))]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformedModel:
     """Coefficients of the system in the (u, varsigma) variables.
 
     D, E, f, beta1, gamma take (t, x, u, varsigma).  ``partials`` holds
-    analytic partial derivatives of beta1 and gamma (keys 'beta1_u',
-    'beta1_s', 'beta1_x', 'gamma_u', 'gamma_s', 'gamma_x'); when absent,
-    central finite differences are used.  Only ``transform`` (which
-    ``constant_model`` calls) fuses ``fields`` and can set ``frozen``.
+    analytic partial derivatives of beta1 and gamma, all six keys
+    'beta1_u', 'beta1_s', 'beta1_x', 'gamma_u', 'gamma_s', 'gamma_x';
+    when it is None, central finite differences are used.  The model is
+    immutable: a changed one comes from ``dataclasses.replace``.  Only
+    ``transform`` (which ``constant_model`` calls) fuses ``fields``,
+    whose rows its five callables are, and can set ``frozen``.
     """
 
     D: Coefficient
@@ -320,33 +319,23 @@ class TransformedModel:
     beta1: Coefficient
     gamma: Coefficient
     partials: Optional[Mapping[str, Coefficient]] = None
-    # set by transform: the five callables it built, one function
-    # returning all five fields from a single evaluation of each map,
-    # and whether what a step builds from the fields is fixed
+    # set by transform: one function returning all five fields from a
+    # single evaluation of each map, and whether what a step builds from
+    # the fields is fixed; None for a hand-built or replaced model
     _fused: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
-
-    def _own(self) -> Optional[tuple]:
-        """``_fused`` while the five callables are still transform's own."""
-        fused = self._fused
-        if fused is not None and fused[0] == (self.D, self.E, self.f,
-                                              self.beta1, self.gamma):
-            return fused
-        return None
 
     def fields(self, t, x, u, s, out=None) -> np.ndarray:
         """The five fields (D, E, f, beta1, gamma) at (t, x, u, varsigma),
         as the rows of ``out``, or of a new (5, ...) array of the inputs'
         broadcast shape when out is None.
 
-        Equal, bit for bit, to calling the five callables.  A model built
-        by ``transform`` evaluates each physical map once, as long as its
-        five callables are still the ones ``transform`` built; otherwise
-        each callable's values are copied into its row.
+        A model built by ``transform`` evaluates each physical map once;
+        a hand-built or replaced one copies each callable's values into
+        its row.
         """
-        fused = self._own()
-        if fused is not None:
-            return fused[1](t, x, u, s, out)
+        if self._fused is not None:
+            return self._fused[0](t, x, u, s, out)
         if out is None:
             out = _field_rows(t, x, u, s)
         for row, c in zip(_rows(out), (self.D, self.E, self.f, self.beta1,
@@ -358,32 +347,30 @@ class TransformedModel:
     def frozen(self) -> bool:
         """True when what a step builds from the fields is the same bits
         at every (t, x, u, varsigma): set by ``transform`` from constant
-        laws (see ``_frozen``), while the five callables are its own."""
-        fused = self._own()
-        return fused is not None and fused[2]
+        laws (see ``_frozen``)."""
+        return self._fused is not None and self._fused[1]
 
 
-# The three formulas of the change of variables.  Each writes into out
-# (a new array when None), and the operands may be arrays or floats.
+# The three formulas of the change of variables.  Each writes its field
+# into out, a row of the fields, and the operands may be arrays or floats.
 
-def _diffusion(D0, nu0, E0, out=None, scratch=None):
-    """D = D0 + nu0*E0; scratch, when given, holds nu0*E0."""
+def _diffusion(D0, nu0, E0, out, scratch):
+    """D = D0 + nu0*E0; scratch holds nu0*E0."""
     return np.add(D0, np.multiply(nu0, E0, out=scratch), out=out)
 
 
-def _forcing(u, M0, out=None):
+def _forcing(u, M0, out):
     """f = (-u)*M0."""
-    out = np.negative(u, out=_out(out, u, M0))
+    np.negative(u, out=out)
     return np.multiply(out, M0, out=out)
 
 
-def _stress_drive(u, mu0, beta0, nu0, A, out=None):
+def _stress_drive(u, mu0, beta0, nu0, A, out):
     """gamma = mu0 - beta0 * A/u, with the ratio's limit nu0 near u = 0.
 
     The ratio is where(|u| < U_LIMIT_THRESHOLD, nu0, A/u); when every
     |u| is at least the threshold (none is small or NaN) it is A/u.
     """
-    out = _out(out, u, mu0, beta0, nu0, A)
     if not np.abs(u, out=out).min() >= U_LIMIT_THRESHOLD:
         small = out < U_LIMIT_THRESHOLD
         np.divide(A, np.where(small, 1.0, u), out=out)
@@ -431,43 +418,17 @@ def _operand(phys: PhysicalCoefficients, name: str):
 def transform(phys: PhysicalCoefficients) -> TransformedModel:
     """Change of variables varsigma = sigma - int_0^u nu0.
 
-    Returns closures for D = D0 + nu0*E0, E = E0, f = -u*M0,
-    beta1 = -beta0 and gamma = mu0 - beta0 * (int_0^u nu0)/u, each
-    evaluated at sigma = varsigma + int_0^u nu0.  Near u = 0 the gamma
-    ratio is replaced by its continuity limit nu0(u).  The fused
-    ``fields`` evaluates each map once and forms the five fields in
-    their rows of ``out`` with the same operations, so its values are
-    the closures' bit for bit; sigma is formed only when a map other
-    than a scalar law reads it.
+    Its ``fields`` forms D = D0 + nu0*E0, E = E0, f = -u*M0,
+    beta1 = -beta0 and gamma = mu0 - beta0 * (int_0^u nu0)/u in their
+    rows of ``out``, each map evaluated once at sigma = varsigma +
+    int_0^u nu0; sigma is formed only when a map other than a scalar law
+    reads it.  Near u = 0 the gamma ratio is replaced by its continuity
+    limit nu0(u).  The model's five callables are the rows of ``fields``.
     """
     A = phys.nu0_antiderivative
 
     def arr(v):
         return np.asarray(v, dtype=float)
-
-    def sigma_of(u, s):
-        return arr(s) + arr(A(u))
-
-    def D(t, x, u, s):
-        sig = sigma_of(u, s)
-        return _diffusion(arr(phys.D0(t, x, u, sig)), arr(phys.nu0(u)),
-                          arr(phys.E0(t, x, u, sig)))
-
-    def E(t, x, u, s):
-        return arr(phys.E0(t, x, u, sigma_of(u, s)))
-
-    def f(t, x, u, s):
-        return _forcing(arr(u), arr(phys.M0(t, x, u, sigma_of(u, s))))
-
-    def beta1(t, x, u, s):
-        return -arr(phys.beta0(t, x, u, sigma_of(u, s)))
-
-    def gamma(t, x, u, s):
-        u = arr(u)
-        a = arr(A(u))
-        return _stress_drive(u, arr(phys.mu0(u)),
-                             arr(phys.beta0(t, x, u, arr(s) + a)),
-                             arr(phys.nu0(u)), a)
 
     maps = ("D0", "E0", "M0", "beta0")
     d0, e0, m0, b0, mu0_of, nu0_of = (_operand(phys, name)
@@ -517,9 +478,11 @@ def transform(phys: PhysicalCoefficients) -> TransformedModel:
             "gamma_x": zero,
         }
 
-    model = TransformedModel(D=D, E=E, f=f, beta1=beta1, gamma=gamma,
-                             partials=partials)
-    model._fused = ((D, E, f, beta1, gamma), fields, _frozen(phys.constants))
+    def row(i):
+        return lambda t, x, u, s: fields(t, x, u, s)[i, ...]
+
+    model = TransformedModel(*map(row, range(5)), partials=partials)
+    object.__setattr__(model, "_fused", (fields, _frozen(phys.constants)))
     return model
 
 
@@ -580,13 +543,15 @@ def _fd_partial(fn, which, t, x, u, s):
     return d2
 
 
-def _partial(model: TransformedModel, field_name: str, which: str, t, x, u, s):
+def _partials(model: TransformedModel, which: str, t, x, u, s) -> tuple:
+    """(d beta1, d gamma) along ``which``: from ``model.partials`` when it
+    is set, else central differences of the fields' last two rows, one
+    ``fields`` call per stencil point."""
     if model.partials is not None:
-        key = f"{field_name}_{which}"
-        if key in model.partials:
-            return np.asarray(model.partials[key](t, x, u, s), dtype=float)
-    fn = getattr(model, field_name)
-    return np.asarray(_fd_partial(fn, which, t, x, u, s), dtype=float)
+        return tuple(np.asarray(model.partials[f"{name}_{which}"](t, x, u, s),
+                                dtype=float) for name in ("beta1", "gamma"))
+    return tuple(_fd_partial(lambda *a: model.fields(*a)[3:], which,
+                             t, x, u, s))
 
 
 def gradient_coefficients(model: TransformedModel, t, x, u, s):
@@ -606,12 +571,9 @@ def _coefficients(model: TransformedModel, t, x, u, s) -> tuple:
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     D, E, f, b1, gm = model.fields(t, x, u, s)
-    db1_du = _partial(model, "beta1", "u", t, x, u, s)
-    db1_ds = _partial(model, "beta1", "s", t, x, u, s)
-    db1_dx = _partial(model, "beta1", "x", t, x, u, s)
-    dgm_du = _partial(model, "gamma", "u", t, x, u, s)
-    dgm_ds = _partial(model, "gamma", "s", t, x, u, s)
-    dgm_dx = _partial(model, "gamma", "x", t, x, u, s)
+    db1_du, dgm_du = _partials(model, "u", t, x, u, s)
+    db1_ds, dgm_ds = _partials(model, "s", t, x, u, s)
+    db1_dx, dgm_dx = _partials(model, "x", t, x, u, s)
     beta = db1_du * s + gm + dgm_du * u
     mu = b1 + db1_ds * s + dgm_ds * u
     g = db1_dx * s + dgm_dx * u

@@ -312,15 +312,17 @@ def homogenized_since(series: Sequence[DiagnosticsRecord], L: float,
     stays below tol up to the last record, or None if the last record's
     is not below tol.  Read backwards from the last record, so a metric
     that dips below tol and rises again before it decays for good counts
-    from its last entry below tol."""
+    from its last entry below tol.  Each block of BLOCK_ROWS records is
+    converted to floats in turn, so memory stays bounded."""
     table = np.asarray(series, dtype=float)
-    t, l2_u, mass = (table[:, CSV_COLUMNS.index(c)].tolist()
-                     for c in ("t", "l2_u", "mass"))
+    cols = [CSV_COLUMNS.index(c) for c in ("t", "l2_u", "mass")]
     since = None
-    for k in reversed(range(len(t))):
-        if not homogenization_from_record(l2_u[k], mass[k], L) < tol:
-            break
-        since = t[k]
+    for stop in range(len(table), 0, -BLOCK_ROWS):
+        t, l2_u, mass = table[max(stop - BLOCK_ROWS, 0):stop, cols].T.tolist()
+        for k in reversed(range(len(t))):
+            if not homogenization_from_record(l2_u[k], mass[k], L) < tol:
+                return since
+            since = t[k]
     return since
 
 

@@ -1,5 +1,6 @@
 """Coefficient laws, change of variables, gradient coefficients, checkers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from viscodiff.coefficients import (
     PhysicalCoefficients,
     TransformedModel,
     _affine_growth_slope,
-    _partial,
+    _fd_partial,
     check_assumptions,
     check_longtime_condition,
     constant_model,
@@ -30,6 +31,7 @@ from viscodiff.config import (
     PRESET_NAMES,
     build_mesh_from,
     build_model,
+    build_physical,
     longtime_box,
     parse_config,
     preset_config,
@@ -220,13 +222,33 @@ class TestTransform:
         assert transform(phys).partials is None
 
 
-def _assert_fields_match_callables(model, t, x, u, s):
-    fused = model.fields(t, x, u, s)
-    five = [np.asarray(c(t, x, u, s), dtype=float)
-            for c in (model.D, model.E, model.f, model.beta1, model.gamma)]
-    assert len(fused) == 5
-    for a, b in zip(fused, five):
-        assert np.array_equal(a, b)
+def _reference_fields(phys, t, x, u, s):
+    """The (5, ...) fields written from the physical maps at sigma =
+    varsigma + int_0^u nu0: D0 + nu0*E0, E0, (-u)*M0, -beta0 and
+    mu0 - beta0*A/u, whose ratio A/u is nu0 where |u| < 1e-8."""
+    u, s = np.asarray(u, dtype=float), np.asarray(s, dtype=float)
+    A = np.asarray(phys.nu0_antiderivative(u), dtype=float)
+    D0, E0, M0, beta0 = (np.asarray(m(t, x, u, s + A), dtype=float)
+                         for m in (phys.D0, phys.E0, phys.M0, phys.beta0))
+    mu0, nu0 = (np.asarray(m(u), dtype=float) for m in (phys.mu0, phys.nu0))
+    small = np.abs(u) < 1e-8
+    ratio = np.where(small, nu0, A / np.where(small, 1.0, u))
+    shape = np.broadcast(t, x, u, s).shape
+    return np.array([np.broadcast_to(v, shape) for v in (
+        D0 + nu0 * E0, E0, (-u) * M0, -beta0, mu0 - beta0 * ratio)])
+
+
+def _five(model, t, x, u, s):
+    """The five callables' values as one (5, ...) array."""
+    shape = np.broadcast(t, x, u, s).shape
+    return np.array([np.broadcast_to(c(t, x, u, s), shape) for c in
+                     (model.D, model.E, model.f, model.beta1, model.gamma)])
+
+
+def _assert_fields_match_reference(model, phys, t, x, u, s):
+    ref = _reference_fields(phys, t, x, u, s).tobytes()
+    assert model.fields(t, x, u, s).tobytes() == ref
+    assert _five(model, t, x, u, s).tobytes() == ref
 
 
 def _nodal_points(n, seed):
@@ -272,13 +294,34 @@ class TestLawKernels:
         assert float(law.fn(0.25)) == float(unfused(np.float64(0.25)))
 
 
+def _laws(nu0=False):
+    """A law of any kind with drawn parameters; constants include +-0.0,
+    and nu0 takes only kinds with an antiderivative."""
+    value = st.floats(-2.0, 2.0)
+    kinds = [
+        st.builds(lambda v: make_scalar_model("constant", value=v),
+                  st.sampled_from([0.0, -0.0]) | value),
+        st.builds(lambda lo, hi, d, c: make_scalar_model(
+            "tanh", lo=lo, hi=hi, delta=d, center=c),
+            value, value, st.floats(0.01, 1.0), st.floats(-0.5, 1.5)),
+        st.builds(lambda c: make_scalar_model("polynomial", coeffs=c),
+                  st.lists(value, min_size=1, max_size=4)),
+    ]
+    if not nu0:
+        kinds.append(st.builds(lambda a1, a2: make_scalar_model(
+            "cohen-e0", alpha_1=a1, alpha_2=a2),
+            st.floats(0.01, 2.0), st.floats(0.01, 1.0)))
+    return st.one_of(kinds)
+
+
 class TestFields:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_fields_equal_the_five_callables(self, name):
         cfg = preset_config(name)
         mesh = build_mesh_from(cfg)
         u, s = _nodal_points(mesh.N + 1, seed=3)
-        _assert_fields_match_callables(build_model(cfg), 0.25, mesh.nodes, u, s)
+        _assert_fields_match_reference(build_model(cfg), build_physical(cfg),
+                                       0.25, mesh.nodes, u, s)
 
     def test_txsigma_dependent_fields_equal_the_five_callables(self):
         phys = PhysicalCoefficients(
@@ -292,7 +335,19 @@ class TestFields:
         )
         x = np.linspace(0.0, 2.0, 41)
         u, s = _nodal_points(41, seed=4)
-        _assert_fields_match_callables(transform(phys), 0.7, x, u, s)
+        _assert_fields_match_reference(transform(phys), phys, 0.7, x, u, s)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fields_equal_the_reference_for_any_laws(self, data):
+        laws = {role: data.draw(_laws(nu0=role == "nu0"), label=role)
+                for role in ("D0", "E0", "M0", "beta0", "mu0", "nu0")}
+        phys = physical_from_models(**laws)
+        u = np.concatenate(([0.0, -0.0, 1e-9, -1e-9, 1.0],
+                            np.linspace(-0.4, 1.4, 19)))
+        x = np.linspace(0.0, 1.0, u.size)
+        s = np.linspace(-1.0, 1.0, u.size)
+        _assert_fields_match_reference(transform(phys), phys, 0.3, x, u, s)
 
     @pytest.mark.parametrize("lines", [
         ['preset = "sorption"'],
@@ -317,28 +372,34 @@ class TestFields:
         assert {math.copysign(1.0, v) for v in buf[2]} == {1.0, -1.0}
 
     def test_fallback_fills_out(self):
-        model = transform(_tanh_physical())
-        model.gamma = lambda t, x, u, s: np.full(np.shape(u), 0.125)
+        phys = _tanh_physical()
+        model = dataclasses.replace(
+            transform(phys), gamma=lambda t, x, u, s: np.full(np.shape(u), 0.125))
         x = np.linspace(0.0, 1.0, 9)
         u, s = _nodal_points(9, seed=6)
         buf = np.full((5, 9), np.nan)
         assert model.fields(0.0, x, u, s, out=buf) is buf
-        _assert_fields_match_callables(model, 0.0, x, u, s)
+        assert buf.tobytes() == _five(model, 0.0, x, u, s).tobytes()
+        assert buf[:4].tobytes() == \
+            _reference_fields(phys, 0.0, x, u, s)[:4].tobytes()
         assert buf.tobytes() == model.fields(0.0, x, u, s).tobytes()
 
     def test_fallback_for_hand_built_and_replaced_models(self):
         x = np.linspace(0.0, 1.0, 9)
         u, s = _nodal_points(9, seed=5)
-        _assert_fields_match_callables(constant_model(D=2.0, gamma=0.3),
-                                       0.0, x, u, s)
         own = constant_model(D=2.0, gamma=0.3)
         hand_built = TransformedModel(D=own.D, E=own.E, f=own.f,
                                       beta1=own.beta1, gamma=own.gamma)
-        _assert_fields_match_callables(hand_built, 0.0, x, u, s)
-        model = transform(_tanh_physical())
-        model.gamma = lambda t, x, u, s: np.full(np.shape(u), 0.125)
-        _assert_fields_match_callables(model, 0.0, x, u, s)
-        assert np.array_equal(model.fields(0.0, x, u, s)[4], np.full(9, 0.125))
+        assert hand_built.fields(0.0, x, u, s).tobytes() == \
+            own.fields(0.0, x, u, s).tobytes()
+        phys = _tanh_physical()
+        model = dataclasses.replace(
+            transform(phys), gamma=lambda t, x, u, s: np.full(np.shape(u), 0.125))
+        fields = model.fields(0.0, x, u, s)
+        assert fields.tobytes() == _five(model, 0.0, x, u, s).tobytes()
+        assert fields[:4].tobytes() == \
+            _reference_fields(phys, 0.0, x, u, s)[:4].tobytes()
+        assert np.array_equal(fields[4], np.full(9, 0.125))
 
 
 class TestGradientCoefficients:
@@ -351,11 +412,12 @@ class TestGradientCoefficients:
 
     def test_hand_computed_linear_beta1(self):
         # beta1(u) = -u, gamma = 1 at (u, s) = (2, 3)
-        model = constant_model()
-        model.beta1 = lambda t, x, u, s: -np.asarray(u, dtype=float) + 0.0 * s
-        model.gamma = lambda t, x, u, s: np.ones(
-            np.broadcast_shapes(np.shape(u), np.shape(s)))
-        model.partials = None
+        model = dataclasses.replace(
+            constant_model(),
+            beta1=lambda t, x, u, s: -np.asarray(u, dtype=float) + 0.0 * s,
+            gamma=lambda t, x, u, s: np.ones(
+                np.broadcast_shapes(np.shape(u), np.shape(s))),
+            partials=None)
         beta, mu, g = gradient_coefficients(model, 0.0, 0.0, 2.0, 3.0)
         assert float(beta) == pytest.approx(-2.0, abs=1e-8)
         assert float(mu) == pytest.approx(-2.0, abs=1e-8)
@@ -365,8 +427,7 @@ class TestGradientCoefficients:
         phys = _tanh_physical()
         analytic = transform(phys)
         assert analytic.partials is not None
-        numeric = transform(phys)
-        numeric.partials = None
+        numeric = dataclasses.replace(analytic, partials=None)
         rng = np.random.default_rng(42)
         u = rng.uniform(0.05, 1.0, 100)
         s = rng.uniform(-1.0, 1.0, 100)
@@ -405,8 +466,9 @@ class TestBoxAndAssumptions:
         assert bounds.K_E == pytest.approx(k_e_exact, rel=1e-2)
 
     def test_ellipticity_violation_reported(self):
-        model = constant_model(D=1.0)
-        model.D = lambda t, x, u, s: np.asarray(u, dtype=float) + 0.0 * s
+        model = dataclasses.replace(
+            constant_model(D=1.0),
+            D=lambda t, x, u, s: np.asarray(u, dtype=float) + 0.0 * s)
         box = Box(t=(0, 1), x=(0, 1), u=(0.0, 1.0), s=(-1, 1))
         with pytest.raises(EllipticityViolation) as exc:
             check_assumptions(model, box, n_samples=256)
@@ -503,15 +565,20 @@ def _hex(values):
 
 def _reference_sample(model, box, n_samples):
     """The box grid and D, E, f, beta1, gamma, beta, mu, g on it, each
-    field read from its own callable."""
+    field and each partial read from its own callable."""
     t, x, u, s = box.grid(n_samples)
 
     def full(v):
         return np.broadcast_to(np.asarray(v, dtype=float), u.shape)
 
+    def partial(name, which):
+        if model.partials is not None:
+            return model.partials[f"{name}_{which}"](t, x, u, s)
+        return _fd_partial(getattr(model, name), which, t, x, u, s)
+
     D, E, f, b1, gm = (full(c(t, x, u, s)) for c in
                        (model.D, model.E, model.f, model.beta1, model.gamma))
-    d = {(name, which): full(_partial(model, name, which, t, x, u, s))
+    d = {(name, which): full(partial(name, which))
          for name in ("beta1", "gamma") for which in "usx"}
     beta = d["beta1", "u"] * s + gm + d["gamma", "u"] * u
     mu = b1 + d["beta1", "s"] * s + d["gamma", "s"] * u
@@ -603,9 +670,9 @@ class TestSampledChecks:
         model = build_model(preset_config("homogenize"))
         box = longtime_box(preset_config("homogenize"))
         calls = []
-        fields = model.fields
-        monkeypatch.setattr(model, "fields",
-                            lambda *a: calls.append(1) or fields(*a))
+        fields = TransformedModel.fields
+        monkeypatch.setattr(TransformedModel, "fields",
+                            lambda self, *a: calls.append(1) or fields(self, *a))
         find_gamma(model, box, list(np.geomspace(0.1, 10.0, 25)))
         check_assumptions(model, box)
         assert len(calls) == 2

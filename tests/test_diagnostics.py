@@ -1,6 +1,7 @@
 """Norm monitors, Lyapunov/mass checks, and the CSV serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from viscodiff.coefficients import Box, LongTimeCondition, constant_model
 from viscodiff.diagnostics import (
+    BLOCK_ROWS,
     CSV_COLUMNS,
     DECAY_STEP_SLACK,
     MASS_BALANCE_TOL,
@@ -21,6 +23,7 @@ from viscodiff.diagnostics import (
     lyapunov_decay_check,
     mass_balance_check,
     record,
+    RecordTable,
 )
 from viscodiff.discretization import ZERO_INFLUX, BoundaryData, build_mesh
 from viscodiff.output import format_csv
@@ -126,6 +129,28 @@ def _metric_series(times, metrics, L=1.0):
                               *[0.0] * 8) for t, m in zip(times, metrics)]
 
 
+def _metric_table(n, L=1.0):
+    """A record table of n rows at t = k/n whose homogenization metric is
+    0: mass L*ubar and l2_u^2 = mass^2/L."""
+    table = np.zeros((n, len(CSV_COLUMNS)))
+    table[:, CSV_COLUMNS.index("t")] = np.arange(n) / n
+    table[:, CSV_COLUMNS.index("mass")] = 0.5 * L
+    table[:, CSV_COLUMNS.index("l2_u")] = math.sqrt(0.25 * L)
+    return table
+
+
+def _list_walk(table, L, tol):
+    """homogenized_since as one walk back over whole-column lists."""
+    t, l2_u, mass = (table[:, CSV_COLUMNS.index(c)].tolist()
+                     for c in ("t", "l2_u", "mass"))
+    since = None
+    for k in reversed(range(len(t))):
+        if not homogenization_from_record(l2_u[k], mass[k], L) < tol:
+            break
+        since = t[k]
+    return since
+
+
 class TestHomogenizedSince:
     def test_dip_rise_decay_counts_from_the_last_entry_below(self):
         # the metric dips below 1e-4 at t=0.2 (a zero crossing of the
@@ -146,6 +171,36 @@ class TestHomogenizedSince:
                                  1.0, 1e-4) == 0.0
         assert homogenized_since(_metric_series(times, [1e-2, 1e-5, math.nan]),
                                  1.0, 1e-4) is None
+
+    @pytest.mark.parametrize("above", [
+        # rows above tol, as offsets back from the last row (the last
+        # block starts at offset BLOCK_ROWS - 1): a final decay across
+        # the joint after a dip below tol and a rise again, a rise on
+        # either side of the joint, none, and only the first row
+        [BLOCK_ROWS + 2, BLOCK_ROWS + 3, BLOCK_ROWS + 9],
+        [BLOCK_ROWS - 1], [BLOCK_ROWS], [], [2 * BLOCK_ROWS + 6]])
+    def test_blocks_equal_the_list_walk(self, above):
+        n = 2 * BLOCK_ROWS + 7
+        table = _metric_table(n)
+        l2_u = table[:, CSV_COLUMNS.index("l2_u")]
+        for k in above:
+            # metric 2e-4 on row n - 1 - k, counted back from the last row
+            l2_u[n - 1 - k] = math.sqrt(4e-8 + 0.25)
+        series = RecordTable(table)
+        expected = _list_walk(table, 1.0, 1e-4)
+        assert homogenized_since(series, 1.0, 1e-4) == expected
+        assert expected == (table[n - min(above), 0] if above else 0.0)
+
+    def test_memory_stays_bounded(self):
+        # every row below tol, so the walk reads the whole table
+        series = RecordTable(_metric_table(50001))
+        tracemalloc.start()
+        try:
+            assert homogenized_since(series, 1.0, 1e-4) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_record_formula_matches_the_state_metric(self):
         mesh = build_mesh(1.0, 64)

@@ -166,9 +166,9 @@ class TestStep:
 
     def test_nan_watchdog(self):
         mesh = build_mesh(1.0, 8)
-        model = constant_model(D=1.0)
-        model.f = lambda t, x, u, s: np.where(
-            np.asarray(t) > 0.05, np.nan, 0.0) + 0.0 * (u + s + x)
+        model = dataclasses.replace(
+            constant_model(D=1.0), f=lambda t, x, u, s: np.where(
+                np.asarray(t) > 0.05, np.nan, 0.0) + 0.0 * (u + s + x))
         phys = _fickian_phys()
         init = InitialData(np.zeros(9), np.zeros(9), phys)
         with pytest.raises(NumericalFailure) as exc:
@@ -218,8 +218,9 @@ class TestStep:
                       sigma_v=np.zeros(17))
         before = step(state, mesh, model, ZERO_INFLUX, cfg)
         f = model.f
-        model.f = lambda t, x, u, s: f(t, x, u, s) + np.sin(math.pi * x)
-        after = step(state, mesh, model, ZERO_INFLUX, cfg)
+        changed = dataclasses.replace(
+            model, f=lambda t, x, u, s: f(t, x, u, s) + np.sin(math.pi * x))
+        after = step(state, mesh, changed, ZERO_INFLUX, cfg)
         assert not np.array_equal(before.u, after.u)
 
     def test_operators_built_once_per_mesh_geometry(self, monkeypatch):
@@ -1129,10 +1130,11 @@ class TestFrozen:
         assert transform(const).frozen
         hand = dataclasses.replace(const, constants={})
         assert not transform(hand).frozen
-        reassigned = transform(const)
-        reassigned.f = lambda t, x, u, s: np.zeros(np.shape(u))
-        assert not reassigned.frozen
-        replaced = dataclasses.replace(transform(const), D=reassigned.D)
+        model = transform(const)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.f = lambda t, x, u, s: np.zeros(np.shape(u))
+        assert model.frozen
+        replaced = dataclasses.replace(model, D=model.D)
         assert not replaced.frozen
         own = transform(const)
         hand_built = TransformedModel(D=own.D, E=own.E, f=own.f,
