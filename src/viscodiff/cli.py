@@ -464,9 +464,9 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
                   file=sys.stderr)
             return EXIT_NUMERICAL_FAILURE
 
-    u_ref = results[0.0].final_state.u
+    mesh0, u_ref = members[0.0][0], results[0.0].final_state.u
     scaling = apriori_scaling_check({e: results[e] for e in EPS_SCAN_VALUES})
-    distances = {e: l2_norm(mesh, results[e].final_state.u - u_ref)
+    distances = {e: l2_norm(mesh0, results[e].final_state.u - u_ref)
                  for e in EPS_SCAN_VALUES}
     ordered = sorted(EPS_SCAN_VALUES, reverse=True)
     monotone = all(distances[a] >= distances[b] - 1e-14

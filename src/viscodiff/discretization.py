@@ -186,7 +186,7 @@ def _bilaplacian_bands(lumped: np.ndarray, k_main: np.ndarray,
 
     L_h = M_L^{-1} K(1) is the lumped-mass Neumann Laplacian, given by
     the lumped mass and the unit stiffness diagonals.  Both matrices are
-    returned in dgbsv's (2, 2) band storage: ab[4 - d, j] holds entry
+    returned in dgbtrf's (2, 2) band storage: ab[4 - d, j] holds entry
     (j - d, j), and rows 0..1 are the fill space of the LU factors.
     Constants are fixed points of (I + L_h)^2; its eigenvalues are real
     and >= 1, and M_L (I + L_h)^2 is symmetric positive definite.

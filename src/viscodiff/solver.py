@@ -137,6 +137,9 @@ class SolverConfig:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        for name in ("dt", "T_end", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.T_end < 0:
@@ -208,10 +211,10 @@ class _Stepper:
     finiteness with one dot product, averages the rows D, E and f per
     element in one pass over them as one chain of 3n nodes, takes the
     stiffness bands of D and E from one scatter over their chain and
-    the flux load from the f means, factors or assembles the
-    concentration matrix M + dt*K(D), and forms the stress update's
-    1 - dt*beta1 and dt*gamma.  ``advance`` then builds the right-hand
-    side, solves and updates varsigma.
+    the flux load from the f means, forms M + dt*K(D) and the stress
+    update's 1 - dt*beta1 and dt*gamma, and factors the step systems.
+    ``advance`` then builds the right-hand side, solves and updates
+    varsigma.
 
     ``advance`` forms M u and K(E) varsigma in one ``tridiag_matvec``
     over the state's chain [u, 0.0, varsigma, 0.0] (``State.chain``),
@@ -232,19 +235,19 @@ class _Stepper:
 
     Every step runs ``build``, except in a run whose model is frozen
     (``TransformedModel.frozen``): its fields cannot change, so the
-    step-1 build is kept for every later step, and a non-finite field
-    or a singular or indefinite system fails at step 1.
+    step-1 build, factors included, is kept for every later step, and a
+    non-finite field or a singular or indefinite system fails at step 1.
 
     The epsilon = 0 concentration system is tridiagonal SPD: ``build``
     factors it with LAPACK dpttrf and ``advance`` solves with dpttrs,
-    which is what dptsv does.  With epsilon > 0 both step systems are
-    pentadiagonal: ``build`` assembles them in (2, 2) band storage, with
-    the two rows of fill space on top that dgbsv needs, and ``advance``
-    solves them with dgbsv, which factors them in place; a kept build's
-    bands are copied into a scratch matrix first.  The cached
-    regularization bands are scaled once to dt*eps*M_L(I+L_h)^2
-    (concentration) and dt*eps*(I+L_h)^2 (stress), and each build adds
-    its lagged tridiagonal part to a copy of them.
+    and the stress update divides by 1 - dt*beta1.  With epsilon > 0
+    both step systems are pentadiagonal, in (2, 2) band storage with
+    the two rows of fill space on top: ``build`` factors them with
+    dgbtrf and ``advance`` solves with dgbtrs.  Each pair gives the bits
+    of dptsv or dgbsv.  The cached regularization bands are scaled once
+    to dt*eps*M_L(I+L_h)^2 (concentration) and dt*eps*(I+L_h)^2
+    (stress), and each build adds its lagged tridiagonal part to a copy
+    of them.
 
     The LAPACK systems (``lapack.Tridiagonal``, ``lapack.Banded``) are
     bound once per run to the buffers here: the concentration system's
@@ -260,7 +263,7 @@ class _Stepper:
         self.ops = ops = mesh_operators(mesh)
         self.n = n = mesh.N + 1
         self.frozen = model.frozen
-        self.kept = None  # the step-1 build of a frozen run
+        self.kept = False  # set once a frozen run's step-1 build is made
         # the scalars the ufuncs take, as 0-d arrays (see ``scalar``)
         self.dt_, self.h_, self.one_ = map(scalar, (cfg.dt, mesh.h, 1.0))
         # written by build: the fields, the element means of D, E and f,
@@ -297,19 +300,14 @@ class _Stepper:
             self.reg_s = w * ops.bilaplacian
             self.u_bands = np.empty_like(self.reg_u, order="F")
             self.s_bands = np.empty_like(self.reg_s, order="F")
-            # dgbsv factors its matrix in place: a kept build's bands are
-            # solved from a scratch copy, any other build's in place
-            lu = np.empty_like if self.frozen else (lambda a: a)
-            self.u_solver = Banded(lu(self.u_bands), self.rhs, 2, 2)
-            self.s_solver = Banded(lu(self.s_bands), self.stress, 2, 2)
+            self.u_solver = Banded(self.u_bands, self.rhs, 2, 2)
+            self.s_solver = Banded(self.s_bands, self.stress, 2, 2)
 
-    def build(self, state: State, step_index: int) -> tuple:
-        """The lagged part of the step from ``state``: the stiffness bands
-        of E, written into the K(E) half of the chain bands, and, in the
-        tuple returned, the flux load of f, the concentration system
-        (dpttrf's factors, in place in ``a_main`` and ``a_off``, at
-        epsilon = 0, else its bands), dt*gamma, and the stress update's
-        divisor 1 - dt*beta1 (epsilon = 0) or its bands (epsilon > 0)."""
+    def build(self, state: State, step_index: int) -> None:
+        """The lagged part of the step from ``state``, in the stepper's
+        arrays: the K(E) half of the chain bands, ``load``, ``dt_gamma``,
+        ``divisor`` (1 - dt*beta1), and the factors of the concentration
+        system and, at epsilon > 0, of the stress system."""
         mesh, cfg = self.mesh, self.cfg
         dt_, eps = self.dt_, cfg.epsilon
         n = self.n
@@ -342,6 +340,9 @@ class _Stepper:
         a_off = np.add(ops.mass_off, np.multiply(dt_, k_off[:n - 1],
                                                  out=self.a_off),
                        out=self.a_off)
+        divisor = np.subtract(self.one_,
+                              np.multiply(dt_, b1n, out=self.divisor),
+                              out=self.divisor)
         if eps == 0.0:
             info = self.u_solver.factor()
             if info > 0:
@@ -349,55 +350,42 @@ class _Stepper:
                     f"concentration system not SPD at step {step_index} "
                     f"(discrete ellipticity violation): {info}th leading "
                     "minor not positive definite")
-            u_system = (a_main, a_off)
-        else:
-            u_system = self.u_bands
-            np.copyto(u_system, self.reg_u)
-            u_system[3, 1:] += a_off
-            u_system[4, :] += a_main
-            u_system[5, :-1] += a_off
-
-        s_system = np.subtract(self.one_,
-                               np.multiply(dt_, b1n, out=self.divisor),
-                               out=self.divisor)
-        if eps == 0.0:
             # beta1 is finite here, so the minimum is never NaN
-            if s_system.min() <= 0:
+            if divisor.min() <= 0:
                 raise LinearSolveFailure(
                     "implicit stress decay singular at step "
                     f"{step_index}: dt * beta1 >= 1 with positive beta1")
         else:
-            np.copyto(self.s_bands, self.reg_s)
-            self.s_bands[4, :] += s_system
-            s_system = self.s_bands
-        return (load_from_means(means[2 * n:], out=self.load), u_system,
-                np.multiply(dt_, gn, out=self.dt_gamma), s_system)
+            u_bands, s_bands = self.u_bands, self.s_bands
+            np.copyto(u_bands, self.reg_u)
+            u_bands[3, 1:] += a_off
+            u_bands[4, :] += a_main
+            u_bands[5, :-1] += a_off
+            np.copyto(s_bands, self.reg_s)
+            s_bands[4, :] += divisor
+            _factor_banded(self.u_solver, step_index, "concentration")
+            _factor_banded(self.s_solver, step_index, "stress")
+        load_from_means(means[2 * n:], out=self.load)
+        np.multiply(dt_, gn, out=self.dt_gamma)
 
     def advance(self, state: State, t_next: float, step_index: int,
                 influx: tuple) -> State:
         """The state at t_next, given dt*(phi_left, phi_right) there."""
-        built = self.kept
-        if built is None:
-            built = self.build(state, step_index)
-            if self.frozen:
-                self.kept = built
-        load, u_system, dt_gn, s_system = built
+        if not self.kept:
+            self.build(state, step_index)
+            self.kept = self.frozen
         eps, n = self.cfg.epsilon, self.n
         # M u - dt*(K(E) varsigma + load) + dt*psi, with psi the influx
         # functional: its interior entries add 0.0, as a full psi does
         tridiag_matvec(self.chain_main, self.chain_off, state.chain,
                        out=self.product, work=self.work)
         rest, stress = self.rhs, self.e_sigma
-        np.add(stress, load, out=stress)
+        np.add(stress, self.load, out=stress)
         np.subtract(rest, np.multiply(self.dt_, stress, out=stress), out=rest)
         self.influx[0], self.influx[-1] = influx
         # the rhs, solved in place, then copied into the fresh chain
         np.add(rest, self.influx, out=rest)
-        if eps == 0.0:
-            self.u_solver.solve()
-        else:
-            _solve_banded(self.u_solver, u_system, step_index,
-                          "concentration")
+        self.u_solver.solve()
         new = np.empty(2 * n + 2)
         new[n] = new[-1] = 0.0
         result = State.of_chain(t_next, new)
@@ -406,13 +394,13 @@ class _Stepper:
 
         # varsigma + (dt*gamma)*u_next, then divided, or solved in place
         # and copied
-        stress = np.add(state.sigma_v, np.multiply(dt_gn, u_next,
+        stress = np.add(state.sigma_v, np.multiply(self.dt_gamma, u_next,
                                                    out=self.stress),
                         out=self.stress)
         if eps == 0.0:
-            np.divide(stress, s_system, out=s_next)
+            np.divide(stress, self.divisor, out=s_next)
         else:
-            _solve_banded(self.s_solver, s_system, step_index, "stress")
+            self.s_solver.solve()
             np.copyto(s_next, stress)
 
         total = np.dot(u_next, s_next)
@@ -444,15 +432,9 @@ def _nonfinite(names, arrays) -> Optional[str]:
     return None
 
 
-def _solve_banded(system: Banded, bands: np.ndarray, step_index: int,
-                  what: str) -> None:
-    """Solve ``system`` with the matrix ``bands``, overwriting its
-    right-hand side with the solution and its matrix with the factors.
-    Bands that are not the system's matrix (a kept build's) are copied
-    into it first."""
-    if bands is not system.ab:
-        np.copyto(system.ab, bands)
-    if system.solve() > 0:
+def _factor_banded(system: Banded, step_index: int, what: str) -> None:
+    """Factor ``system`` in place; a zero pivot fails the step."""
+    if system.factor() > 0:
         raise LinearSolveFailure(
             f"{what} system singular at step {step_index}: singular matrix")
 

@@ -43,7 +43,7 @@ def test_routines_come_from_numpys_openblas():
 
 
 def test_falls_back_to_scipy_where_numpy_lacks_the_symbols():
-    # a numpy whose BLAS exports none of the three names
+    # a numpy whose BLAS exports none of the four names
     code = ("import ctypes\n"
             "class Bare:\n"
             "    def __init__(self, *args, **kwargs): pass\n"
@@ -72,13 +72,31 @@ def test_tridiagonal_matches_f2py(lib, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_banded_matches_f2py(lib, n):
+    # dgbtrf then dgbtrs is dgbsv: the same LU factors, pivots and
+    # solution, in bytes, as f2py's dgbsv and as its dgbtrf/dgbtrs
     ab, b = _dominant_bands(n)
     lu_ref, piv_ref, x_ref, info_ref = f2py.dgbsv(2, 2, ab, b)
+    lu_trf, piv_trf, info_trf = f2py.dgbtrf(ab, 2, 2)
+    x_trs, info_trs = f2py.dgbtrs(lu_trf, 2, 2, b, piv_trf)
     system = Banded(ab.copy(order="F"), b.copy(), 2, 2, lib)
-    assert system.solve() == info_ref == 0
+    assert system.factor() == info_ref == info_trf == 0
     # f2py shifts LAPACK's pivot indices to start at 0
-    for got, want in zip(system.arrays, (lu_ref, x_ref, piv_ref + 1)):
-        assert np.array_equal(got, want)
+    factors = [a.copy() for a in system.arrays[::2]]
+    for want in ((lu_ref, piv_ref + 1), (lu_trf, piv_trf + 1)):
+        assert all(got.tobytes() == np.asarray(w, got.dtype).tobytes()
+                   for got, w in zip(factors, want))
+    system.solve()
+    assert system.info.value == info_trs == 0
+    x = system.arrays[1]
+    assert x.tobytes() == x_ref.tobytes() == x_trs.tobytes()
+    # dgbtrs leaves the factors as they are: a second right-hand side is
+    # solved from the same factorization, as f2py's dgbtrs solves it
+    b2 = np.random.default_rng(n + 1).standard_normal(n)
+    x[:] = b2
+    system.solve()
+    assert x.tobytes() == f2py.dgbtrs(lu_trf, 2, 2, b2, piv_trf)[0].tobytes()
+    for got, want in zip(system.arrays[::2], factors):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (65, 40), (4097, 4097)])
@@ -98,7 +116,7 @@ def test_singular_band_info(lib):
     ab[:, 30] = 0.0  # a zero column
     info_ref = f2py.dgbsv(2, 2, ab, b)[3]
     system = Banded(ab.copy(order="F"), b.copy(), 2, 2, lib)
-    assert system.solve() == info_ref > 0
+    assert system.factor() == info_ref == f2py.dgbtrf(ab, 2, 2)[2] > 0
 
 
 def test_bound_arrays_are_checked():

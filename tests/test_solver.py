@@ -52,7 +52,7 @@ from viscodiff.solver import (
     NumericalFailure,
     SolverConfig,
     State,
-    _solve_banded,
+    _factor_banded,
     _Stepper,
     compute_flux,
     reconstruct_sigma,
@@ -92,6 +92,15 @@ class TestSolverConfig:
             SolverConfig(dt=0.1, T_end=1.0, epsilon=-1.0)
         with pytest.raises(ValueError, match="multiple"):
             SolverConfig(dt=0.1, T_end=0.15)
+
+    @pytest.mark.parametrize("field", ["dt", "T_end", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_is_named(self, field, value):
+        # nan compares false with every bound, and inf overflows the
+        # step count: each is rejected by name, before any other check
+        values = {"dt": 1e-3, "T_end": 1.0, "epsilon": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SolverConfig(**values)
 
     def test_n_steps_rounding(self):
         assert SolverConfig(dt=1e-3, T_end=1.0).n_steps == 1000
@@ -690,12 +699,35 @@ class TestRegularized:
                               lumped_bilap.toarray())
 
     def test_singular_band_system_names_its_step(self):
-        # a zero pivot is the only failure dgbsv reports; no public input
+        # a zero pivot is the only failure dgbtrf reports; no public input
         # reaches one exactly, so the helper is given a zero matrix
         ab = np.zeros((7, 5), order="F")
         with pytest.raises(LinearSolveFailure,
                            match="stress system singular at step 3"):
-            _solve_banded(Banded(ab, np.ones(5), 2, 2), ab, 3, "stress")
+            _factor_banded(Banded(ab, np.ones(5), 2, 2), 3, "stress")
+
+    @pytest.mark.parametrize("what", ["concentration", "stress"])
+    def test_singular_band_system_fails_in_build(self, what):
+        # the build of step 4 factors both band systems: with D = 0 the
+        # concentration system is M plus its regularization bands, and
+        # with dt*beta1 = 1 the stress system is its regularization bands
+        # alone, so bands of -M or of zeros leave a zero matrix
+        mesh = build_mesh(1.0, 4)
+        beta1 = 10.0 if what == "stress" else -1.0
+        model = constant_model(D=0.0, beta1=beta1)
+        stepper = _Stepper(mesh, model,
+                           SolverConfig(dt=0.1, T_end=0.1, epsilon=1e-2))
+        if what == "stress":
+            stepper.reg_s[:] = 0.0
+        else:
+            ops = mesh_operators(mesh)
+            stepper.reg_u[:] = 0.0
+            stepper.reg_u[3, 1:] = stepper.reg_u[5, :-1] = -ops.mass_off
+            stepper.reg_u[4] = -ops.mass_main
+        with pytest.raises(LinearSolveFailure,
+                           match=f"^{what} system singular at step 4: "
+                                 "singular matrix$"):
+            stepper.build(State(0.3, np.zeros(5), np.zeros(5)), 4)
 
     def test_terminal_distance_monotone_in_epsilon(self):
         mesh = build_mesh(1.0, 32)
@@ -1006,7 +1038,6 @@ class TestStateChains:
             stepped.append(_advance(stepper, bd, stepped[-1], k * scfg.dt, k))
         buffers = [a for a in vars(stepper).values()
                    if isinstance(a, np.ndarray)]
-        buffers += [a for a in stepper.kept or () if isinstance(a, np.ndarray)]
         for solver_ in (stepper.u_solver, getattr(stepper, "s_solver", None)):
             buffers += [] if solver_ is None else list(solver_.arrays)
         n = mesh.N + 1
@@ -1159,6 +1190,26 @@ class TestFrozen:
             counts[preset] = len(calls)
         assert counts["homogenize"] == 1
         assert counts["sorption"] == 4 * 5
+
+    def test_frozen_band_systems_are_factored_once(self, monkeypatch):
+        # at eps > 0 a frozen run factors its two band systems at step 1
+        # and solves every later step from those factors; a run whose
+        # laws can change factors both at every step
+        calls = []
+        factor = Banded.factor
+
+        def counted(system):
+            calls.append(system)
+            return factor(system)
+
+        monkeypatch.setattr(Banded, "factor", counted)
+        counts = {}
+        for preset in ("homogenize", "sorption"):
+            calls.clear()
+            model = _assert_run_matches_reference_loop(
+                preset_config(preset), 50, 1e-2)
+            counts[preset] = (model.frozen, len(calls))
+        assert counts == {"homogenize": (True, 2), "sorption": (False, 100)}
 
     @pytest.mark.parametrize("lines, message", [
         (["model.D0.value = -1.0"], "not SPD at step 1 "),
