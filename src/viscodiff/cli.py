@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -44,10 +45,10 @@ from .diagnostics import (
     homogenization_metric,
     homogenized_since,
     l2_norm,
+    longtime_box_check,
     lyapunov_decay_check,
     mass_balance_check,
 )
-from .discretization import pair_rows
 from .output import write_diagnostics, write_flux, write_snapshot
 from .solver import (
     DualTimeDerivative,
@@ -145,66 +146,6 @@ class _FrontTracker:
             f"over {len(self.times)} samples")
 
 
-class _BoxMonitor:
-    """Run observer: the range of t, u and varsigma over every state of a
-    run, checked against the longtime box the decay condition was
-    verified on.
-
-    u and varsigma are kept as nodewise minima and maxima of the states'
-    chains [u, 0.0, varsigma, 0.0] (``State.chain``), two ufunc calls a
-    step.
-    """
-
-    def __init__(self, box, n_nodes: int):
-        self.box = box
-        self.t = (math.inf, -math.inf)
-        self.lo = np.full(2 * n_nodes + 2, math.inf)
-        self.hi = np.full(2 * n_nodes + 2, -math.inf)
-
-    def __call__(self, state):
-        t_lo, t_hi = self.t
-        self.t = min(t_lo, state.t), max(t_hi, state.t)
-        np.minimum(self.lo, state.chain, out=self.lo)
-        np.maximum(self.hi, state.chain, out=self.hi)
-
-    def report(self) -> CheckReport:
-        """PASS when every axis stays in the box, else FAIL naming the
-        first of t, u and varsigma that leaves it.  A step time within
-        the 1e-9 relative rule of ``solver.grid_steps`` of the box's
-        t-range counts as inside it, as T_end counts as a step time."""
-        ranges = [("t", "t", self.t)] + [
-            (name, axis, (float(lo.min()), float(hi.max())))
-            for name, axis, lo, hi in zip(("u", "varsigma"), "us",
-                                          pair_rows(self.lo),
-                                          pair_rows(self.hi))]
-        for name, axis, (lo, hi) in ranges:
-            b_lo, b_hi = getattr(self.box, axis)
-            slack = 1e-9 * max(abs(b_lo), abs(b_hi)) if axis == "t" else 0.0
-            if lo < b_lo - slack or hi > b_hi + slack:
-                return CheckReport(
-                    ok=False, name="longtime_box",
-                    message=(f"{name} range [{lo:.6g}, {hi:.6g}] leaves "
-                             f"longtime.box.{axis} = [{b_lo:g}, {b_hi:g}]"))
-        return CheckReport(
-            ok=True, name="longtime_box",
-            message="run stays in the longtime box: " + ", ".join(
-                f"{name} in [{lo:.6g}, {hi:.6g}]"
-                for name, _, (lo, hi) in ranges))
-
-
-def _observers(*observers):
-    """One run observer that calls each of observers that is not None,
-    in order, or None if none is."""
-    active = [o for o in observers if o is not None]
-    if len(active) <= 1:
-        return active[0] if active else None
-
-    def observe(state):
-        for o in active:
-            o(state)
-    return observe
-
-
 # ---------------------------------------------------------------------------
 # scenario execution
 
@@ -268,13 +209,32 @@ def _build(cfg: ScenarioConfig):
     return mesh, phys, model, bd, init, cfgmod.build_solver_config(cfg)
 
 
-def _make_outdir(outdir: Path) -> None:
-    """Make the output directory; a path that cannot be one names --out."""
+# the names of the files that run and preset, and eps-scan, write
+_RUN_FILES = re.compile(
+    r"(snapshot|flux)_\d+\.csv|diagnostics\.csv|config\.txt|summary\.txt")
+_SCAN_FILES = re.compile(r"diagnostics_eps_\w+\.csv|summary\.txt")
+
+
+def _make_outdir(outdir: Path, cfg: ScenarioConfig,
+                 written: re.Pattern) -> None:
+    """Make the output directory and remove the files in it whose names
+    the verb writes (``written`` matches them) and that the scenario does
+    not read through ``initial.*.path``.  A path that cannot be a
+    directory, or such a file that cannot be removed, names --out."""
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {outdir}: "
                           f"{exc.strerror or exc}", key="--out") from exc
+    inputs = {Path(p).resolve() for key, p in cfg.values.items()
+              if key.startswith("initial.") and key.endswith(".path")}
+    for path in outdir.iterdir():
+        if written.fullmatch(path.name) and path.resolve() not in inputs:
+            try:
+                path.unlink()
+            except OSError as exc:
+                raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}",
+                                  key="--out") from exc
 
 
 def _execute(cfg: ScenarioConfig, outdir: Path):
@@ -285,14 +245,12 @@ def _execute(cfg: ScenarioConfig, outdir: Path):
 
     front = (_FrontTracker(mesh, cfg["front.threshold"])
              if cfg["signature"] == "front" else None)
-    box = (_BoxMonitor(cfgmod.longtime_box(cfg), mesh.N + 1)
-           if lt is not None else None)
 
     output_every = cfg["time.output_every"] or None
-    _make_outdir(outdir)  # before the first step
+    _make_outdir(outdir, cfg, _RUN_FILES)  # before the first step
     result = run(init, mesh, model, bd, scfg, output_every=output_every,
-                 gamma=gamma, observer=_observers(front, box))
-    return mesh, phys, bd, lt, result, front, box
+                 gamma=gamma, observer=front)
+    return mesh, phys, bd, lt, result, front
 
 
 def _signature_lines(cfg: ScenarioConfig, records, front) -> list[str]:
@@ -308,16 +266,17 @@ def _signature_lines(cfg: ScenarioConfig, records, front) -> list[str]:
             f"signature kind: {kind}", f"signature detail: {desc}"]
 
 
-def _run_checks(cfg: ScenarioConfig, mesh, bd, lt, result,
-                box) -> list[CheckReport]:
+def _run_checks(cfg: ScenarioConfig, mesh, bd, lt,
+                result) -> list[CheckReport]:
     checks = []
     if cfg["check.mass_balance"]:
         checks.append(mass_balance_check(result.records, bd,
                                          epsilon=result.epsilon))
     if cfg["check.lyapunov"]:
         checks.append(lyapunov_decay_check(result.records, lt))
-    if box is not None:
-        checks.append(box.report())
+    if lt is not None:
+        checks.append(longtime_box_check(
+            result.records, result.varsigma_range, lt.verified_box))
     if "check.analytic" in cfg.values:
         tol = cfg["check.analytic_tol"]
         err = _analytic_error(cfg, mesh, result.final_state)
@@ -388,11 +347,11 @@ def _write_failure(outdir: Path, cfg: ScenarioConfig, exc) -> None:
 
 def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     try:
-        mesh, phys, bd, lt, result, front, box = _execute(cfg, outdir)
+        mesh, phys, bd, lt, result, front = _execute(cfg, outdir)
     except (NumericalFailure, LinearSolveFailure) as exc:
         _write_failure(outdir, cfg, exc)
         raise
-    checks = _run_checks(cfg, mesh, bd, lt, result, box)
+    checks = _run_checks(cfg, mesh, bd, lt, result)
     _write_outputs(outdir, cfg, mesh, phys, lt, result, front, checks)
     if not quiet:
         rec = result.records[-1]
@@ -441,7 +400,7 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     # every member is validated and built before any of them runs
     members = {eps: _build(cfgmod.validate({**cfg.values, "epsilon": eps}))
                for eps in all_eps}
-    _make_outdir(outdir)  # before the first step
+    _make_outdir(outdir, cfg, _SCAN_FILES)  # before the first step
     results, duals = {}, {}
     for eps, (mesh, _phys, model, bd, init, scfg) in members.items():
         duals[eps] = DualTimeDerivative(mesh, scfg.dt)

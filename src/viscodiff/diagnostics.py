@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .coefficients import LongTimeCondition
+from .coefficients import Box, LongTimeCondition
 from .discretization import (BoundaryData, Mesh, mesh_operators, pair_bands,
                              tridiag_matvec)
 
@@ -34,6 +34,7 @@ __all__ = [
     "homogenization_from_record",
     "homogenized_since",
     "lyapunov_decay_check",
+    "longtime_box_check",
     "apriori_scaling_check",
     "mass_balance_check",
 ]
@@ -178,6 +179,7 @@ class Recorder:
         self.lumped = ops.lumped
         self.reg_weight = reg_weight
         self.reg_u = self.reg_s = 0.0
+        self.varsigma_range = (math.inf, -math.inf)  # of the flushed states
         # (t, h1semi_u, h1semi_s, cum_grad_u, cum_grad_s) of the record
         # before the block, which the running integrals continue
         self.carry = None if prev is None else (
@@ -233,7 +235,7 @@ class Recorder:
         rec = self.table[self.filled:self.filled + m]
         # [row, u or varsigma, node]
         fields = chains.reshape(m, 2, n + 1)[..., :n]
-        u = fields[:, 0]
+        u, s = fields[:, 0], fields[:, 1]
         for k, (main, off) in enumerate(self.bands):
             prod = tridiag_matvec(main[:size], off[:size - 1],
                                   chains.reshape(-1)).reshape(m, 2 * n + 2)
@@ -249,6 +251,9 @@ class Recorder:
         np.sqrt(sq, out=rec[:, 2:6])
         u.min(axis=1, out=rec[:, 9])
         u.max(axis=1, out=rec[:, 10])
+        s_lo, s_hi = self.varsigma_range
+        self.varsigma_range = (min(s_lo, float(s.min())),
+                               max(s_hi, float(s.max())))
 
         w = 0.5 * self.gamma * self.gamma
         np.add(w * sq[:, 0], 0.5 * sq[:, 3], out=rec[:, 6])
@@ -383,6 +388,34 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
         details={"gradient_bound": bound, "combined_estimate_ok": True})
 
 
+def longtime_box_check(series: Sequence[DiagnosticsRecord],
+                       varsigma_range: tuple[float, float],
+                       box: Box) -> CheckReport:
+    """PASS when the ranges of t and u over the records and varsigma_range
+    stay in the box the decay condition was verified on, else FAIL
+    naming the first of t, u and varsigma that leaves it.  A step time
+    within the 1e-9 relative rule of ``solver.grid_steps`` of the box's
+    t-range counts as inside it, as T_end counts as a step time."""
+    table = np.asarray(series, dtype=float)
+    t, u_min, u_max = (table[:, CSV_COLUMNS.index(c)]
+                       for c in ("t", "u_min", "u_max"))
+    ranges = [("t", "t", (float(t.min()), float(t.max()))),
+              ("u", "u", (float(u_min.min()), float(u_max.max()))),
+              ("varsigma", "s", varsigma_range)]
+    for name, axis, (lo, hi) in ranges:
+        b_lo, b_hi = getattr(box, axis)
+        slack = 1e-9 * max(abs(b_lo), abs(b_hi)) if axis == "t" else 0.0
+        if lo < b_lo - slack or hi > b_hi + slack:
+            return CheckReport(
+                ok=False, name="longtime_box",
+                message=(f"{name} range [{lo:.6g}, {hi:.6g}] leaves "
+                         f"longtime.box.{axis} = [{b_lo:g}, {b_hi:g}]"))
+    return CheckReport(
+        ok=True, name="longtime_box",
+        message="run stays in the longtime box: " + ", ".join(
+            f"{name} in [{lo:.6g}, {hi:.6g}]" for name, _, (lo, hi) in ranges))
+
+
 def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
                        *, epsilon: float = 0.0) -> CheckReport:
     """Total mass must track the time-accumulated boundary influx exactly.
@@ -394,10 +427,13 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
     state the net gain and the influx the steps took in, the sum of
     dt*(phi_left + phi_right)(t_k) up to the last step checked (the
     integral of the influx whenever phi is constant over each step).
+    The tolerance at step k is MASS_BALANCE_TOL times 1 plus the largest
+    |mass| recorded up to step k, so round-off relative to the mass the
+    run reaches passes (a NaN mass does not raise it).
     """
     table = np.asarray(series, dtype=float)
     mass0, mass = table[[0, -1], CSV_COLUMNS.index("mass")].tolist()
-    expected, influx, scale = mass0, 0.0, 1.0 + abs(mass0)
+    expected, influx, peak = mass0, 0.0, abs(mass0)
     for k0, (t, masses) in _steps(table, ("t", "mass")):
         dt = t[1:] - t[:-1]
         gain = dt * np.add(*bd.values(t[1:]))
@@ -407,7 +443,8 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
             zip(gain.tolist(), (1.0 + dt * epsilon).tolist()),
             lambda e, g_d: (e + g_d[0]) / g_d[1], initial=expected))[1:]
         drift = masses[1:] - expects
-        bad = np.abs(drift) > MASS_BALANCE_TOL * scale
+        peaks = np.fmax(np.fmax.accumulate(np.abs(masses[1:])), peak)
+        bad = np.abs(drift) > MASS_BALANCE_TOL * (1.0 + peaks)
         i = int(bad.argmax())
         if bad[i]:
             k = k0 + i
@@ -418,7 +455,7 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
                          f"{MASS_BALANCE_TOL:g} relative "
                          f"(net gain {masses[i + 1] - mass0:.12g}, "
                          f"influx sum dt*phi {influxes[i]:.12g})"))
-        influx, expected = influxes[-1], expects[-1]
+        influx, expected, peak = influxes[-1], expects[-1], peaks[-1]
     return CheckReport(
         ok=True, name="mass_balance",
         message=(f"mass tracks influx over {len(series) - 1} steps "

@@ -461,6 +461,8 @@ class RunResult:
     reg_energy_s: float
     # largest H1 norm of the transformed stress over the records
     sup_h1_s: float
+    # (min, max) of the transformed stress over every state of the run
+    varsigma_range: tuple[float, float]
 
     @property
     def final_state(self) -> State:
@@ -552,4 +554,5 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
     sup_h1_s = float(np.max(np.hypot(l2_s, h1semi_s)))
     return RunResult(trajectory=trajectory, records=RecordTable(table),
                      epsilon=cfg.epsilon, reg_energy_u=recorder.reg_u,
-                     reg_energy_s=recorder.reg_s, sup_h1_s=sup_h1_s)
+                     reg_energy_s=recorder.reg_s, sup_h1_s=sup_h1_s,
+                     varsigma_range=recorder.varsigma_range)

@@ -348,6 +348,29 @@ class TestSnapshotIO:
         assert np.max(np.abs(init.u0 - data["u"])) <= 1e-12
         assert np.max(np.abs(init.varsigma0 - data["varsigma"])) <= 1e-12
 
+    @pytest.mark.parametrize("preset", ["homogenize", "sorption"])
+    def test_restart_keeps_u_and_with_nu0_zero_varsigma(self, tmp_path,
+                                                        preset):
+        # u restarts bit for bit.  varsigma0 is sigma - int_0^u nu0 anew
+        # from the file's sigma: bit for bit where nu0 = 0 (homogenize),
+        # to round-off where it is not (sorption's nu0 = 0.5)
+        p = tmp_path / "s.cfg"
+        p.write_text(f'preset = "{preset}"\ntime.T_end = 0.05\n')
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out), "--quiet"]) == EXIT_OK
+        snap = out / "snapshot_1.csv"
+        cfg = parse_config(p.read_text() + "".join(
+            f'initial.{f}0 = "file"\ninitial.{f}0.path = "{snap}"\n'
+            for f in ("u", "sigma")))
+        init = build_initial(cfg, build_mesh_from(cfg), build_physical(cfg))
+        data = read_snapshot(snap)
+        assert init.u0.tobytes() == data["u"].tobytes()
+        if preset == "homogenize":
+            assert init.varsigma0.tobytes() == data["varsigma"].tobytes()
+        else:
+            assert np.allclose(init.varsigma0, data["varsigma"],
+                               rtol=0, atol=1e-15)
+
 
 class TestCli:
     def test_run_fickian_exit_zero(self, tmp_path):
@@ -362,6 +385,74 @@ class TestCli:
         assert (out / "summary.txt").exists()
         assert (out / "snapshot_0.csv").exists()
         assert any(out.glob("flux_*.csv"))
+
+    def test_mass_tolerance_scales_with_the_mass_reached(self, tmp_path):
+        # the mass reaches 4000: a drift of 1.003e-10 at step 469, 2e-13
+        # of the mass there, is round-off and passes
+        p = tmp_path / "phi.cfg"
+        p.write_text('mesh.N = 64\ntime.dt = 1e-3\ntime.T_end = 4.0\n'
+                     'boundary.phi_left = "constant"\n'
+                     'boundary.phi_left.value = 1000.0\n')
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out), "--quiet"]) == EXIT_OK
+        assert ("check mass_balance: PASS - mass tracks influx over 4000 "
+                "steps (net gain 4000.00000001, influx sum dt*phi 4000)"
+                ) in (out / "summary.txt").read_text().splitlines()
+
+    def test_reused_out_holds_only_the_latest_run(self, tmp_path):
+        out = tmp_path / "o"
+        for every in (100, 500):
+            p = tmp_path / f"f{every}.cfg"
+            p.write_text(f'preset = "fickian"\ntime.output_every = {every}\n')
+            assert main(["run", str(p), "--out", str(out), "--quiet",
+                         "--n-cells", "32"]) == EXIT_OK
+        assert sorted(f.name for f in out.glob("snapshot_*.csv")) == [
+            "snapshot_0.csv", "snapshot_1.csv", "snapshot_2.csv"]
+        assert len(list(out.glob("flux_*.csv"))) == 3
+
+    def test_reused_out_keeps_other_files_and_the_initial_data(
+            self, tmp_path):
+        # an exit-3 run writes no snapshot, so none of the first run's
+        # stays, apart from the one the second run restarts from
+        out = tmp_path / "o"
+        assert main(["preset", "sorption", "--out", str(out), "--quiet",
+                     "--dt", "0.05"]) == EXIT_OK
+        (out / "notes.txt").write_text("kept\n")
+        (out / "snapshot_best.csv").write_text("kept\n")
+        p = tmp_path / "singular.cfg"
+        p.write_text(f'preset = "sorption"\nmodel.beta0 = "constant"\n'
+                     f'model.beta0.value = -2000.0\ninitial.u0 = "file"\n'
+                     f'initial.u0.path = "{out / "snapshot_1.csv"}"\n')
+        assert main(["run", str(p), "--out", str(out),
+                     "--quiet"]) == EXIT_NUMERICAL_FAILURE
+        assert sorted(f.name for f in out.iterdir()) == [
+            "config.txt", "diagnostics.csv", "notes.txt", "snapshot_1.csv",
+            "snapshot_best.csv", "summary.txt"]
+
+    def test_reused_out_of_a_failed_eps_scan(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("diagnostics_eps_0p01.csv", "summary.txt",
+                     "snapshot_0.csv"):
+            (out / name).write_text("old\n")
+        p = tmp_path / "singular.cfg"
+        p.write_text('preset = "sorption"\nmodel.beta0 = "constant"\n'
+                     "model.beta0.value = -2000.0\n")
+        assert main(["eps-scan", str(p), "--out", str(out),
+                     "--quiet"]) == EXIT_NUMERICAL_FAILURE
+        assert sorted(f.name for f in out.iterdir()) == [
+            "diagnostics_eps_0.csv", "snapshot_0.csv", "summary.txt"]
+        assert (out / "snapshot_0.csv").read_text() == "old\n"
+
+    def test_output_file_that_cannot_be_removed_exits_two(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "o"
+        (out / "summary.txt").mkdir(parents=True)
+        assert main(["preset", "fickian", "--out", str(out), "--quiet",
+                     "--dt", "0.05"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"cannot remove {out / 'summary.txt'}: " in err
+        assert "[key '--out']" in err
 
     def test_homogenization_line_counts_from_the_final_decay(self, tmp_path):
         # homogenize's metric first dips below 1e-4 at t=0.567, a zero

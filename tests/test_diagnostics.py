@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from viscodiff.coefficients import Box, LongTimeCondition, constant_model
+from viscodiff import config as cfgmod
+from viscodiff.coefficients import (Box, LongTimeCondition, constant_model,
+                                    transform)
 from viscodiff.diagnostics import (
     BLOCK_ROWS,
     CSV_COLUMNS,
@@ -20,12 +22,14 @@ from viscodiff.diagnostics import (
     homogenization_from_record,
     homogenization_metric,
     homogenized_since,
+    longtime_box_check,
     lyapunov_decay_check,
     mass_balance_check,
     record,
     RecordTable,
 )
-from viscodiff.discretization import ZERO_INFLUX, BoundaryData, build_mesh
+from viscodiff.discretization import (ZERO_INFLUX, BoundaryData, build_mesh,
+                                      pair_rows)
 from viscodiff.output import format_csv
 from viscodiff.solver import InitialData, SolverConfig, State, run
 from viscodiff.coefficients import make_scalar_model, physical_from_models
@@ -345,6 +349,24 @@ class TestMassBalance:
             f"relative (net gain {gain:.12g}, influx sum dt*phi 0.001)")
 
 
+    @pytest.mark.parametrize("drift, ok", [(5e-9, True), (1e-7, False)])
+    def test_tolerance_scales_with_the_mass_reached(self, drift, ok):
+        # the mass grows from 0 by 1 a step; a drift of 5e-9 at step 500,
+        # where the mass is 500, is 1e-11 of it: round-off, although it
+        # is 50 times the tolerance that the initial mass alone gives
+        bd = BoundaryData(phi_left=lambda t: 1000.0, phi_right=lambda t: 0.0)
+        series = [DiagnosticsRecord(
+            t=k * 1e-3, mass=k + (drift if k == 500 else 0.0), l2_u=0.0,
+            h1semi_u=0.0, l2_s=0.0, h1semi_s=0.0, lyapunov=0.0,
+            cum_grad_u=0.0, cum_grad_s=0.0, u_min=0.0, u_max=0.0)
+            for k in range(1001)]
+        report = mass_balance_check(series, bd)
+        assert (report.ok, report.first_violation) == (
+            (True, None) if ok else (False, 500))
+        assert (report.ok, report.first_violation, report.message) == \
+            _mass_loop(series, bd)
+
+
 def _lyapunov_loop(series, lt):
     """The scalar loop lyapunov_decay_check replaced: the reference."""
     G, G0, tol = lt.Gamma, lt.Gamma_0, DECAY_STEP_SLACK
@@ -382,7 +404,7 @@ def _mass_loop(series, bd, epsilon=0.0):
     t_prev, mass0 = first.t, first.mass
     expected = mass = mass0
     influx = 0.0
-    scale = 1.0 + abs(expected)
+    peak = abs(mass0)  # the largest |mass| up to step k
     for k, r in enumerate(rows, start=1):
         t, mass = r.t, r.mass
         dt = t - t_prev
@@ -390,7 +412,8 @@ def _mass_loop(series, bd, epsilon=0.0):
         influx += gain
         expected = (expected + gain) / (1.0 + dt * epsilon)
         drift = mass - expected
-        if abs(drift) > MASS_BALANCE_TOL * scale:
+        peak = max(peak, abs(mass))
+        if abs(drift) > MASS_BALANCE_TOL * (1.0 + peak):
             return (False, k, f"mass drift {drift:.3e} at step {k} "
                               f"(t={t:.6g}) exceeds "
                               f"{MASS_BALANCE_TOL:g} relative "
@@ -468,6 +491,102 @@ class TestChecksMatchTheScalarLoops:
         assert (report.ok, report.first_violation, report.message) == \
             _mass_loop(series, bd, eps)
         assert report.ok == (row is None)
+
+
+class _BoxMonitor:
+    """The per-state run observer longtime_box_check replaced: the
+    reference.  It keeps the nodewise minima and maxima of the states'
+    chains and reports as longtime_box_check does."""
+
+    def __init__(self, box, n_nodes):
+        self.box = box
+        self.t = (math.inf, -math.inf)
+        self.lo = np.full(2 * n_nodes + 2, math.inf)
+        self.hi = np.full(2 * n_nodes + 2, -math.inf)
+
+    def __call__(self, state):
+        t_lo, t_hi = self.t
+        self.t = min(t_lo, state.t), max(t_hi, state.t)
+        np.minimum(self.lo, state.chain, out=self.lo)
+        np.maximum(self.hi, state.chain, out=self.hi)
+
+    def report(self):
+        ranges = [("t", "t", self.t)] + [
+            (name, axis, (float(lo.min()), float(hi.max())))
+            for name, axis, lo, hi in zip(("u", "varsigma"), "us",
+                                          pair_rows(self.lo),
+                                          pair_rows(self.hi))]
+        for name, axis, (lo, hi) in ranges:
+            b_lo, b_hi = getattr(self.box, axis)
+            slack = 1e-9 * max(abs(b_lo), abs(b_hi)) if axis == "t" else 0.0
+            if lo < b_lo - slack or hi > b_hi + slack:
+                return False, (f"{name} range [{lo:.6g}, {hi:.6g}] leaves "
+                               f"longtime.box.{axis} = [{b_lo:g}, {b_hi:g}]")
+        return True, "run stays in the longtime box: " + ", ".join(
+            f"{name} in [{lo:.6g}, {hi:.6g}]" for name, _, (lo, hi) in ranges)
+
+
+def _preset_run(name, observers, **values):
+    """A run of the preset with values set, each observer seeing every
+    state."""
+    cfg = cfgmod.validate({**cfgmod.preset_config(name).values, **values})
+    mesh = cfgmod.build_mesh_from(cfg)
+    phys = cfgmod.build_physical(cfg)
+
+    def observe(state):
+        for o in observers:
+            o(state)
+    return run(cfgmod.build_initial(cfg, mesh, phys), mesh, transform(phys),
+               cfgmod.build_boundary(cfg), cfgmod.build_solver_config(cfg),
+               observer=observe)
+
+
+class TestLongtimeBox:
+    """The varsigma range a run records, and the box check on it."""
+
+    @pytest.mark.parametrize("name, values", [
+        # 31 states a record block, so the range crosses block joints
+        ("sorption", {"time.T_end": 0.5}),
+        # one state a block
+        ("case2-front", {"mesh.N": 2048, "time.T_end": 20 * 2e-4}),
+        # the regularized path
+        ("eps-scan", {"epsilon": 1e-2, "time.T_end": 0.2}),
+    ])
+    def test_varsigma_range_is_that_of_every_state(self, name, values):
+        lo, hi = [math.inf], [-math.inf]
+
+        def extremes(state):
+            lo[0] = min(lo[0], float(state.sigma_v.min()))
+            hi[0] = max(hi[0], float(state.sigma_v.max()))
+        res = _preset_run(name, [extremes], **values)
+        assert np.array(res.varsigma_range).tobytes() == \
+            np.array([lo[0], hi[0]]).tobytes()
+
+    @pytest.mark.parametrize("name, values, boxes", [
+        # homogenize starts at u in [0.2, 0.8] and varsigma = 0.25; its
+        # varsigma extremes fall at step 255, in the fifth record block
+        ("homogenize", {"time.T_end": 1.0}, [
+            {}, {"t": (0.0, 0.5)}, {"t": (0.5, 1.0)}, {"u": (0.49, 0.51)},
+            {"u": (0.2, 0.7)}, {"s": (0.9, 1.0)}, {"s": (0.0, 0.25)}]),
+        # 3 steps of 0.1 end at t = 0.30000000000000004, inside [0, 0.3]
+        ("homogenize", {"time.dt": 0.1, "time.T_end": 0.3},
+         [{"t": (0.0, 0.3)}, {"t": (0.0, 0.2999)}]),
+        # sorption's varsigma peaks at its last state, the 33rd block's
+        ("sorption", {"time.T_end": 0.5},
+         [{}, {"s": (-0.005, 0.0448)}, {"s": (0.0, 1.0)}]),
+    ])
+    def test_check_matches_the_per_state_monitor(self, name, values, boxes):
+        base = dict(t=(0.0, values["time.T_end"]), x=(0.0, 1.0),
+                    u=(0.0, 1.0), s=(-1.0, 1.0))
+        boxes = [Box(**{**base, **b}) for b in boxes]
+        n_nodes = cfgmod.preset_config(name)["mesh.N"] + 1
+        monitors = [_BoxMonitor(box, n_nodes) for box in boxes]
+        res = _preset_run(name, monitors, **values)
+        verdicts = [longtime_box_check(res.records, res.varsigma_range, box)
+                    for box in boxes]
+        assert [(c.ok, c.message) for c in verdicts] == [
+            m.report() for m in monitors]
+        assert {c.ok for c in verdicts} == {True, False}
 
 
 class TestCsv:
