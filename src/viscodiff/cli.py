@@ -271,7 +271,7 @@ def _run_checks(cfg: ScenarioConfig, mesh, bd, lt,
     checks = []
     if cfg["check.mass_balance"]:
         checks.append(mass_balance_check(result.records, bd,
-                                         epsilon=result.epsilon))
+                                         epsilon=cfg["epsilon"]))
     if cfg["check.lyapunov"]:
         checks.append(lyapunov_decay_check(result.records, lt))
     if lt is not None:
@@ -375,8 +375,9 @@ def _cmd_check_assumptions(cfg: ScenarioConfig, quiet: bool) -> int:
 
 def _cmd_find_gamma(cfg: ScenarioConfig, quiet: bool) -> int:
     lt = _scan_gamma(cfg, cfgmod.build_model(cfg))
-    print(f"Gamma = {lt.Gamma:.12g}")
-    print(f"Gamma_0 = {lt.Gamma_0:.12g}")
+    if not quiet:
+        print(f"Gamma = {lt.Gamma:.12g}")
+        print(f"Gamma_0 = {lt.Gamma_0:.12g}")
     return EXIT_OK
 
 
@@ -460,16 +461,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D coupled concentration/stress diffusion simulator")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_out=True):
-        if needs_out:
-            p.add_argument("--out", default="viscodiff_out",
-                           help="output directory (default: viscodiff_out)")
+    def common(p, simulates=True):
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
-        p.add_argument("--dt", type=float, default=None,
-                       help="override the time step")
-        p.add_argument("--n-cells", type=int, default=None,
-                       help="override the number of mesh cells")
+        if simulates:
+            p.add_argument("--out", default="viscodiff_out",
+                           help="output directory (default: viscodiff_out)")
+            p.add_argument("--dt", type=float, default=None,
+                           help="override the time step")
+            p.add_argument("--n-cells", type=int, default=None,
+                           help="override the number of mesh cells")
 
     p_run = sub.add_parser("run", help="simulate a scenario file")
     p_run.add_argument("config", help="path to a scenario file")
@@ -483,12 +484,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check-assumptions",
                            help="sampled coefficient bounds on the declared box")
     p_chk.add_argument("config", help="path to a scenario file")
-    common(p_chk, needs_out=False)
+    common(p_chk, simulates=False)
 
     p_fg = sub.add_parser("find-gamma",
                           help="scan for a decay-condition weight")
     p_fg.add_argument("config", help="path to a scenario file")
-    common(p_fg, needs_out=False)
+    common(p_fg, simulates=False)
 
     p_es = sub.add_parser("eps-scan",
                           help="regularization-strength sweep")
@@ -511,6 +512,8 @@ def _load_config(args) -> ScenarioConfig:
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"cannot read {path}: {reason}") from exc
         cfg = parse_config(text)
+    if args.verb in ("check-assumptions", "find-gamma"):
+        return cfg
     return _override(cfg, args.dt, args.n_cells)
 
 

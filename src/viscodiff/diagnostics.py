@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import accumulate
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -124,7 +124,6 @@ class CheckReport:
     name: str
     message: str
     first_violation: Optional[int] = None
-    details: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.ok
@@ -134,18 +133,17 @@ def _quadratic(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(v, tridiag_matvec(main, off, v)))
 
 
-def record(state, mesh: Mesh, gamma: float = 1.0,
-           prev: Optional[DiagnosticsRecord] = None) -> DiagnosticsRecord:
+def record(state, mesh: Mesh, gamma: float = 1.0) -> DiagnosticsRecord:
     """Snapshot the monitored quantities for one state.
 
     ``gamma`` (the decay-condition weight Gamma) weights the
-    concentration term in the Lyapunov functional; ``prev`` continues
-    the running time integrals of the squared gradients.  This is the
+    concentration term in the Lyapunov functional; the running time
+    integrals of the squared gradients start at zero.  This is the
     one-row case of ``Recorder``, which ``solver.run`` uses to compute
     the records of a block of states at a time; both give the same bits.
     """
     table = np.empty((1, len(CSV_COLUMNS)))
-    Recorder(mesh, gamma, table, prev).add(state)
+    Recorder(mesh, gamma, table).add(state)
     return DiagnosticsRecord._make(table[0].tolist())
 
 
@@ -158,8 +156,7 @@ class Recorder:
     chains, allocated once.  When the block is full, and on ``flush``,
     the records of the states in it are computed together into their
     rows.  A block holds RECORD_BLOCK_BYTES of chains, and at least one
-    state.  ``prev`` is the record before the table's row 0, if any;
-    ``gamma`` is the Lyapunov weight, as for ``record``.
+    state.  ``gamma`` is the Lyapunov weight, as for ``record``.
 
     With ``reg_weight`` = epsilon*dt > 0, the recorder also sums the
     regularization energies ``reg_u`` and ``reg_s`` over the states
@@ -169,7 +166,6 @@ class Recorder:
     """
 
     def __init__(self, mesh: Mesh, gamma: float, table: np.ndarray,
-                 prev: Optional[DiagnosticsRecord] = None,
                  reg_weight: float = 0.0):
         if gamma <= 0:
             raise ValueError("Gamma must be positive")
@@ -182,9 +178,7 @@ class Recorder:
         self.varsigma_range = (math.inf, -math.inf)  # of the flushed states
         # (t, h1semi_u, h1semi_s, cum_grad_u, cum_grad_s) of the record
         # before the block, which the running integrals continue
-        self.carry = None if prev is None else (
-            prev.t, prev.h1semi_u, prev.h1semi_s, prev.cum_grad_u,
-            prev.cum_grad_s)
+        self.carry = None
         self.n = n = mesh.N + 1
         width = 2 * n + 2
         self.rows = rows = max(1, min(len(table),
@@ -360,10 +354,11 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
                                                     h1s[1:].tolist())]
         cums = np.array(list(accumulate(((t[1:] - t[:-1]) * sq).tolist(),
                                         initial=cum_right))[1:])
-        rises = lyap[1:] > lyap[:-1] + tol
-        exceeds = (cum_u[1:] > bound) | (cum_s[1:] > bound)
-        dissipates = lyap[1:] + w * cums > lyap0 + tol * np.arange(
-            k0 + 1, k0 + 1 + len(cums))
+        # each failure negates its passing comparison: a NaN fails
+        rises = ~(lyap[1:] <= lyap[:-1] + tol)
+        exceeds = ~((cum_u[1:] <= bound) & (cum_s[1:] <= bound))
+        dissipates = ~(lyap[1:] + w * cums <= lyap0 + tol * np.arange(
+            k0 + 1, k0 + 1 + len(cums)))
         bad = rises | exceeds | dissipates
         i = int(bad.argmax())  # the first failing step, in the loop's order
         if bad[i]:
@@ -384,8 +379,7 @@ def lyapunov_decay_check(series: Sequence[DiagnosticsRecord],
     return CheckReport(
         ok=True, name="lyapunov_decay",
         message=f"non-increasing over {len(series)} records "
-                f"(initial {lyap0:.6g}, final {lyap_end:.6g})",
-        details={"gradient_bound": bound, "combined_estimate_ok": True})
+                f"(initial {lyap0:.6g}, final {lyap_end:.6g})")
 
 
 def longtime_box_check(series: Sequence[DiagnosticsRecord],
@@ -393,9 +387,10 @@ def longtime_box_check(series: Sequence[DiagnosticsRecord],
                        box: Box) -> CheckReport:
     """PASS when the ranges of t and u over the records and varsigma_range
     stay in the box the decay condition was verified on, else FAIL
-    naming the first of t, u and varsigma that leaves it.  A step time
-    within the 1e-9 relative rule of ``solver.grid_steps`` of the box's
-    t-range counts as inside it, as T_end counts as a step time."""
+    naming the first of t, u and varsigma that leaves it; a range with a
+    NaN bound leaves it.  A step time within the 1e-9 relative rule of
+    ``solver.grid_steps`` of the box's t-range counts as inside it, as
+    T_end counts as a step time."""
     table = np.asarray(series, dtype=float)
     t, u_min, u_max = (table[:, CSV_COLUMNS.index(c)]
                        for c in ("t", "u_min", "u_max"))
@@ -405,7 +400,7 @@ def longtime_box_check(series: Sequence[DiagnosticsRecord],
     for name, axis, (lo, hi) in ranges:
         b_lo, b_hi = getattr(box, axis)
         slack = 1e-9 * max(abs(b_lo), abs(b_hi)) if axis == "t" else 0.0
-        if lo < b_lo - slack or hi > b_hi + slack:
+        if not (b_lo - slack <= lo and hi <= b_hi + slack):
             return CheckReport(
                 ok=False, name="longtime_box",
                 message=(f"{name} range [{lo:.6g}, {hi:.6g}] leaves "
@@ -429,7 +424,8 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
     integral of the influx whenever phi is constant over each step).
     The tolerance at step k is MASS_BALANCE_TOL times 1 plus the largest
     |mass| recorded up to step k, so round-off relative to the mass the
-    run reaches passes (a NaN mass does not raise it).
+    run reaches passes.  A NaN mass fails at its step and does not raise
+    the tolerance of later steps.
     """
     table = np.asarray(series, dtype=float)
     mass0, mass = table[[0, -1], CSV_COLUMNS.index("mass")].tolist()
@@ -444,7 +440,7 @@ def mass_balance_check(series: Sequence[DiagnosticsRecord], bd: BoundaryData,
             lambda e, g_d: (e + g_d[0]) / g_d[1], initial=expected))[1:]
         drift = masses[1:] - expects
         peaks = np.fmax(np.fmax.accumulate(np.abs(masses[1:])), peak)
-        bad = np.abs(drift) > MASS_BALANCE_TOL * (1.0 + peaks)
+        bad = ~(np.abs(drift) <= MASS_BALANCE_TOL * (1.0 + peaks))
         i = int(bad.argmax())
         if bad[i]:
             k = k0 + i
@@ -476,34 +472,29 @@ def apriori_scaling_check(runs: Mapping[float, "RunResult"]) -> CheckReport:
                            message="single run: vacuously bounded")
     eps_sorted = sorted(runs, reverse=True)
     ref = runs[eps_sorted[0]]
-    details = {
-        "reg_energy_u": {e: runs[e].reg_energy_u for e in eps_sorted},
-        "reg_energy_s": {e: runs[e].reg_energy_s for e in eps_sorted},
-        "sup_h1_s": {e: runs[e].sup_h1_s for e in eps_sorted},
-    }
     floor = 1e-12
     margin = APRIORI_MARGIN
     for e in eps_sorted[1:]:
         r = runs[e]
         if r.reg_energy_u > (1 + margin) * ref.reg_energy_u + floor:
             return CheckReport(
-                ok=False, name="apriori_scaling", details=details,
+                ok=False, name="apriori_scaling",
                 message=(f"eps-weighted H2 energy of u grows: "
                          f"{r.reg_energy_u:.6g} at eps={e:g} vs "
                          f"{ref.reg_energy_u:.6g} at eps={eps_sorted[0]:g}"))
         if r.reg_energy_s > (1 + margin) * ref.reg_energy_s + floor:
             return CheckReport(
-                ok=False, name="apriori_scaling", details=details,
+                ok=False, name="apriori_scaling",
                 message=f"eps-weighted H2 energy of stress grows at eps={e:g}")
     sup_vals = [runs[e].sup_h1_s for e in eps_sorted]
     lo, hi = min(sup_vals), max(sup_vals)
     if hi > (1 + margin) * lo + floor:
         return CheckReport(
-            ok=False, name="apriori_scaling", details=details,
+            ok=False, name="apriori_scaling",
             message=(f"sup-in-time H1 norm of stress spreads beyond "
                      f"{margin:.0%}: [{lo:.6g}, {hi:.6g}]"))
     return CheckReport(
-        ok=True, name="apriori_scaling", details=details,
+        ok=True, name="apriori_scaling",
         message=(f"bounded across eps={eps_sorted}: sup H1(s) in "
                  f"[{lo:.6g}, {hi:.6g}]"))
 

@@ -33,8 +33,9 @@ from viscodiff.config import (
     serialize_config,
 )
 from viscodiff.diagnostics import CSV_COLUMNS
+from viscodiff.discretization import build_mesh
 from viscodiff.output import read_snapshot, write_snapshot
-from viscodiff.solver import NumericalFailure
+from viscodiff.solver import NumericalFailure, State
 
 
 class TestParsing:
@@ -649,6 +650,25 @@ class TestCli:
         assert main(["find-gamma", str(p)]) == EXIT_OK
         assert "Gamma_0" in capsys.readouterr().out
 
+    def test_quiet_scans_print_nothing(self, tmp_path, capsys):
+        p = tmp_path / "g.cfg"
+        p.write_text("longtime.gamma_grid = [0.5, 1.0, 2.0]\n")
+        for verb in ("find-gamma", "check-assumptions"):
+            assert main([verb, str(p), "--quiet"]) == EXIT_OK
+            assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("verb", ["check-assumptions", "find-gamma"])
+    @pytest.mark.parametrize("flag", [["--dt", "1e-3"], ["--n-cells", "64"],
+                                      ["--out", "o"]])
+    def test_scans_take_no_run_flags(self, tmp_path, capsys, verb, flag):
+        # the scans read neither time.dt nor mesh.N, and write no files
+        p = tmp_path / "g.cfg"
+        p.write_text("longtime.gamma_grid = [0.5, 1.0, 2.0]\n")
+        with pytest.raises(SystemExit) as exc:
+            main([verb, str(p)] + flag)
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
     def test_check_assumptions_verb(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text('model.D0 = "tanh"\nmodel.D0.lo = 0.2\nmodel.D0.hi = 1.0\n'
@@ -883,6 +903,61 @@ class TestCli:
         u_max = [float(r.split(",")[col]) for r in rows[1:]]
         assert (f"signature detail: peak u {max(u_max):.6g} vs terminal max "
                 f"{u_max[-1]:.6g} (excess ") in text
+
+
+class TestFrontTracker:
+    """The front signature's tracker, fed synthetic states of a mesh of
+    100 cells on [0, 1] with threshold 0.5."""
+
+    MESH = build_mesh(1.0, 100)
+
+    @classmethod
+    def _ramp(cls, t, xf):
+        """u falling linearly through 0.5 at xf, clipped to [0, 1] 0.1
+        either side of it, so the cell of the crossing is on the ramp."""
+        u = np.clip(0.5 + 5.0 * (xf - cls.MESH.nodes), 0.0, 1.0)
+        return State(t, u, np.zeros_like(u))
+
+    def _tracked(self, states):
+        tracker = cli._FrontTracker(self.MESH, 0.5)
+        for state in states:
+            tracker(state)
+        return tracker
+
+    def test_linear_front_positions_and_fit(self):
+        times = 0.1 * np.arange(1, 16)
+        fronts = 0.12 + 0.5 * times
+        tracker = self._tracked(map(self._ramp, times, fronts))
+        assert tracker.times == times.tolist()
+        assert np.allclose(tracker.positions, fronts, rtol=0.0, atol=1e-14)
+        found, desc = tracker.fit()
+        assert found is True
+        assert desc.startswith("front fit residuals: linear ")
+        assert desc.endswith(" over 15 samples")
+
+    def test_sqrt_t_front_is_not_linear(self):
+        times = 0.05 * np.arange(1, 16)
+        fronts = 0.1 + 0.7 * np.sqrt(times)
+        tracker = self._tracked(map(self._ramp, times, fronts))
+        assert tracker.fit()[0] is False
+
+    def test_skipped_states(self):
+        x = self.MESH.nodes
+        skipped = [
+            State(0.1, np.ones_like(x), np.zeros_like(x)),  # all above
+            State(0.2, np.zeros_like(x), np.zeros_like(x)),  # all below
+            State(0.3, x.copy(), np.zeros_like(x)),  # rising: no front
+            self._ramp(0.4, 0.0),  # the crossing at x = 0
+            self._ramp(0.5, 1.0),  # u = 0.5 at x = L: all above
+            self._ramp(0.0, 0.5),  # t = 0
+        ]
+        tracker = self._tracked(skipped)
+        assert tracker.times == [] and tracker.positions == []
+
+    def test_fewer_than_ten_samples_is_untrackable(self):
+        times = 0.1 * np.arange(1, 10)
+        tracker = self._tracked(map(self._ramp, times, 0.2 + 0.5 * times))
+        assert tracker.fit() == (None, "front tracked at only 9 times")
 
 
 def test_readme_documents_every_key():

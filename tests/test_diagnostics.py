@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from viscodiff.diagnostics import (
     MASS_BALANCE_TOL,
     DiagnosticsRecord,
     Recorder,
+    apriori_scaling_check,
     homogenization_from_record,
     homogenization_metric,
     homogenized_since,
@@ -81,15 +83,15 @@ class TestRecord:
     def test_cumulative_integrals_nondecreasing(self):
         mesh = build_mesh(1.0, 16)
         rng = np.random.default_rng(11)
-        prev = None
-        last_u = last_s = 0.0
+        table = np.empty((5, len(CSV_COLUMNS)))
+        recorder = Recorder(mesh, 1.0, table)
         for k in range(5):
-            state = State(t=0.1 * k, u=rng.normal(size=17),
-                          sigma_v=rng.normal(size=17))
-            prev = record(state, mesh, prev=prev)
-            assert prev.cum_grad_u >= last_u
-            assert prev.cum_grad_s >= last_s
-            last_u, last_s = prev.cum_grad_u, prev.cum_grad_s
+            recorder.add(State(t=0.1 * k, u=rng.normal(size=17),
+                               sigma_v=rng.normal(size=17)))
+        recorder.flush()
+        for name in ("cum_grad_u", "cum_grad_s"):
+            cum = table[:, CSV_COLUMNS.index(name)]
+            assert cum[0] == 0.0 and np.all(np.diff(cum) >= 0.0)
 
 
 class TestHomogenizationMetric:
@@ -260,7 +262,6 @@ class TestLyapunovDecay:
         lt = LongTimeCondition(Gamma=1.0, Gamma_0=1.0, verified_box=BOX)
         report = lyapunov_decay_check(res.records, lt)
         assert report.ok
-        assert report.details["combined_estimate_ok"]
 
     def test_constant_initial_data_passes(self):
         model = constant_model(D=1.0, E=0.0, beta1=-1.0, gamma=0.0)
@@ -368,7 +369,8 @@ class TestMassBalance:
 
 
 def _lyapunov_loop(series, lt):
-    """The scalar loop lyapunov_decay_check replaced: the reference."""
+    """The scalar loop lyapunov_decay_check replaced, each failure test
+    written as the negation of its passing comparison: the reference."""
     G, G0, tol = lt.Gamma, lt.Gamma_0, DECAY_STEP_SLACK
     rows = iter(list(series))
     first = next(rows)
@@ -379,13 +381,13 @@ def _lyapunov_loop(series, lt):
     w = G0 * min(G * G, 1.0)
     for k, r in enumerate(rows, start=1):
         cum_right += (r.t - t_prev) * (r.h1semi_u ** 2 + r.h1semi_s ** 2)
-        if r.lyapunov > lyap_prev + tol:
+        if not r.lyapunov <= lyap_prev + tol:
             message = (f"Lyapunov increase at step {k} (t={r.t:.6g}): "
                        f"{lyap_prev:.12g} -> {r.lyapunov:.12g}")
-        elif r.cum_grad_u > bound or r.cum_grad_s > bound:
+        elif not (r.cum_grad_u <= bound and r.cum_grad_s <= bound):
             message = (f"cumulative gradient integral exceeds the decay bound "
                        f"{bound:.6g} at step {k}")
-        elif r.lyapunov + w * cum_right > lyap0 + tol * (k + 1):
+        elif not r.lyapunov + w * cum_right <= lyap0 + tol * (k + 1):
             message = (f"dissipation inequality fails at step {k} "
                        f"(t={r.t:.6g}): {r.lyapunov:.12g} + "
                        f"{w * cum_right:.12g} > {lyap0:.12g}")
@@ -398,7 +400,8 @@ def _lyapunov_loop(series, lt):
 
 
 def _mass_loop(series, bd, epsilon=0.0):
-    """The scalar loop mass_balance_check replaced: the reference."""
+    """The scalar loop mass_balance_check replaced, its failure test
+    written as the negation of the passing comparison: the reference."""
     rows = iter(list(series))
     first = next(rows)
     t_prev, mass0 = first.t, first.mass
@@ -413,7 +416,7 @@ def _mass_loop(series, bd, epsilon=0.0):
         expected = (expected + gain) / (1.0 + dt * epsilon)
         drift = mass - expected
         peak = max(peak, abs(mass))
-        if abs(drift) > MASS_BALANCE_TOL * (1.0 + peak):
+        if not abs(drift) <= MASS_BALANCE_TOL * (1.0 + peak):
             return (False, k, f"mass drift {drift:.3e} at step {k} "
                               f"(t={t:.6g}) exceeds "
                               f"{MASS_BALANCE_TOL:g} relative "
@@ -463,7 +466,7 @@ class TestChecksMatchTheScalarLoops:
             "bound-and-dissipation": _tampered(decay, row, cum_grad_u=big,
                                                h1semi_s=big),
             "dissipation": _tampered(decay, row, h1semi_u=big),
-            # a NaN compares false: the rise after it is not seen as one
+            # the NaN fails at its step, before the rise after it
             "nan-before-rise": _tampered(
                 _tampered(decay, row - 1, lyapunov=lambda v: math.nan),
                 row, lyapunov=rise),
@@ -472,8 +475,9 @@ class TestChecksMatchTheScalarLoops:
         ok, step, message = _lyapunov_loop(series, self.LT)
         assert (report.ok, report.first_violation, report.message) == (
             ok, step, message)
-        if case != "nan-before-rise":
-            assert ok == (case == "pass")
+        assert ok == (case == "pass")
+        if case == "nan-before-rise":
+            assert step == max(row - 1, 1)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
     @pytest.mark.parametrize("row", [None, 1, 1024, 1025, 1800, 2500])
@@ -587,6 +591,99 @@ class TestLongtimeBox:
         assert [(c.ok, c.message) for c in verdicts] == [
             m.report() for m in monitors]
         assert {c.ok for c in verdicts} == {True, False}
+
+
+def _passing_table():
+    """5 hand-made records that pass every check on BOX with zero influx:
+    constant mass, a decreasing Lyapunov functional, no gradients, and
+    u in [0.2, 0.5]."""
+    table = np.zeros((5, len(CSV_COLUMNS)))
+    for name, column in (("t", 0.1 * np.arange(5)), ("mass", 1.0),
+                         ("l2_u", 1.0), ("lyapunov", 1.0 - 0.1 * np.arange(5)),
+                         ("u_min", 0.2), ("u_max", 0.5)):
+        table[:, CSV_COLUMNS.index(name)] = column
+    return table
+
+
+class TestNaNFails:
+    """A NaN in a record fails the check at its step: every failure test
+    negates its passing comparison."""
+
+    LT = LongTimeCondition(Gamma=1.0, Gamma_0=1.0, verified_box=BOX)
+
+    @staticmethod
+    def _with_nan(name, row=2):
+        table = _passing_table()
+        table[row, CSV_COLUMNS.index(name)] = math.nan
+        return RecordTable(table)
+
+    def test_tables_pass_without_the_nan(self):
+        records = RecordTable(_passing_table())
+        assert mass_balance_check(records, ZERO_INFLUX).ok
+        assert lyapunov_decay_check(records, self.LT).ok
+        assert longtime_box_check(records, (0.0, 0.0), BOX).ok
+
+    def test_mass_balance(self):
+        report = mass_balance_check(self._with_nan("mass"), ZERO_INFLUX)
+        assert (report.ok, report.first_violation) == (False, 2)
+        assert report.message == (
+            "mass drift nan at step 2 (t=0.2) exceeds 1e-10 relative "
+            "(net gain nan, influx sum dt*phi 0)")
+
+    def test_lyapunov_decay(self):
+        report = lyapunov_decay_check(self._with_nan("lyapunov"), self.LT)
+        assert (report.ok, report.first_violation) == (False, 2)
+        assert report.message == \
+            "Lyapunov increase at step 2 (t=0.2): 0.9 -> nan"
+
+    def test_longtime_box(self):
+        report = longtime_box_check(self._with_nan("u_min"), (0.0, 0.0), BOX)
+        assert not report.ok
+        assert report.message == \
+            "u range [nan, 0.5] leaves longtime.box.u = [0, 1]"
+
+
+def _scan_results(*members):
+    """{eps: result} with only the fields apriori_scaling_check reads, from
+    (eps, reg_energy_u, reg_energy_s, sup_h1_s) tuples."""
+    return {eps: types.SimpleNamespace(reg_energy_u=ru, reg_energy_s=rs,
+                                       sup_h1_s=sup)
+            for eps, ru, rs, sup in members}
+
+
+class TestAprioriScaling:
+    def test_single_run_passes_vacuously(self):
+        report = apriori_scaling_check(_scan_results((1e-2, 5.0, 5.0, 1.0)))
+        assert report.ok and report.message == "single run: vacuously bounded"
+
+    def test_bounded_family_passes(self):
+        report = apriori_scaling_check(_scan_results(
+            (1e-3, 1.1, 2.2, 1.1), (1e-2, 1.0, 2.0, 1.0),
+            (1e-4, 0.5, 0.5, 1.05)))
+        assert report.ok
+        assert report.message == ("bounded across eps=[0.01, 0.001, 0.0001]: "
+                                  "sup H1(s) in [1, 1.1]")
+
+    def test_u_energy_growth_fails(self):
+        report = apriori_scaling_check(_scan_results(
+            (1e-2, 1.0, 2.0, 1.0), (1e-3, 1.2, 2.0, 1.0)))
+        assert not report.ok
+        assert report.message == ("eps-weighted H2 energy of u grows: 1.2 at "
+                                  "eps=0.001 vs 1 at eps=0.01")
+
+    def test_stress_energy_growth_fails(self):
+        report = apriori_scaling_check(_scan_results(
+            (1e-2, 1.0, 2.0, 1.0), (1e-3, 1.0, 2.3, 1.0)))
+        assert not report.ok
+        assert report.message == ("eps-weighted H2 energy of stress grows at "
+                                  "eps=0.001")
+
+    def test_sup_h1_spread_fails(self):
+        report = apriori_scaling_check(_scan_results(
+            (1e-2, 1.0, 2.0, 1.0), (1e-3, 1.0, 2.0, 1.2)))
+        assert not report.ok
+        assert report.message == ("sup-in-time H1 norm of stress spreads "
+                                  "beyond 10%: [1, 1.2]")
 
 
 class TestCsv:

@@ -128,6 +128,25 @@ class TestInitialData:
         back = reconstruct_sigma(state, phys)
         assert np.max(np.abs(back - sigma0)) <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2),
+                    min_size=1, max_size=16),
+           st.floats(-1e3, 1e3))
+    def test_sigma_round_trip_within_round_off(self, pairs, nu):
+        # fl(fl(sigma0 - s) + s) is within 2u(|sigma0| + |s|) of sigma0,
+        # far inside 1e-12 (1 + |sigma0| + |s|) at every node
+        phys = physical_from_models(**{
+            role: make_scalar_model("constant", value=value)
+            for role, value in (("D0", 1.0), ("E0", 0.0), ("M0", 0.0),
+                                ("beta0", 1.0), ("mu0", 0.0), ("nu0", nu))})
+        u0, sigma0 = np.array(pairs).T
+        init = InitialData(u0, sigma0, phys)
+        shift = np.abs(phys.nu0_antiderivative(u0))
+        err = np.abs(reconstruct_sigma(init.initial_state(), phys) - sigma0)
+        two_u, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        assert np.all(err <= two_u * (np.abs(sigma0) + shift) + tiny)
+        assert np.all(err <= 1e-12 * (1.0 + np.abs(sigma0) + shift))
+
     def test_rejects_nonfinite(self):
         phys = _fickian_phys()
         with pytest.raises(ValueError):
@@ -911,8 +930,9 @@ class TestRecordBlocks:
 
     @pytest.mark.parametrize("N", [2, 64])
     def test_record_is_a_row_of_a_block(self, N):
-        # record(state, prev) equals the row a block gives the state,
-        # signed zeros, a constant u and a zero varsigma included
+        # the block's rows equal the reference chain of records, and
+        # record(state) each state's one-row record, signed zeros, a
+        # constant u and a zero varsigma included
         mesh = build_mesh(0.7, N)
         n = N + 1
         rng = np.random.default_rng(N)
@@ -926,14 +946,13 @@ class TestRecordBlocks:
         assert len(recorder.chains) == len(states)
         for state in states:
             recorder.add(state)
-        want = [record(states[0], mesh, 0.8)]
+        want = [_reference_record(states[0], mesh, 0.8)]
         for state in states[1:]:
-            want.append(record(state, mesh, 0.8, prev=want[-1]))
+            want.append(_reference_record(state, mesh, 0.8, prev=want[-1]))
         assert table.tobytes() == np.array(want).tobytes()
-        assert np.array(want).tobytes() == np.array(
-            [_reference_record(states[0], mesh, 0.8)] + [
-                _reference_record(s, mesh, 0.8, prev=p)
-                for s, p in zip(states[1:], want)]).tobytes()
+        assert np.array([record(s, mesh, 0.8) for s in states]).tobytes() \
+            == np.array([_reference_record(s, mesh, 0.8)
+                         for s in states]).tobytes()
 
 
 def _run_states(cfg, eps, n_steps):
