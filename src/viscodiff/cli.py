@@ -52,8 +52,7 @@ from .diagnostics import (
 from .output import write_diagnostics, write_flux, write_snapshot
 from .solver import (
     DualTimeDerivative,
-    LinearSolveFailure,
-    NumericalFailure,
+    StepFailure,
     compute_flux,
     reconstruct_sigma,
     run,
@@ -71,30 +70,23 @@ EPS_SCAN_VALUES = (1e-2, 1e-3, 1e-4)
 # signature trackers (phenomenology scans; never gate the exit code)
 
 
-def _columns(records, *names: str) -> list[np.ndarray]:
-    """The named columns of a record table, without a copy."""
-    table = np.asarray(records)
-    return [table[:, CSV_COLUMNS.index(name)] for name in names]
-
-
 def _extremum_signature(records, kind: str) -> tuple[bool, str]:
     """Overshoot: the peak of u over the run stands above its terminal
     maximum.  Undershoot: the trough stands below its terminal minimum.
     Either counts when it exceeds 1% of the largest spread of u."""
-    u_min, u_max = _columns(records, "u_min", "u_max")
+    table = np.asarray(records)
+    u_min, u_max = (table[:, CSV_COLUMNS.index(c)] for c in ("u_min", "u_max"))
     scale = max(float(np.max(u_max - u_min)), 1e-12)
-    # Python's max and min, which keep the first of a -0.0/0.0 tie
-    if kind == "overshoot":
-        peak, last = max(u_max.tolist()), float(u_max[-1])
-        excess = peak - last
-        return excess > 0.01 * scale, (
-            f"peak u {peak:.6g} vs terminal max "
-            f"{last:.6g} (excess {excess:.3g})")
-    trough, last = min(u_min.tolist()), float(u_min[-1])
-    deficit = last - trough
-    return deficit > 0.01 * scale, (
-        f"trough u {trough:.6g} vs terminal min "
-        f"{last:.6g} (deficit {deficit:.3g})")
+    over = kind == "overshoot"
+    u = (u_max if over else u_min).tolist()
+    # Python's max and min keep the first of a -0.0/0.0 tie, and the gap
+    # is taken in the order that gives a zero gap its sign
+    extreme = max(u) if over else min(u)
+    gap = extreme - u[-1] if over else u[-1] - extreme
+    noun, end, gap_name = (("peak", "max", "excess") if over
+                           else ("trough", "min", "deficit"))
+    return gap > 0.01 * scale, (f"{noun} u {extreme:.6g} vs terminal {end} "
+                                f"{u[-1]:.6g} ({gap_name} {gap:.3g})")
 
 
 class _FrontTracker:
@@ -237,22 +229,6 @@ def _make_outdir(outdir: Path, cfg: ScenarioConfig,
                                   key="--out") from exc
 
 
-def _execute(cfg: ScenarioConfig, outdir: Path):
-    """Build and run one scenario; returns everything the writers need."""
-    mesh, phys, model, bd, init, scfg = _build(cfg)
-    lt = _longtime(cfg, model)
-    gamma = lt.Gamma if lt is not None else 1.0
-
-    front = (_FrontTracker(mesh, cfg["front.threshold"])
-             if cfg["signature"] == "front" else None)
-
-    output_every = cfg["time.output_every"] or None
-    _make_outdir(outdir, cfg, _RUN_FILES)  # before the first step
-    result = run(init, mesh, model, bd, scfg, output_every=output_every,
-                 gamma=gamma, observer=front)
-    return mesh, phys, bd, lt, result, front
-
-
 def _signature_lines(cfg: ScenarioConfig, records, front) -> list[str]:
     kind = cfg["signature"]
     if kind == "none":
@@ -291,17 +267,46 @@ def _check_line(c: CheckReport) -> str:
     return f"check {c.name}: {'PASS' if c.ok else 'FAIL'} - {c.message}"
 
 
-def _write_records(outdir: Path, cfg: ScenarioConfig, records) -> None:
-    """``diagnostics.csv`` and ``config.txt`` in the output directory."""
+def _write_outcome(outdir: Path, lines: list[str], records: dict) -> None:
+    """``summary.txt`` and, under the same timestamp, a diagnostics CSV for
+    each of {eps: records}: ``diagnostics.csv`` for eps None (run and
+    preset), ``diagnostics_eps_<eps>.csv`` for an eps-scan member."""
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    write_diagnostics(outdir / "diagnostics.csv", records,
-                      header_note=f"generated {stamp}")
+    for e, series in records.items():
+        if e is None:
+            name, note = "diagnostics.csv", f"generated {stamp}"
+        else:
+            tag = f"{e:g}".replace(".", "p").replace("-", "m")
+            name = f"diagnostics_eps_{tag}.csv"
+            note = f"generated {stamp} (eps={e:g})"
+        write_diagnostics(outdir / name, series, header_note=note)
+    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+
+
+def _failure_lines(exc: StepFailure, dt: float) -> list[str]:
+    """The summary of a run that failed at step k, k being the number of
+    records it left."""
+    k = len(exc.records)
+    return [f"failed at step {k}, t={k * dt:.6g}", f"numerical failure: {exc}"]
+
+
+def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
+    mesh, phys, model, bd, init, scfg = _build(cfg)
+    lt = _longtime(cfg, model)
+    front = (_FrontTracker(mesh, cfg["front.threshold"])
+             if cfg["signature"] == "front" else None)
+    _make_outdir(outdir, cfg, _RUN_FILES)  # before the first step
     (outdir / "config.txt").write_text(cfgmod.serialize_config(cfg))
-
-
-def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
-                   result, front, checks: list[CheckReport]) -> None:
-    _write_records(outdir, cfg, result.records)
+    try:
+        result = run(init, mesh, model, bd, scfg,
+                     output_every=cfg["time.output_every"] or None,
+                     gamma=lt.Gamma if lt is not None else 1.0,
+                     observer=front)
+    except StepFailure as exc:
+        _write_outcome(outdir, _failure_lines(exc, scfg.dt),
+                       {None: exc.records})
+        raise
+    checks = _run_checks(cfg, mesh, bd, lt, result)
     for k, state in enumerate(result.trajectory):
         sigma = reconstruct_sigma(state, phys)
         write_snapshot(outdir / f"snapshot_{k}.csv", mesh.nodes, state.u,
@@ -327,36 +332,10 @@ def _write_outputs(outdir: Path, cfg: ScenarioConfig, mesh, phys, lt,
                          f"t={since:.6g}")
     lines.extend(map(_check_line, checks))
     lines.extend(_signature_lines(cfg, result.records, front))
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
-
-
-def _failure_lines(exc, dt: float) -> list[str]:
-    """The summary of a run that failed at step k, k being the number of
-    records it left."""
-    k = len(exc.records)
-    return [f"failed at step {k}, t={k * dt:.6g}", f"numerical failure: {exc}"]
-
-
-def _write_failure(outdir: Path, cfg: ScenarioConfig, exc) -> None:
-    """What a run that failed at step k leaves: the k records before the
-    failing step, the resolved config and a summary naming the step."""
-    _write_records(outdir, cfg, exc.records)
-    (outdir / "summary.txt").write_text(
-        "\n".join(_failure_lines(exc, cfg["time.dt"])) + "\n")
-
-
-def _cmd_run(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
-    try:
-        mesh, phys, bd, lt, result, front = _execute(cfg, outdir)
-    except (NumericalFailure, LinearSolveFailure) as exc:
-        _write_failure(outdir, cfg, exc)
-        raise
-    checks = _run_checks(cfg, mesh, bd, lt, result)
-    _write_outputs(outdir, cfg, mesh, phys, lt, result, front, checks)
+    _write_outcome(outdir, lines, {None: result.records})
     if not quiet:
-        rec = result.records[-1]
         print(f"completed {len(result.records) - 1} steps to "
-              f"t={result.final_state.t:g}; final mass {rec.mass:.12g}")
+              f"t={final.t:g}; final mass {rec.mass:.12g}")
         for c in checks:
             print(_check_line(c))
         print(f"outputs in {outdir}")
@@ -381,53 +360,39 @@ def _cmd_find_gamma(cfg: ScenarioConfig, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _write_scan_diagnostics(outdir: Path, records: dict) -> None:
-    """One diagnostics_eps_<eps>.csv per member, from {eps: records}."""
-    stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    for e, series in records.items():
-        tag = f"{e:g}".replace(".", "p").replace("-", "m")
-        write_diagnostics(outdir / f"diagnostics_eps_{tag}.csv", series,
-                          header_note=f"generated {stamp} (eps={e:g})")
-
-
-def _member_line(e: float, r, dual: DualTimeDerivative) -> str:
-    return (f"eps={e:g}: sup H1(s)={r.sup_h1_s:.8g} "
-            f"regE_u={r.reg_energy_u:.8g} regE_s={r.reg_energy_s:.8g} "
-            f"dual={dual.value:.8g}")
-
-
 def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
     all_eps = (0.0,) + EPS_SCAN_VALUES
     # every member is validated and built before any of them runs
     members = {eps: _build(cfgmod.validate({**cfg.values, "epsilon": eps}))
                for eps in all_eps}
     _make_outdir(outdir, cfg, _SCAN_FILES)  # before the first step
-    results, duals = {}, {}
+    results, records, distances = {}, {}, {}
+    lines = [f"epsilon scan over {list(all_eps)}"]
     for eps, (mesh, _phys, model, bd, init, scfg) in members.items():
-        duals[eps] = DualTimeDerivative(mesh, scfg.dt)
+        dual = DualTimeDerivative(mesh, scfg.dt)
         try:
-            results[eps] = run(init, mesh, model, bd, scfg,
-                               observer=duals[eps])
-        except (NumericalFailure, LinearSolveFailure) as exc:
+            r = results[eps] = run(init, mesh, model, bd, scfg, observer=dual)
+        except StepFailure as exc:
             # the finished members, the failing one's records before its
             # failing step, and a summary naming that member
-            _write_scan_diagnostics(outdir, {
-                **{e: r.records for e, r in results.items()},
-                eps: exc.records})
-            lines = ([f"epsilon scan over {list(all_eps)}"]
-                     + [_member_line(e, r, duals[e])
-                        for e, r in results.items()]
-                     + [f"eps={eps:g}: " + line
-                        for line in _failure_lines(exc, scfg.dt)])
-            (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+            records[eps] = exc.records
+            lines += [f"eps={eps:g}: {line}"
+                      for line in _failure_lines(exc, scfg.dt)]
+            _write_outcome(outdir, lines, records)
             print(f"numerical failure in the eps={eps:g} member: {exc}",
                   file=sys.stderr)
             return EXIT_NUMERICAL_FAILURE
+        records[eps] = r.records
+        line = (f"eps={eps:g}: sup H1(s)={r.sup_h1_s:.8g} "
+                f"regE_u={r.reg_energy_u:.8g} regE_s={r.reg_energy_s:.8g} "
+                f"dual={dual.value:.8g}")
+        if eps:
+            distances[eps] = l2_norm(
+                mesh, r.final_state.u - results[0.0].final_state.u)
+            line += f" dist_to_eps0={distances[eps]:.8g}"
+        lines.append(line)
 
-    mesh0, u_ref = members[0.0][0], results[0.0].final_state.u
     scaling = apriori_scaling_check({e: results[e] for e in EPS_SCAN_VALUES})
-    distances = {e: l2_norm(mesh0, results[e].final_state.u - u_ref)
-                 for e in EPS_SCAN_VALUES}
     ordered = sorted(EPS_SCAN_VALUES, reverse=True)
     monotone = all(distances[a] >= distances[b] - 1e-14
                    for a, b in zip(ordered, ordered[1:]))
@@ -437,14 +402,8 @@ def _cmd_eps_scan(cfg: ScenarioConfig, outdir: Path, quiet: bool) -> int:
                 + ("decreases" if monotone else "does not decrease")
                 + " with epsilon: "
                 + ", ".join(f"{e:g}: {distances[e]:.6g}" for e in ordered))]
-
-    lines = [f"epsilon scan over {list(all_eps)}"]
-    for e in all_eps:
-        lines.append(_member_line(e, results[e], duals[e])
-                     + (f" dist_to_eps0={distances[e]:.8g}" if e else ""))
     lines.extend(map(_check_line, checks))
-    _write_scan_diagnostics(outdir, {e: results[e].records for e in all_eps})
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+    _write_outcome(outdir, lines, records)
     if not quiet:
         for line in lines:
             print(line)
@@ -536,7 +495,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             GammaSearchFailure, NonSmoothCoefficient) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (NumericalFailure, LinearSolveFailure) as exc:
+    except StepFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     raise AssertionError(f"unhandled verb {args.verb!r}")

@@ -474,24 +474,30 @@ def apriori_scaling_check(runs: Mapping[float, "RunResult"]) -> CheckReport:
     ref = runs[eps_sorted[0]]
     floor = 1e-12
     margin = APRIORI_MARGIN
+    # each failure negates its passing comparison: a NaN fails
     for e in eps_sorted[1:]:
         r = runs[e]
-        if r.reg_energy_u > (1 + margin) * ref.reg_energy_u + floor:
+        if not r.reg_energy_u <= (1 + margin) * ref.reg_energy_u + floor:
             return CheckReport(
                 ok=False, name="apriori_scaling",
                 message=(f"eps-weighted H2 energy of u grows: "
                          f"{r.reg_energy_u:.6g} at eps={e:g} vs "
                          f"{ref.reg_energy_u:.6g} at eps={eps_sorted[0]:g}"))
-        if r.reg_energy_s > (1 + margin) * ref.reg_energy_s + floor:
+        if not r.reg_energy_s <= (1 + margin) * ref.reg_energy_s + floor:
             return CheckReport(
                 ok=False, name="apriori_scaling",
                 message=f"eps-weighted H2 energy of stress grows at eps={e:g}")
-    sup_vals = [runs[e].sup_h1_s for e in eps_sorted]
-    lo, hi = min(sup_vals), max(sup_vals)
-    if hi > (1 + margin) * lo + floor:
+    # argmin and argmax keep the first of a tie, as Python's min and max
+    # do, and stop at the first NaN
+    sup_vals = np.array([runs[e].sup_h1_s for e in eps_sorted])
+    j = int(sup_vals.argmax())
+    lo, hi = float(sup_vals[sup_vals.argmin()]), float(sup_vals[j])
+    if not hi <= (1 + margin) * lo + floor:
         return CheckReport(
             ok=False, name="apriori_scaling",
-            message=(f"sup-in-time H1 norm of stress spreads beyond "
+            message=(f"sup-in-time H1 norm of stress is nan at "
+                     f"eps={eps_sorted[j]:g}" if math.isnan(hi) else
+                     f"sup-in-time H1 norm of stress spreads beyond "
                      f"{margin:.0%}: [{lo:.6g}, {hi:.6g}]"))
     return CheckReport(
         ok=True, name="apriori_scaling",

@@ -18,9 +18,6 @@ import numpy as np
 
 from .coefficients import PhysicalCoefficients, TransformedModel
 from .diagnostics import BLOCK_ROWS, CSV_COLUMNS, Recorder, RecordTable
-# not called here: run records a block of states at a time.  It stays a
-# module attribute because perfbench/tracing.py wraps it by name.
-from .diagnostics import record  # noqa: F401
 from .discretization import (
     BoundaryData,
     Mesh,
@@ -33,12 +30,17 @@ from .discretization import (
     stiffness_from_means,
     tridiag_matvec,
 )
-# not called here: the step kernel assembles from element means and
-# writes the boundary load's two entries itself.  They stay module
-# attributes because perfbench/tracing.py wraps them by name.
+from .lapack import Banded, Tridiagonal
+
+# Not called here: run records a block of states at a time, and the step
+# kernel assembles from element means, writes the boundary load's two
+# entries itself and calls LAPACK through .lapack.  These names stay
+# module attributes only because perfbench/tracing.py wraps them by name;
+# solve_banded and solveh_banded are placeholders that nothing calls.
+from .diagnostics import record  # noqa: F401
 from .discretization import (  # noqa: F401
     boundary_functional, stiffness_diagonals)
-from .lapack import Banded, Tridiagonal
+solve_banded = solveh_banded = None
 
 __all__ = [
     "State",
@@ -46,6 +48,7 @@ __all__ = [
     "InitialData",
     "RunResult",
     "DualTimeDerivative",
+    "StepFailure",
     "NumericalFailure",
     "LinearSolveFailure",
     "step",
@@ -55,19 +58,12 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # solve_banded and solveh_banded are not called here: the step kernel
-    # calls LAPACK through .lapack.  perfbench/tracing.py wraps them by
-    # name, so they are module attributes, but scipy is imported only
-    # when one of them is asked for, and no untraced run loads it.
-    if name in ("solve_banded", "solveh_banded"):
-        import scipy.linalg
-        globals()[name] = value = getattr(scipy.linalg, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class StepFailure(Exception):
+    """A step the run cannot take.  ``run`` gives it, as ``records``, the
+    records of the states before the failing step."""
 
 
-class NumericalFailure(Exception):
+class NumericalFailure(StepFailure):
     """Non-finite state detected; carries the offending step index and time."""
 
     def __init__(self, step_index: int, t: float, what: str):
@@ -76,7 +72,7 @@ class NumericalFailure(Exception):
         super().__init__(f"non-finite {what} at step {step_index}, t={t:.6g}")
 
 
-class LinearSolveFailure(Exception):
+class LinearSolveFailure(StepFailure):
     """A step the scheme cannot take: a singular or indefinite step system
     (discrete ellipticity violation or dt * beta1 >= 1)."""
 
@@ -529,7 +525,7 @@ def run(init: InitialData, mesh: Mesh, model: TransformedModel,
         for k, influx in zip(steps, zip(*(dt * v for v in bd.values(times)))):
             try:
                 state = stepper.advance(state, k * dt, k, influx)
-            except (NumericalFailure, LinearSolveFailure) as exc:
+            except StepFailure as exc:
                 recorder.flush()
                 exc.records = RecordTable(table[:k])
                 raise

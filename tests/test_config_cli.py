@@ -1,6 +1,7 @@
 """Scenario parsing, presets, output formats, and the command-line driver."""
 
 import dataclasses
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -619,7 +620,8 @@ class TestCli:
         summary = (out / "summary.txt").read_text().splitlines()
         assert [line.split(":")[0] for line in summary[1:]] == [
             "eps=0", "eps=0.01", "eps=0.001", "eps=0.001"]
-        assert "sup H1(s)=" in summary[2]
+        # a finished member's line is the one a successful scan writes
+        assert "sup H1(s)=" in summary[2] and " dist_to_eps0=" in summary[2]
         assert summary[3] == "eps=0.001: failed at step 7, t=0.007"
 
     def test_check_failure_exit_one(self, tmp_path):
@@ -973,3 +975,49 @@ def test_readme_documents_every_key():
     rows = re.findall(r"^\| (`.*?) \|", section, re.M)
     listed = [k for row in rows for k in re.findall(r"`([^`]+)`", row)]
     assert listed and not [k for k in listed if cfgmod._rule(k) is None]
+
+
+# case -> (verb, scenario file or None for the built-in one, prefix of
+# the SHA-256 of the exit code, stdout, stderr, and each file written, in
+# name order, with its name and without its "# generated" line).  The
+# short runs reach every summary line kind: each check, the longtime
+# line, "stays below 1e-4" and each signature; the last two cases fail at
+# step 1 and exit 3.
+CLI_OUTPUT_SHA256 = {
+    "fickian": ("run", 'preset = "fickian"\ntime.T_end = 0.01\n',
+                "1b484274"),
+    "homogenize": ("run", 'preset = "homogenize"\ntime.T_end = 3.0\n',
+                   "cb3a3696"),
+    "sorption": ("run", 'preset = "sorption"\ntime.T_end = 1.5\n',
+                 "f88e8d89"),
+    "desorption": ("run", 'preset = "desorption"\ntime.T_end = 0.5\n',
+                   "ad1196cf"),
+    "case2-front": ("run", 'preset = "case2-front"\ntime.T_end = 0.5\n',
+                    "59589284"),
+    "eps-scan-preset": ("run", 'preset = "eps-scan"\ntime.T_end = 0.1\n',
+                        "61f70fb2"),
+    "eps-scan": ("eps-scan", None, "6f4dfd4b"),
+    "run-exit-3": ("run", 'preset = "fickian"\n'
+                   "model.beta0.value = -20000.0\n", "824ce316"),
+    "eps-scan-exit-3": ("eps-scan", 'preset = "eps-scan"\n'
+                        "model.beta0.beta_G = -1500.0\n"
+                        "model.beta0.beta_R = -1500.0\n", "ffb471e2"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_OUTPUT_SHA256))
+def test_cli_outputs_keep_their_bytes(case, tmp_path, capsys, monkeypatch):
+    verb, scenario, prefix = CLI_OUTPUT_SHA256[case]
+    monkeypatch.chdir(tmp_path)
+    args = [verb]
+    if scenario is not None:
+        Path("scenario.cfg").write_text(scenario)
+        args.append("scenario.cfg")
+    code = main(args + ["--out", "o"])
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(f"{code}\n{out}\0{err}\0".encode())
+    for path in sorted(Path("o").iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        digest.update(path.name.encode() + b"\0" + b"".join(
+            ln for ln in lines if not ln.startswith(b"# generated")) + b"\0")
+    assert digest.hexdigest().startswith(prefix), digest.hexdigest()

@@ -685,6 +685,21 @@ class TestAprioriScaling:
         assert report.message == ("sup-in-time H1 norm of stress spreads "
                                   "beyond 10%: [1, 1.2]")
 
+    def test_nan_u_energy_fails(self):
+        report = apriori_scaling_check(_scan_results(
+            (1e-2, 1.0, 2.0, 1.0), (1e-3, math.nan, 2.0, 1.0)))
+        assert not report.ok
+        assert report.message == ("eps-weighted H2 energy of u grows: nan at "
+                                  "eps=0.001 vs 1 at eps=0.01")
+
+    def test_nan_sup_h1_fails(self):
+        # Python's min and max skip a NaN after the first entry
+        report = apriori_scaling_check(_scan_results(
+            (1e-2, 1.0, 2.0, 1.0), (1e-3, 1.0, 2.0, math.nan)))
+        assert not report.ok
+        assert report.message == ("sup-in-time H1 norm of stress is nan at "
+                                  "eps=0.001")
+
 
 class TestCsv:
     def test_column_order(self):

@@ -25,8 +25,8 @@ from viscodiff.diagnostics import (
 )
 from viscodiff.discretization import BoundaryData, ZERO_INFLUX, build_mesh
 from viscodiff.output import write_diagnostics
-from viscodiff.solver import (InitialData, LinearSolveFailure, SolverConfig,
-                              run)
+from viscodiff.solver import (InitialData, LinearSolveFailure,
+                              NumericalFailure, SolverConfig, StepFailure, run)
 
 BOX = Box(t=(0, 1), x=(0, 1), u=(0, 1), s=(-1, 1))
 
@@ -152,6 +152,12 @@ def test_failed_step_carries_the_records_before_it():
     records = exc.value.records
     assert isinstance(records, RecordTable)
     assert len(records) == 1 and records[0].t == 0.0
+
+
+def test_step_failure_is_the_base_of_both_failures():
+    # run and the CLI catch this one class for a step the run cannot take
+    assert issubclass(NumericalFailure, StepFailure)
+    assert issubclass(LinearSolveFailure, StepFailure)
 
 
 def test_long_run_holds_records_in_little_memory(tmp_path):
