@@ -31,6 +31,7 @@ from .coefficients import (
     EllipticityViolation,
     GammaSearchFailure,
     LongTimeConditionFailure,
+    NonFiniteBound,
     NonSmoothCoefficient,
     check_assumptions,
     check_longtime_condition,
@@ -107,8 +108,6 @@ class _FrontTracker:
     def __call__(self, state):
         u, c = state.u, self.threshold
         above = u >= c
-        if not above.any() or above.all():
-            return
         idx = np.nonzero(above[:-1] & ~above[1:])[0]
         if idx.size == 0:
             return
@@ -492,7 +491,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (EllipticityViolation, LongTimeConditionFailure,
-            GammaSearchFailure, NonSmoothCoefficient) as exc:
+            GammaSearchFailure, NonFiniteBound, NonSmoothCoefficient) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except StepFailure as exc:

@@ -32,6 +32,7 @@ __all__ = [
     "check_longtime_condition",
     "find_gamma",
     "EllipticityViolation",
+    "NonFiniteBound",
     "LongTimeConditionFailure",
     "GammaSearchFailure",
     "NonSmoothCoefficient",
@@ -62,6 +63,10 @@ class EllipticityViolation(Exception):
             f"diffusion coefficient not uniformly positive: "
             f"D={values[0]:.6g} at (t,x,u,s)={tuple(float(v) for v in worst)}"
         )
+
+
+class NonFiniteBound(Exception):
+    """A coefficient bound is not finite on the box."""
 
 
 class LongTimeConditionFailure(Exception):
@@ -632,10 +637,10 @@ class AssumptionBounds:
     d: float
 
     def __post_init__(self):
-        if self.d <= 0:
+        if not self.d > 0:
             raise ValueError("ellipticity constant d must be positive")
         for k in (self.K_D, self.K_E, self.K_beta, self.K_mu, self.K_f, self.K_g):
-            if not math.isfinite(k) or k < 0:
+            if not (math.isfinite(k) and k >= 0):
                 raise ValueError("bounds must be finite and non-negative")
 
 
@@ -659,32 +664,36 @@ def check_assumptions(model: TransformedModel, box: Box,
     """Empirical coefficient bounds over a deterministic sample grid.
 
     Raises EllipticityViolation when the sampled diffusion coefficient
-    fails to stay positive.
+    is not positive (NaN included), and NonFiniteBound, naming the bound
+    and a sample point, when a field a bound is taken from is not finite.
     """
     (t, x, u, s), (D, E, fv, b1, gm, beta, mu, g) = _sample(model, box,
                                                            n_samples)
 
     d = float(np.min(D))
-    if d <= 0:
-        bad = np.nonzero(D <= 0)[0]
+    if not d > 0:
+        bad = np.nonzero(~(D > 0))[0]
         order = np.argsort(D[bad])
         bad = bad[order][:5]
         pts = [(t[i], x[i], u[i], s[i]) for i in bad]
         raise EllipticityViolation(pts, [float(D[i]) for i in bad])
 
+    # the fields each bound is taken from, as rows; the first non-finite
+    # entry in row order names its bound
+    names = ("K_D", "K_E", "K_beta", "K_beta", "K_mu", "K_mu", "K_f", "K_g")
+    values = np.abs((D, E, beta, gm, mu, b1, fv, g))
+    row, i = divmod(int(np.argmin(np.isfinite(values))), values.shape[1])
+    if not np.isfinite(values[row, i]):
+        raise NonFiniteBound(
+            f"{names[row]} is not finite on the box: {values[row, i]:.6g} "
+            f"at (t,x,u,s)={tuple(float(v[i]) for v in (t, x, u, s))}")
     radius = np.abs(u) + np.abs(s)
-    K_f = _affine_growth_slope(radius, np.abs(fv))
-    K_g = _affine_growth_slope(radius, np.abs(g))
-
+    peak = values.max(axis=1)
     return AssumptionBounds(
-        K_D=float(np.max(np.abs(D))),
-        K_E=float(np.max(np.abs(E))),
-        K_beta=float(max(np.max(np.abs(beta)), np.max(np.abs(gm)))),
-        K_mu=float(max(np.max(np.abs(mu)), np.max(np.abs(b1)))),
-        K_f=K_f,
-        K_g=K_g,
-        d=d,
-    )
+        K_D=float(peak[0]), K_E=float(peak[1]),
+        K_beta=float(max(peak[2], peak[3])), K_mu=float(max(peak[4], peak[5])),
+        K_f=_affine_growth_slope(radius, values[6]),
+        K_g=_affine_growth_slope(radius, values[7]), d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +709,7 @@ class LongTimeCondition:
     verified_box: Box
 
     def __post_init__(self):
-        if self.Gamma <= 0 or self.Gamma_0 <= 0:
+        if not (self.Gamma > 0 and self.Gamma_0 > 0):
             raise ValueError("Gamma and Gamma_0 must be positive")
 
 
@@ -731,7 +740,7 @@ def _margin(sample, Gamma: float, box: Box) -> LongTimeCondition:
     lam = quadratic_form_min_eig(D, E, beta, mu, Gamma)
     i = int(np.argmin(lam))
     g0 = float(lam[i])
-    if g0 <= 0:
+    if not g0 > 0:
         raise LongTimeConditionFailure(Gamma, (t[i], x[i], u[i], s[i]), g0)
     return LongTimeCondition(Gamma=Gamma, Gamma_0=g0, verified_box=box)
 

@@ -199,10 +199,11 @@ class _Stepper:
     coefficient fields determine: it has the model write the five
     fields into the rows of one (5, n) buffer and tests them for
     finiteness with one dot product, averages the rows D, E and f per
-    element in one pass over them as one chain of 3n nodes, takes the
-    stiffness bands of D and E from one scatter over their chain and
-    the flux load from the f means, forms M + dt*K(D) and the stress
-    update's 1 - dt*beta1 and dt*gamma, and factors the step systems.
+    element in one pass over them as one chain of 3n nodes, scatters
+    each stiffness band into the array the step reads (K(E) into the
+    chain bands, K(D) where M + dt*K(D) is then formed in place), takes
+    the flux load from the f means and the stress update's
+    1 - dt*beta1 and dt*gamma, and factors the step systems.
     ``advance`` then builds the right-hand side, solves and updates
     varsigma.
 
@@ -257,11 +258,9 @@ class _Stepper:
         # the scalars the ufuncs take, as 0-d arrays (see ``scalar``)
         self.dt_, self.h_, self.one_ = map(scalar, (cfg.dt, mesh.h, 1.0))
         # written by build: the fields, the element means of D, E and f,
-        # the bands of D and E, M + dt*K(D), the flux load, 1 - dt*beta1
-        # and dt*gamma
+        # M + dt*K(D), the flux load, 1 - dt*beta1 and dt*gamma
         self.fields = np.empty((len(_FIELD_NAMES), n))
         self.means = np.empty(3 * n - 1)
-        self.k_main, self.k_off = np.empty(2 * n), np.empty(2 * n - 1)
         self.a_main, self.a_off = np.empty(n), np.empty(n - 1)
         self.load = np.empty(n)
         self.divisor = np.empty(n)
@@ -300,7 +299,7 @@ class _Stepper:
         system and, at epsilon > 0, of the stress system."""
         mesh, cfg = self.mesh, self.cfg
         dt_, eps = self.dt_, cfg.epsilon
-        n = self.n
+        n, ops = self.n, self.ops
         fields = self.model.fields(state.t, mesh.nodes, state.u,
                                    state.sigma_v, out=self.fields)
         total = np.vdot(fields, fields)
@@ -314,22 +313,13 @@ class _Stepper:
         # element means of the rows D, E, f read as one chain of 3n
         # nodes; the two means that straddle a row joint are not used
         means = element_means(fields[:3].reshape(-1), out=self.means)
-        # the bands of D and E from their chain, with zero weight on the
-        # joint element: 0.0 + 0.0 and (0.0 + x) + 0.0 are exact, so each
-        # row's bands equal stiffness_diagonals of that row, bit for bit
+        # one divide for both rows; neither band reads the joint's abar[n - 1]
         abar = np.divide(means[:2 * n - 1], self.h_, out=means[:2 * n - 1])
-        abar[n - 1] = 0.0
-        k_main, k_off = stiffness_from_means(abar, self.k_main, self.k_off)
-        self.e_main[:] = k_main[n:]
-        self.e_off[:] = k_off[n:]
-
-        ops = self.ops
-        a_main = np.add(ops.mass_main, np.multiply(dt_, k_main[:n],
-                                                   out=self.a_main),
-                        out=self.a_main)
-        a_off = np.add(ops.mass_off, np.multiply(dt_, k_off[:n - 1],
-                                                 out=self.a_off),
-                       out=self.a_off)
+        stiffness_from_means(abar[n:], self.e_main, self.e_off)
+        a_main, a_off = stiffness_from_means(abar[:n - 1], self.a_main,
+                                             self.a_off)
+        np.add(ops.mass_main, np.multiply(dt_, a_main, out=a_main), out=a_main)
+        np.add(ops.mass_off, np.multiply(dt_, a_off, out=a_off), out=a_off)
         divisor = np.subtract(self.one_,
                               np.multiply(dt_, b1n, out=self.divisor),
                               out=self.divisor)

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscodiff.coefficients import (
+    AssumptionBounds,
     Box,
     EllipticityViolation,
     GammaSearchFailure,
+    LongTimeCondition,
     LongTimeConditionFailure,
+    NonFiniteBound,
     PhysicalCoefficients,
     TransformedModel,
     _affine_growth_slope,
@@ -548,6 +551,73 @@ class TestLongTimeCondition:
         box = Box(t=(0, 0), x=(0, 1), u=(0, 1), s=(0, 0))
         with pytest.raises(ValueError):
             find_gamma(model, box, [1.0])
+
+
+def _physical_with(**maps):
+    """Hand-built maps D0 = beta0 = 1 and E0 = M0 = mu0 = nu0 = 0, with
+    any of D0, E0, M0 and beta0 replaced by ``maps``."""
+    one = lambda t, x, u, sig: 1.0 + 0.0 * u  # noqa: E731
+    zero = lambda t, x, u, sig: 0.0 * u  # noqa: E731
+    laws = {"D0": one, "E0": zero, "M0": zero, "beta0": one, **maps}
+    return PhysicalCoefficients(**laws, mu0=lambda u: 0.0 * u,
+                                nu0=lambda u: 0.0 * u,
+                                nu0_antiderivative=lambda u: 0.0 * u)
+
+
+def _above_half(bad, value=1.0):
+    """A map that is ``bad`` where u > 0.5 and ``value`` elsewhere."""
+    return lambda t, x, u, sig: np.where(np.asarray(u) > 0.5, bad, value)
+
+
+class TestNonFiniteOnTheBox:
+    """A field that is NaN or infinite on part of the box fails the set-up
+    checks, at a point of that part."""
+
+    BOX = Box(t=(0, 1), x=(0, 1), u=(0, 1), s=(-1, 1))
+
+    def test_finite_maps_pass(self):
+        model = transform(_physical_with())
+        assert check_assumptions(model, self.BOX, n_samples=256).d == 1.0
+        lt = check_longtime_condition(model, 1.0, self.BOX, n_samples=256)
+        assert lt.Gamma_0 == 1.0
+
+    def test_nan_margin_fails_the_longtime_condition(self):
+        model = transform(_physical_with(beta0=_above_half(np.nan)))
+        with pytest.raises(LongTimeConditionFailure) as exc:
+            check_longtime_condition(model, 1.0, self.BOX, n_samples=256)
+        assert math.isnan(exc.value.eigenvalue)
+        assert exc.value.point[2] > 0.5
+
+    def test_nan_margin_fails_every_gamma(self):
+        model = transform(_physical_with(beta0=_above_half(np.nan)))
+        with pytest.raises(GammaSearchFailure) as exc:
+            find_gamma(model, self.BOX, [1.0, 2.0], n_samples=256)
+        assert str(exc.value) == ("all Gamma candidates failed: "
+                                  "1 -> nan; 2 -> nan")
+
+    def test_inf_diffusion_names_its_bound(self):
+        model = transform(_physical_with(D0=_above_half(np.inf)))
+        with pytest.raises(NonFiniteBound) as exc:
+            check_assumptions(model, self.BOX, n_samples=256)
+        head = "K_D is not finite on the box: inf at (t,x,u,s)=(0.0, 0.0, "
+        assert str(exc.value).startswith(head)
+        # the first grid point with u > 0.5
+        assert float(str(exc.value)[len(head):].split(",")[0]) > 0.5
+
+    def test_nan_diffusion_is_not_elliptic(self):
+        model = transform(_physical_with(D0=_above_half(np.nan)))
+        with pytest.raises(EllipticityViolation) as exc:
+            check_assumptions(model, self.BOX, n_samples=256)
+        assert exc.value.values and all(map(math.isnan, exc.value.values))
+        assert all(p[2] > 0.5 for p in exc.value.points)
+
+    def test_results_reject_nan(self):
+        with pytest.raises(ValueError):
+            LongTimeCondition(Gamma=1.0, Gamma_0=math.nan,
+                              verified_box=self.BOX)
+        with pytest.raises(ValueError):
+            AssumptionBounds(K_D=1.0, K_E=0.0, K_beta=0.0, K_mu=0.0,
+                             K_f=0.0, K_g=0.0, d=math.nan)
 
 
 # every preset's box, plus eps-scan with a tanh nu0, whose gradient terms

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -766,6 +769,40 @@ class TestCli:
                                  if verb == "run" else [])
         assert main(args + ["--quiet"]) == EXIT_CHECK_FAILED
         assert "check failed:" in capsys.readouterr().err
+
+    # beta0 = 1e308 (1 + u) overflows on the box, so the margin is NaN
+    NAN_MARGIN = ['model.beta0 = "polynomial"',
+                  "model.beta0.coeffs = [1e308, 1e308]", "time.T_end = 0.01"]
+
+    @pytest.mark.parametrize("verb, lines, message", [
+        ("find-gamma", NAN_MARGIN + ["longtime.gamma_grid = [1.0, 2.0]"],
+         "all Gamma candidates failed: 1 -> nan; 2 -> nan"),
+        ("run", NAN_MARGIN, "quadratic form loses definiteness for "
+         "Gamma=1: min eigenvalue nan at "),
+        ("check-assumptions", ['model.D0 = "polynomial"',
+                               "model.D0.coeffs = [1.0, 1e308, 1e308]"],
+         "K_D is not finite on the box: inf at "),
+        ("check-assumptions", ['model.E0 = "polynomial"',
+                               "model.E0.coeffs = [1e308, 1e308]"],
+         "diffusion coefficient not uniformly positive: D=nan at "),
+    ])
+    def test_non_finite_set_up_value_exit_one(self, tmp_path, verb, lines,
+                                              message):
+        # overflowing laws, so the CLI runs in a child process, whose
+        # numpy RuntimeWarnings go to its stderr
+        p = tmp_path / "overflow.cfg"
+        p.write_text('preset = "homogenize"\n' + "\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        args = [verb, str(p)] + (["--out", str(out)] if verb == "run" else [])
+        proc = subprocess.run(
+            [sys.executable, "-m", "viscodiff.cli", *args],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == EXIT_CHECK_FAILED, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(
+            f"check failed: {message}")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not out.exists()
 
     def test_non_finite_input_exit_two(self, tmp_path, capsys):
         p = tmp_path / "nan.cfg"
