@@ -17,7 +17,6 @@ from .coefficients import (
     check_longtime_condition,
     constant_model,
     find_gamma,
-    gradient_coefficients,
     make_scalar_model,
     physical_from_models,
     transform,
@@ -33,7 +32,6 @@ from .diagnostics import (
 from .discretization import (
     BoundaryData,
     Mesh,
-    assemble_flux_vector,
     boundary_functional,
     build_mesh,
 )
@@ -45,7 +43,6 @@ from .solver import (
     compute_flux,
     reconstruct_sigma,
     run,
-    step,
 )
 
 __version__ = "0.1.0"

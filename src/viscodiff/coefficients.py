@@ -27,7 +27,6 @@ __all__ = [
     "ScalarModel",
     "make_scalar_model",
     "transform",
-    "gradient_coefficients",
     "check_assumptions",
     "check_longtime_condition",
     "find_gamma",
@@ -230,8 +229,10 @@ def make_scalar_model(name: str, **params) -> ScalarModel:
         coeffs = [float(c) for c in params.pop("coeffs")]
         _reject_extras(name, params)
         poly = np.polynomial.Polynomial(coeffs)
-        dpoly = poly.deriv()
-        ipoly = poly.integ()
+        # an overflowing coefficient leaves an inf that the set-up checks
+        # and the run's finiteness tests report in their own words
+        with np.errstate(over="ignore"):
+            dpoly, ipoly = poly.deriv(), poly.integ()
         return ScalarModel(
             "polynomial",
             {"coeffs": tuple(coeffs)},
@@ -309,10 +310,10 @@ def _rows(out: np.ndarray) -> list:
 class TransformedModel:
     """Coefficients of the system in the (u, varsigma) variables.
 
-    D, E, f, beta1, gamma take (t, x, u, varsigma).  ``partials`` holds
-    analytic partial derivatives of beta1 and gamma, all six keys
-    'beta1_u', 'beta1_s', 'beta1_x', 'gamma_u', 'gamma_s', 'gamma_x';
-    when it is None, central finite differences are used.  The model is
+    D, E, f, beta1, gamma take (t, x, u, varsigma).  ``partials``, when
+    set, says that beta1 and gamma depend on u only: it maps u to
+    (d beta1/du, d gamma/du).  When it is None, the partials along u,
+    varsigma and x come from central finite differences.  The model is
     immutable: a changed one comes from ``dataclasses.replace``.  Only
     ``transform`` (which ``constant_model`` calls) fuses ``fields``,
     whose rows its five callables are, and can set ``frozen``.
@@ -323,7 +324,7 @@ class TransformedModel:
     f: Coefficient
     beta1: Coefficient
     gamma: Coefficient
-    partials: Optional[Mapping[str, Coefficient]] = None
+    partials: Optional[Callable[[np.ndarray], tuple]] = None
     # set by transform: one function returning all five fields from a
     # single evaluation of each map, and whether what a step builds from
     # the fields is fixed; None for a hand-built or replaced model
@@ -467,21 +468,10 @@ def transform(phys: PhysicalCoefficients) -> TransformedModel:
         c = phys.constants["nu0"]
         b0du, m0du = phys.beta0_du, phys.mu0_du
 
-        def zero(t, x, u, s):
-            return np.zeros(np.broadcast_shapes(
-                np.shape(t), np.shape(x), np.shape(u), np.shape(s)), dtype=float)
-
-        partials = {
-            "beta1_u": lambda t, x, u, s: -np.asarray(b0du(u), dtype=float)
-            + zero(t, x, u, s),
-            "beta1_s": zero,
-            "beta1_x": zero,
+        def partials(u):
             # gamma = mu0(u) - c*beta0(u) identically when nu0 is constant
-            "gamma_u": lambda t, x, u, s: np.asarray(m0du(u), dtype=float)
-            - c * np.asarray(b0du(u), dtype=float) + zero(t, x, u, s),
-            "gamma_s": zero,
-            "gamma_x": zero,
-        }
+            db0 = np.asarray(b0du(u), dtype=float)
+            return -db0, np.asarray(m0du(u), dtype=float) - c * db0
 
     def row(i):
         return lambda t, x, u, s: fields(t, x, u, s)[i, ...]
@@ -549,39 +539,37 @@ def _fd_partial(fn, which, t, x, u, s):
 
 
 def _partials(model: TransformedModel, which: str, t, x, u, s) -> tuple:
-    """(d beta1, d gamma) along ``which``: from ``model.partials`` when it
-    is set, else central differences of the fields' last two rows, one
-    ``fields`` call per stencil point."""
-    if model.partials is not None:
-        return tuple(np.asarray(model.partials[f"{name}_{which}"](t, x, u, s),
-                                dtype=float) for name in ("beta1", "gamma"))
+    """(d beta1, d gamma) along ``which`` by central differences of the
+    fields' last two rows, one ``fields`` call per stencil point."""
     return tuple(_fd_partial(lambda *a: model.fields(*a)[3:], which,
                              t, x, u, s))
 
 
-def gradient_coefficients(model: TransformedModel, t, x, u, s):
-    """Coefficients (beta, mu, g) of grad(beta1*varsigma + gamma*u).
+def _coefficients(model: TransformedModel, t, x, u, s) -> tuple:
+    """The five fields (D, E, f, beta1, gamma), from one ``fields`` call,
+    and the coefficients (beta, mu, g) of grad(beta1*varsigma + gamma*u).
 
     beta multiplies grad u, mu multiplies grad varsigma, g collects the
     explicit spatial dependence:
         beta = (d beta1/du) s + gamma + (d gamma/du) u
         mu   = beta1 + (d beta1/ds) s + (d gamma/ds) u
         g    = (d beta1/dx) s + (d gamma/dx) u
+    With ``model.partials`` set, beta1 and gamma depend on u only, so
+    mu = beta1 and g = 0.
     """
-    return _coefficients(model, t, x, u, s)[5:]
-
-
-def _coefficients(model: TransformedModel, t, x, u, s) -> tuple:
-    """The five fields, from one ``fields`` call, and beta, mu and g."""
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     D, E, f, b1, gm = model.fields(t, x, u, s)
-    db1_du, dgm_du = _partials(model, "u", t, x, u, s)
-    db1_ds, dgm_ds = _partials(model, "s", t, x, u, s)
-    db1_dx, dgm_dx = _partials(model, "x", t, x, u, s)
+    if model.partials is not None:
+        db1_du, dgm_du = model.partials(u)
+        mu, g = b1, np.zeros(np.shape(b1))
+    else:
+        db1_du, dgm_du = _partials(model, "u", t, x, u, s)
+        db1_ds, dgm_ds = _partials(model, "s", t, x, u, s)
+        db1_dx, dgm_dx = _partials(model, "x", t, x, u, s)
+        mu = b1 + db1_ds * s + dgm_ds * u
+        g = db1_dx * s + dgm_dx * u
     beta = db1_du * s + gm + dgm_du * u
-    mu = b1 + db1_ds * s + dgm_ds * u
-    g = db1_dx * s + dgm_dx * u
     return D, E, f, b1, gm, beta, mu, g
 
 
@@ -653,10 +641,15 @@ def _affine_growth_slope(radius: np.ndarray, values: np.ndarray) -> float:
 
 def _sample(model: TransformedModel, box: Box, n_samples: int):
     """The box grid (t, x, u, s) and ``_coefficients`` on it, each
-    broadcast to the grid."""
+    broadcast to the grid.
+
+    Overflow and invalid operations warn nothing here: the checks that
+    read the sample fail on every NaN or inf they find, by name.
+    """
     t, x, u, s = box.grid(n_samples)
-    return (t, x, u, s), [np.broadcast_to(v, u.shape)
-                          for v in _coefficients(model, t, x, u, s)]
+    with np.errstate(all="ignore"):
+        values = _coefficients(model, t, x, u, s)
+    return (t, x, u, s), [np.broadcast_to(v, u.shape) for v in values]
 
 
 def check_assumptions(model: TransformedModel, box: Box,
@@ -737,7 +730,10 @@ def check_longtime_condition(model: TransformedModel, Gamma: float, box: Box,
 def _margin(sample, Gamma: float, box: Box) -> LongTimeCondition:
     """``check_longtime_condition`` on a ``_sample`` of the box."""
     (t, x, u, s), (D, E, _, _, _, beta, mu, _) = sample
-    lam = quadratic_form_min_eig(D, E, beta, mu, Gamma)
+    # an overflow or a non-finite entry makes the margin NaN or -inf,
+    # which fails below
+    with np.errstate(all="ignore"):
+        lam = quadratic_form_min_eig(D, E, beta, mu, Gamma)
     i = int(np.argmin(lam))
     g0 = float(lam[i])
     if not g0 > 0:

@@ -23,7 +23,6 @@ __all__ = [
     "mesh_operators",
     "build_mesh",
     "lumped_mass_diagonal",
-    "assemble_flux_vector",
     "boundary_functional",
     "tridiag_matvec",
 ]
@@ -151,26 +150,16 @@ def load_from_means(wbar: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _nodal(mesh: Mesh, w, what: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (mesh.N + 1,):
-        raise ValueError(f"{what} must have {mesh.N + 1} entries")
-    return w
-
-
 def stiffness_diagonals(mesh: Mesh, a: np.ndarray):
     """(main, off) diagonals of the weighted stiffness form.
 
     The nodal coefficient a is averaged per element; the form
     annihilates constants exactly.
     """
-    a = _nodal(mesh, a, "coefficient field")
+    a = np.asarray(a, dtype=float)
+    if a.shape != (mesh.N + 1,):
+        raise ValueError(f"coefficient field must have {mesh.N + 1} entries")
     return stiffness_from_means(element_means(a) / mesh.h)
-
-
-def assemble_flux_vector(mesh: Mesh, w: np.ndarray) -> np.ndarray:
-    """Load vector b_i = int wbar * phi_i' with per-element averages of w."""
-    return load_from_means(element_means(_nodal(mesh, w, "field")))
 
 
 def boundary_functional(mesh: Mesh, bd: BoundaryData, t: float) -> np.ndarray:

@@ -19,7 +19,6 @@ from .diagnostics import BLOCK_ROWS, CSV_COLUMNS, DiagnosticsRecord
 __all__ = [
     "SNAPSHOT_COLUMNS",
     "csv_blocks",
-    "format_csv",
     "write_snapshot",
     "read_snapshot",
     "write_flux",
@@ -46,12 +45,6 @@ def csv_blocks(header: Sequence[str], rows, note: Optional[str] = None
         block = table[start:start + BLOCK_ROWS]
         template = full if len(block) == BLOCK_ROWS else line * len(block)
         yield template % tuple(block.ravel().tolist())
-
-
-def format_csv(header: Sequence[str], rows,
-               note: Optional[str] = None) -> str:
-    """The whole CSV text of ``csv_blocks`` as one string."""
-    return "".join(csv_blocks(header, rows, note))
 
 
 def _write_csv(path: Union[str, Path], header: Sequence[str], rows,

@@ -51,7 +51,6 @@ __all__ = [
     "StepFailure",
     "NumericalFailure",
     "LinearSolveFailure",
-    "step",
     "run",
     "compute_flux",
     "reconstruct_sigma",
@@ -417,16 +416,6 @@ def _factor_banded(system: Banded, step_index: int, what: str) -> None:
     if system.factor() > 0:
         raise LinearSolveFailure(
             f"{what} system singular at step {step_index}: singular matrix")
-
-
-def step(state: State, mesh: Mesh, model: TransformedModel, bd: BoundaryData,
-         cfg: SolverConfig) -> State:
-    """One semi-implicit step, with the fourth-order regularization term
-    when epsilon > 0."""
-    state.check(mesh)
-    t = state.t + cfg.dt
-    influx = tuple(cfg.dt * phi for phi in bd.values(np.array(t)))
-    return _Stepper(mesh, model, cfg).advance(state, t, 0, influx)
 
 
 @dataclass

@@ -15,9 +15,9 @@ import pytest
 from viscodiff.cli import EXIT_OK, main
 from viscodiff.coefficients import (
     Box,
+    _coefficients,
     check_longtime_condition,
     constant_model,
-    gradient_coefficients,
     make_scalar_model,
     physical_from_models,
     transform,
@@ -245,8 +245,8 @@ def test_criterion_6_gradient_coefficient_oracle():
     u = rng.uniform(0.05, 1.0, 100)
     s = rng.uniform(-1.0, 1.0, 100)
     worst = 0.0
-    for a, n in zip(gradient_coefficients(analytic, 0.0, 0.0, u, s),
-                    gradient_coefficients(numeric, 0.0, 0.0, u, s)):
+    for a, n in zip(_coefficients(analytic, 0.0, 0.0, u, s)[5:],
+                    _coefficients(numeric, 0.0, 0.0, u, s)[5:]):
         worst = max(worst, float(np.max(np.abs(a - n) / (1.0 + np.abs(a)))))
     ok = worst <= 1e-6
     _verdict(6, ok, f"gradient coefficients: worst analytic-vs-FD relative "

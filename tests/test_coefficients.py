@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_laws
 from viscodiff.coefficients import (
     AssumptionBounds,
     Box,
@@ -19,12 +20,12 @@ from viscodiff.coefficients import (
     PhysicalCoefficients,
     TransformedModel,
     _affine_growth_slope,
+    _coefficients,
     _fd_partial,
     check_assumptions,
     check_longtime_condition,
     constant_model,
     find_gamma,
-    gradient_coefficients,
     make_scalar_model,
     physical_from_models,
     quadratic_form_min_eig,
@@ -297,26 +298,6 @@ class TestLawKernels:
         assert float(law.fn(0.25)) == float(unfused(np.float64(0.25)))
 
 
-def _laws(nu0=False):
-    """A law of any kind with drawn parameters; constants include +-0.0,
-    and nu0 takes only kinds with an antiderivative."""
-    value = st.floats(-2.0, 2.0)
-    kinds = [
-        st.builds(lambda v: make_scalar_model("constant", value=v),
-                  st.sampled_from([0.0, -0.0]) | value),
-        st.builds(lambda lo, hi, d, c: make_scalar_model(
-            "tanh", lo=lo, hi=hi, delta=d, center=c),
-            value, value, st.floats(0.01, 1.0), st.floats(-0.5, 1.5)),
-        st.builds(lambda c: make_scalar_model("polynomial", coeffs=c),
-                  st.lists(value, min_size=1, max_size=4)),
-    ]
-    if not nu0:
-        kinds.append(st.builds(lambda a1, a2: make_scalar_model(
-            "cohen-e0", alpha_1=a1, alpha_2=a2),
-            st.floats(0.01, 2.0), st.floats(0.01, 1.0)))
-    return st.one_of(kinds)
-
-
 class TestFields:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_fields_equal_the_five_callables(self, name):
@@ -343,7 +324,7 @@ class TestFields:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_fields_equal_the_reference_for_any_laws(self, data):
-        laws = {role: data.draw(_laws(nu0=role == "nu0"), label=role)
+        laws = {role: data.draw(scalar_laws(nu0=role == "nu0"), label=role)
                 for role in ("D0", "E0", "M0", "beta0", "mu0", "nu0")}
         phys = physical_from_models(**laws)
         u = np.concatenate(([0.0, -0.0, 1e-9, -1e-9, 1.0],
@@ -408,7 +389,7 @@ class TestFields:
 class TestGradientCoefficients:
     def test_constant_model_trivial(self):
         model = constant_model(D=1.0, E=0.0, beta1=-2.0, gamma=0.7)
-        beta, mu, g = gradient_coefficients(model, 0.0, 0.0, 0.3, 0.4)
+        beta, mu, g = _coefficients(model, 0.0, 0.0, 0.3, 0.4)[5:]
         assert float(beta) == pytest.approx(0.7)
         assert float(mu) == pytest.approx(-2.0)
         assert float(g) == pytest.approx(0.0)
@@ -421,7 +402,7 @@ class TestGradientCoefficients:
             gamma=lambda t, x, u, s: np.ones(
                 np.broadcast_shapes(np.shape(u), np.shape(s))),
             partials=None)
-        beta, mu, g = gradient_coefficients(model, 0.0, 0.0, 2.0, 3.0)
+        beta, mu, g = _coefficients(model, 0.0, 0.0, 2.0, 3.0)[5:]
         assert float(beta) == pytest.approx(-2.0, abs=1e-8)
         assert float(mu) == pytest.approx(-2.0, abs=1e-8)
         assert float(g) == pytest.approx(0.0, abs=1e-8)
@@ -434,8 +415,8 @@ class TestGradientCoefficients:
         rng = np.random.default_rng(42)
         u = rng.uniform(0.05, 1.0, 100)
         s = rng.uniform(-1.0, 1.0, 100)
-        ba, ma, ga = gradient_coefficients(analytic, 0.0, 0.0, u, s)
-        bn, mn, gn = gradient_coefficients(numeric, 0.0, 0.0, u, s)
+        ba, ma, ga = _coefficients(analytic, 0.0, 0.0, u, s)[5:]
+        bn, mn, gn = _coefficients(numeric, 0.0, 0.0, u, s)[5:]
         for a, n in ((ba, bn), (ma, mn), (ga, gn)):
             assert np.max(np.abs(a - n) / (1.0 + np.abs(a))) <= 1e-6
 
@@ -514,8 +495,7 @@ class TestLongTimeCondition:
         rng = np.random.default_rng(7)
         t, x, u, s = (rng.uniform(lo, hi, 1000) for lo, hi in
                       (box.t, box.x, box.u, box.s))
-        from viscodiff.coefficients import gradient_coefficients as gc
-        beta, mu, _ = gc(model, t, x, u, s)
+        beta, mu, _ = _coefficients(model, t, x, u, s)[5:]
         D = np.asarray(model.D(t, x, u, s))
         E = np.asarray(model.E(t, x, u, s))
         theta = rng.uniform(0, 2 * math.pi, (1000, 10))
@@ -642,8 +622,10 @@ def _reference_sample(model, box, n_samples):
         return np.broadcast_to(np.asarray(v, dtype=float), u.shape)
 
     def partial(name, which):
+        # analytic partials are of u alone: zero along varsigma and x
         if model.partials is not None:
-            return model.partials[f"{name}_{which}"](t, x, u, s)
+            du = model.partials(u)[("beta1", "gamma").index(name)]
+            return du if which == "u" else 0.0
         return _fd_partial(getattr(model, name), which, t, x, u, s)
 
     D, E, f, b1, gm = (full(c(t, x, u, s)) for c in

@@ -32,7 +32,7 @@ from viscodiff.diagnostics import (
 )
 from viscodiff.discretization import (ZERO_INFLUX, BoundaryData, build_mesh,
                                       pair_rows)
-from viscodiff.output import format_csv
+from viscodiff.output import csv_blocks
 from viscodiff.solver import InitialData, SolverConfig, State, run
 from viscodiff.coefficients import make_scalar_model, physical_from_models
 
@@ -713,7 +713,7 @@ class TestCsv:
                                 l2_s=0.0, h1semi_s=0.0, lyapunov=0.02,
                                 cum_grad_u=0.0, cum_grad_s=0.0,
                                 u_min=-1e-17, u_max=0.9)
-        text = format_csv(CSV_COLUMNS, [rec])
+        text = "".join(csv_blocks(CSV_COLUMNS, [rec]))
         lines = text.strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         vals = [float(v) for v in lines[1].split(",")]
@@ -722,5 +722,6 @@ class TestCsv:
 
     def test_header_note_line(self):
         rec = DiagnosticsRecord(*([0.0] * 11))
-        text = format_csv(CSV_COLUMNS, [rec], note="generated sometime")
+        text = "".join(csv_blocks(CSV_COLUMNS, [rec],
+                                  note="generated sometime"))
         assert text.splitlines()[0] == "# generated sometime"

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded, solveh_banded
 
+from conftest import scalar_laws
 from viscodiff import config, discretization
-from viscodiff.diagnostics import (RECORD_BLOCK_BYTES, DiagnosticsRecord,
-                                   Recorder, record)
+from viscodiff.diagnostics import (BLOCK_ROWS, CSV_COLUMNS,
+                                   RECORD_BLOCK_BYTES, DiagnosticsRecord,
+                                   Recorder, mass_balance_check, record)
 
 from viscodiff.coefficients import (
     TransformedModel,
@@ -35,9 +37,10 @@ from viscodiff.discretization import (
     ZERO_INFLUX,
     BoundaryData,
     DiscreteOperators,
-    assemble_flux_vector,
     boundary_functional,
     build_mesh,
+    element_means,
+    load_from_means,
     lumped_mass_diagonal,
     mass_diagonals,
     mesh_operators,
@@ -52,12 +55,12 @@ from viscodiff.solver import (
     NumericalFailure,
     SolverConfig,
     State,
+    StepFailure,
     _factor_banded,
     _Stepper,
     compute_flux,
     reconstruct_sigma,
     run,
-    step,
 )
 
 
@@ -164,7 +167,7 @@ class TestStep:
         model = constant_model(D=1.0, E=0.0, beta1=-1.0, gamma=0.0)
         cfg = SolverConfig(dt=0.1, T_end=0.1)
         state = State(t=0.0, u=np.zeros(5), sigma_v=np.ones(5))
-        out = step(state, mesh, model, ZERO_INFLUX, cfg)
+        out = _advance(_Stepper(mesh, model, cfg), ZERO_INFLUX, state, 0.1, 1)
         assert np.allclose(out.sigma_v, 1.0 / 1.1, atol=1e-14)
         assert out.t == pytest.approx(0.1)
 
@@ -175,7 +178,7 @@ class TestStep:
         cfg = SolverConfig(dt=0.05, T_end=0.05)
         c, s0 = 0.7, 0.2
         state = State(t=0.0, u=np.full(9, c), sigma_v=np.full(9, s0))
-        out = step(state, mesh, model, ZERO_INFLUX, cfg)
+        out = _advance(_Stepper(mesh, model, cfg), ZERO_INFLUX, state, 0.05, 1)
         assert np.ptp(out.u) <= 1e-14
         assert np.allclose(out.u, c, atol=1e-12)
         expected_s = (s0 + 0.05 * 0.5 * c) / (1 + 0.05 * 2.0)
@@ -232,8 +235,10 @@ class TestStep:
         phys = build_physical(cfg)
         state = build_initial(cfg, mesh, phys).initial_state()
         model = transform(phys)
+        scfg = build_solver_config(cfg)
         calls.clear()
-        step(state, mesh, model, build_boundary(cfg), build_solver_config(cfg))
+        _advance(_Stepper(mesh, model, scfg), build_boundary(cfg), state,
+                 scfg.dt, 1)
         # nu0's antiderivative, D0, E0 and beta0; the constant laws nu0,
         # M0 and mu0 enter as their values
         assert len(calls) == 4
@@ -244,11 +249,13 @@ class TestStep:
         cfg = SolverConfig(dt=1e-3, T_end=1e-3)
         state = State(t=0.0, u=0.3 + 0.2 * np.cos(math.pi * mesh.nodes),
                       sigma_v=np.zeros(17))
-        before = step(state, mesh, model, ZERO_INFLUX, cfg)
+        before = _advance(_Stepper(mesh, model, cfg), ZERO_INFLUX, state,
+                          1e-3, 1)
         f = model.f
         changed = dataclasses.replace(
             model, f=lambda t, x, u, s: f(t, x, u, s) + np.sin(math.pi * x))
-        after = step(state, mesh, changed, ZERO_INFLUX, cfg)
+        after = _advance(_Stepper(mesh, changed, cfg), ZERO_INFLUX, state,
+                         1e-3, 1)
         assert not np.array_equal(before.u, after.u)
 
     def test_operators_built_once_per_mesh_geometry(self, monkeypatch):
@@ -264,8 +271,9 @@ class TestStep:
         model = constant_model(D=1.0)
         cfg = SolverConfig(dt=0.1, T_end=0.1)
         state = State(t=0.0, u=np.linspace(0.0, 1.0, 9), sigma_v=np.zeros(9))
-        step(state, build_mesh(1.0, 8), model, ZERO_INFLUX, cfg)
-        step(state, build_mesh(1.0, 8), model, ZERO_INFLUX, cfg)
+        for _ in range(2):
+            _advance(_Stepper(build_mesh(1.0, 8), model, cfg), ZERO_INFLUX,
+                     state, 0.1, 1)
         assert len(built) == 1
         ops = discretization.mesh_operators(build_mesh(1.0, 8))
         with pytest.raises(ValueError):
@@ -284,8 +292,9 @@ class TestMassBalance:
         cfg = SolverConfig(dt=1e-3, T_end=1e-3)
         state = State(t=0.0, u=np.full(33, 0.3),
                       sigma_v=0.1 * np.cos(math.pi * mesh.nodes))
-        for _ in range(20):
-            nxt = step(state, mesh, model, bd, cfg)
+        stepper = _Stepper(mesh, model, cfg)
+        for k in range(1, 21):
+            nxt = _advance(stepper, bd, state, k * cfg.dt, k)
             gain = _mass(mesh, nxt.u) - _mass(mesh, state.u)
             expected = cfg.dt * (bd.phi_left(nxt.t) + bd.phi_right(nxt.t))
             assert gain == pytest.approx(expected, abs=1e-13)
@@ -328,6 +337,53 @@ class TestMassBalance:
                   build_boundary(cfg), build_solver_config(cfg))
         m0, m1 = res.records[0].mass, res.records[-1].mass
         assert abs((m1 - m0) - influx) <= 1e-12 * max(abs(m0), abs(m1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_laws_keep_the_mass_balance(self, data):
+        # every run that completes within the ellipticity hypothesis,
+        # D > 0 at every state it visits, gains dt*(phi_left +
+        # phi_right)(k*dt) at step k, less the regularization's share.  A
+        # run ends early at a failed step or at a floating-point overflow
+        # or invalid value.  (At epsilon > 0 the regularized system can
+        # stay SPD where D < 0, and such a run may grow without bound.)
+        phys = physical_from_models(**{
+            role: data.draw(scalar_laws(nu0=role == "nu0"), label=role)
+            for role in ("D0", "E0", "M0", "beta0", "mu0", "nu0")})
+        eps = data.draw(st.sampled_from([0.0, 1e-2]), label="epsilon")
+        dt, n = 1e-2, 30
+
+        def signal(side):
+            value = data.draw(st.floats(-2.0, 2.0), label=f"{side} value")
+            if not data.draw(st.booleans(), label=f"{side} is a pulse"):
+                return config._signal("constant", {"value": value}, dt,
+                                      n * dt)
+            k_on = data.draw(st.integers(0, n - 1), label=f"{side} k_on")
+            k_off = data.draw(st.integers(k_on + 1, n), label=f"{side} k_off")
+            return config._signal("pulse", {"value": value, "t_on": k_on * dt,
+                                            "t_off": k_off * dt}, dt, n * dt)
+
+        bd = BoundaryData(signal("phi_left"), signal("phi_right"))
+        mesh = build_mesh(1.0, 8)
+        model = transform(phys)
+        u0 = 0.3 + 0.2 * np.cos(math.pi * mesh.nodes)
+        d_min = []
+
+        def observe(state):
+            d_min.append(model.fields(state.t, mesh.nodes, state.u,
+                                      state.sigma_v)[0].min())
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                res = run(InitialData(u0, np.zeros_like(u0), phys), mesh,
+                          model, bd,
+                          SolverConfig(dt=dt, T_end=n * dt, epsilon=eps),
+                          observer=observe)
+            except (StepFailure, FloatingPointError):
+                return
+        if min(d_min) > 0:
+            report = mass_balance_check(res.records, bd, epsilon=eps)
+            assert report.ok, report.message
 
     def test_influx_one_over_unit_time(self):
         mesh = build_mesh(1.0, 64)
@@ -393,16 +449,14 @@ def _sparse_bilaplacian(mesh):
     return sp.dia_matrix((eye + Lh) @ (eye + Lh))
 
 
-def _sparse_reference_step(state, mesh, model, bd, cfg, t_next=None):
+def _sparse_reference_step(state, mesh, model, bd, cfg, t_next):
     """The step assembled with scipy.sparse and solved with scipy's banded
     solvers, for comparison with the solver's LAPACK kernel: (2, 2) band
     storage for epsilon > 0, the tridiagonal SPD solve for epsilon = 0.
-    The step ends at t_next, state.t + dt by default."""
+    The step ends at t_next."""
     ml = lumped_mass_diagonal(mesh)
     bilap = _sparse_bilaplacian(mesh)
     dt, eps = cfg.dt, cfg.epsilon
-    if t_next is None:
-        t_next = state.t + dt
     u, s = state.u, state.sigma_v
     D, E, f, b1, g = (
         np.broadcast_to(np.asarray(c(state.t, mesh.nodes, u, s), float), u.shape)
@@ -412,7 +466,7 @@ def _sparse_reference_step(state, mesh, model, bd, cfg, t_next=None):
     m_main, m_off = mass_diagonals(mesh)
     rhs = (tridiag_matvec(m_main, m_off, u)
            - dt * (tridiag_matvec(kE_main, kE_off, s)
-                   + assemble_flux_vector(mesh, f))
+                   + load_from_means(element_means(f)))
            + dt * boundary_functional(mesh, bd, t_next))
 
     def solve(A, b):
@@ -649,6 +703,26 @@ class TestArraySignals:
                 observer=seen.append)
         assert [s.t for s in seen] == [0.0]
 
+    def test_every_state_sits_on_the_step_grid(self):
+        # records, observed states and snapshots on both sides of a block
+        # joint carry k*dt itself, never a running sum of dt
+        mesh = build_mesh(1.0, 4)
+        phys = _fickian_phys()
+        n, dt = BLOCK_ROWS + 6, 1e-3
+        seen = []
+        res = run(InitialData(np.full(5, 0.3), np.zeros(5), phys), mesh,
+                  transform(phys), BoundaryData(lambda t: np.sin(3 * t),
+                                                lambda t: 0.25),
+                  SolverConfig(dt=dt, T_end=n * dt), output_every=100,
+                  observer=seen.append)
+        grid = np.arange(n + 1) * dt
+        t_column = np.asarray(res.records)[:, CSV_COLUMNS.index("t")]
+        assert t_column.tobytes() == grid.tobytes()
+        assert np.array([s.t for s in seen]).tobytes() == grid.tobytes()
+        snapshots = [*range(0, n, 100), n]
+        assert np.array([s.t for s in res.trajectory]).tobytes() == \
+            grid[snapshots].tobytes()
+
     def test_run_spans_blocks_as_single_steps_do(self):
         # steps on both sides of a block joint take the influx at k*dt
         mesh = build_mesh(1.0, 4)
@@ -667,7 +741,7 @@ class TestArraySignals:
 
 class TestRegularized:
     def test_epsilon_zero_dispatch_identity(self):
-        # step takes any epsilon and is the step run takes
+        # a lone stepper's first step, at any epsilon, is the step run takes
         mesh = build_mesh(1.0, 16)
         phys = _tanh_mix()
         model = transform(phys)
@@ -675,7 +749,8 @@ class TestRegularized:
                            np.zeros(17), phys)
         for eps in (0.0, 1e-2):
             cfg = SolverConfig(dt=1e-3, T_end=1e-3, epsilon=eps)
-            a = step(init.initial_state(), mesh, model, ZERO_INFLUX, cfg)
+            a = _advance(_Stepper(mesh, model, cfg), ZERO_INFLUX,
+                         init.initial_state(), cfg.dt, 1)
             b = run(init, mesh, model, ZERO_INFLUX, cfg).final_state
             assert np.array_equal(a.u, b.u), eps
             assert np.array_equal(a.sigma_v, b.sigma_v), eps
@@ -685,7 +760,8 @@ class TestRegularized:
         model = constant_model(D=1.0, E=0.2, beta1=-1.0, gamma=0.3)
         cfg = SolverConfig(dt=1e-2, T_end=1e-2, epsilon=1e-2)
         state = State(t=0.0, u=np.full(17, 0.6), sigma_v=np.full(17, 0.1))
-        out = step(state, mesh, model, ZERO_INFLUX, cfg)
+        out = _advance(_Stepper(mesh, model, cfg), ZERO_INFLUX, state,
+                       cfg.dt, 1)
         assert np.ptp(out.u) <= 1e-13
         assert np.ptp(out.sigma_v) <= 1e-13
 
@@ -701,8 +777,8 @@ class TestRegularized:
             x = mesh.nodes / L
             state = State(t=0.0, u=0.3 + 0.2 * np.cos(math.pi * x),
                           sigma_v=0.1 * np.sin(2 * math.pi * x))
-            ref = _sparse_reference_step(state, mesh, model, bd, cfg)
-            out = step(state, mesh, model, bd, cfg)
+            ref = _sparse_reference_step(state, mesh, model, bd, cfg, cfg.dt)
+            out = _advance(_Stepper(mesh, model, cfg), bd, state, cfg.dt, 1)
             assert np.array_equal(out.u, ref.u), L
             assert np.array_equal(out.sigma_v, ref.sigma_v), L
 
@@ -1148,7 +1224,7 @@ class TestFrozen:
             u[:3] = [0.0, -0.0, 1e-9]
             D, E, f, b1, g = (np.broadcast_to(v, x.shape) for v in
                               model.fields(t, x, u, s))
-            load = assemble_flux_vector(build_mesh(1.0, 64), f)
+            load = load_from_means(element_means(f))
             assert load.tobytes() == np.zeros(65).tobytes()
             built.add(b"".join(v.tobytes() for v in (D, E, b1, g)))
         assert len(built) == 1
